@@ -75,25 +75,20 @@ class CharacterTable:
         assert phi == totient(m)
 
         # discrete logs of every coprime residue against each generator,
-        # found by walking the group once
+        # found by walking the group once: residues[t] = prod g_i**exps[i, t]
         coprime = np.array([a for a in range(m) if gcd(a, m) == 1], dtype=np.int64)
         self._coprime = coprime
-        index_of = {int(a): i for i, a in enumerate(coprime)}
-        dlogs = np.zeros((len(self.generators), len(coprime)), dtype=np.int64)
-
-        def fill(pos: int, residue: int, exps: list[int]) -> None:
-            if pos == len(self.generators):
-                col = index_of[residue]
-                for i, e in enumerate(exps):
-                    dlogs[i, col] = e
-                return
-            g, d = self.generators[pos]
-            r = residue
-            for e in range(d):
-                fill(pos + 1, r, exps + [e])
-                r = (r * g) % m
-
-        fill(0, 1 % m, [])
+        residues = np.array([1 % m], dtype=np.int64)
+        exps = np.zeros((0, 1), dtype=np.int64)
+        for g, d in self.generators:
+            powers = np.array([pow(g, e, m) for e in range(d)], dtype=np.int64)
+            residues = (residues[:, None] * powers[None, :] % m).ravel()
+            exps = np.vstack((
+                np.repeat(exps, d, axis=1),
+                np.tile(np.arange(d, dtype=np.int64), exps.shape[1]),
+            ))
+        dlogs = np.empty_like(exps)
+        dlogs[:, np.searchsorted(coprime, residues)] = exps
 
         self.labels: list[tuple[int, ...]] = []
         self.values = np.zeros((phi, m), dtype=np.complex128)

@@ -28,7 +28,7 @@ import numpy as np
 from . import __version__
 from .characters import build_character_table, gauss_sum, mult_transfer_check
 from .expsum import PolynomialPhase, exp_sum, poisson_identity_check, weyl_bound
-from .rationals import FractionSet, enumerate_set
+from .rationals import FractionSet, enumerate_set, expected_cardinality
 from .sieve import SieveBoundViolation, bound_catalog, sieve_ratio_experiment
 from .spacing import (
     SpacingQuery,
@@ -55,7 +55,6 @@ class RunConfig:
     k: int = 2
     N: Optional[int] = None
     epsilon: float = 0.0
-    tol: float = 1e-8
     seed: int = 0
     format: str = "json"
     cache_dir: Optional[str] = None
@@ -78,7 +77,14 @@ def _cached_set(Q: int, k: int, cache_dir: Optional[str]) -> FractionSet:
     os.makedirs(cache_dir, exist_ok=True)
     path = os.path.join(cache_dir, f"fracset_Q{Q}_k{k}.bin")
     if os.path.exists(path):
-        return FractionSet.read_cache(path)
+        fs = FractionSet.read_cache(path)
+        expected = expected_cardinality(Q, k)
+        if (fs.Q, fs.k) != (Q, k) or len(fs) != expected:
+            raise ValueError(
+                f"{path}: cache holds {len(fs)} points of S({fs.Q}, {fs.k}), "
+                f"not the {expected} of S({Q}, {k})"
+            )
+        return fs
     fs = enumerate_set(Q, k)
     fs.write_cache(path)
     return fs
@@ -185,8 +191,6 @@ def _cmd_sieve_ratio(config: RunConfig) -> tuple[dict, int]:
             config.Q,
             config.N,
             config.k,
-            tol=min(config.tol, 1e-10),
-            seed=config.seed,
             epsilon=config.epsilon,
             fraction_set=fs,
         )
@@ -299,7 +303,6 @@ _COMMANDS = {
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--k", type=int, default=2)
     p.add_argument("--epsilon", type=float, default=0.0)
-    p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--format", choices=("csv", "json"), default="json")
     p.add_argument("--cache-dir", default=None)
@@ -372,7 +375,6 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         k=args.k,
         N=getattr(args, "N", None),
         epsilon=args.epsilon,
-        tol=args.tol,
         seed=args.seed,
         format=args.format,
         cache_dir=args.cache_dir or os.environ.get(CACHE_ENV),

@@ -25,6 +25,7 @@ int64 fast paths honest about when they apply.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
@@ -184,12 +185,6 @@ class FractionSet:
     def elements(self) -> list[PowerFraction]:
         return list(self)
 
-    def values_float(self) -> np.ndarray:
-        """Element values as float64; for ordering hints and plots only."""
-        a = self._a.astype(np.float64)
-        d = self.denominators().astype(np.float64)
-        return a / d
-
     # -- serialization ----------------------------------------------------
 
     def write_csv(self, path) -> None:
@@ -206,14 +201,24 @@ class FractionSet:
                     fh.write(f"{a},{q},{self.k},{val}\n")
 
     def write_cache(self, path) -> None:
-        """Compact binary cache: header (Q, k, count) then (a, q) u64 pairs."""
-        with open(path, "wb") as fh:
-            fh.write(_CACHE_MAGIC)
-            fh.write(_CACHE_HEADER.pack(self.Q, self.k, len(self)))
-            rec = np.empty((len(self), 2), dtype="<u8")
-            rec[:, 0] = self._a.astype(np.uint64)
-            rec[:, 1] = self._q.astype(np.uint64)
-            rec.tofile(fh)
+        """Compact binary cache: header (Q, k, count) then (a, q) u64 pairs.
+
+        Written to a temporary file in the target directory and renamed
+        over ``path``, so readers never see a partial file.
+        """
+        tmp = f"{path}.{os.getpid()}.tmp"
+        try:
+            with open(tmp, "wb") as fh:
+                fh.write(_CACHE_MAGIC)
+                fh.write(_CACHE_HEADER.pack(self.Q, self.k, len(self)))
+                rec = np.empty((len(self), 2), dtype="<u8")
+                rec[:, 0] = self._a.astype(np.uint64)
+                rec[:, 1] = self._q.astype(np.uint64)
+                rec.tofile(fh)
+            os.replace(tmp, path)
+        finally:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
 
     @classmethod
     def read_cache(cls, path) -> "FractionSet":
@@ -221,7 +226,10 @@ class FractionSet:
             magic = fh.read(len(_CACHE_MAGIC))
             if magic != _CACHE_MAGIC:
                 raise ValueError(f"{path}: not a fraction-set cache")
-            Q, k, count = _CACHE_HEADER.unpack(fh.read(_CACHE_HEADER.size))
+            head = fh.read(_CACHE_HEADER.size)
+            if len(head) != _CACHE_HEADER.size:
+                raise ValueError(f"{path}: truncated cache header")
+            Q, k, count = _CACHE_HEADER.unpack(head)
             rec = np.fromfile(fh, dtype="<u8", count=2 * count)
         if rec.size != 2 * count:
             raise ValueError(f"{path}: truncated cache (expected {count} records)")

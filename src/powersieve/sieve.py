@@ -9,8 +9,10 @@ in
 is exactly the largest eigenvalue of the positive semidefinite Gram form,
 computable on either side (T*T over frequencies, TT* over points); equality
 of the two spectral norms is the operator-norm duality that the test suite
-asserts numerically.  lambda_max is found by power iteration with a
-deterministic seeded start; no general eigensolver is involved.
+asserts numerically.  lambda_max comes from one dense Hermitian eigensolve
+(numpy.linalg.eigh) of the side's Gram matrix.  The two sides are built
+independently: TT* from the sieve matrix, and T*T, which depends only on
+m - n, as a Toeplitz matrix over the symbol c[h] = sum_j e(x_j h).
 
 Two kinds of upper bounds are tracked:
 
@@ -31,25 +33,23 @@ from fractions import Fraction
 from typing import Callable, Literal, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .rationals import FractionSet, PowerFraction
 
-# K*N guard for gram experiments (matrix or streamed products).
+# cell guard for gram experiments: K*N for T and d*d for the Gram matrix solved
 GRAM_CELL_GUARD = 10 ** 7
 
-# materialize T when it stays comfortably in memory (complex128 cells)
-_MATERIALIZE_CELLS = 1 << 22
-
-DEFAULT_POWER_TOL = 1e-10
-POWER_ITERATION_CAP = 100_000
+# largest residual |Gv - lambda v| / max(1, lambda) accepted from the eigensolver
+RESIDUAL_TOL = 1e-10
 
 
 class ConvergenceError(RuntimeError):
-    """Power iteration missed the residual target; carries the last state."""
+    """The eigensolver missed the residual target; carries its state."""
 
     def __init__(self, residual: float, iterations: int):
         super().__init__(
-            f"power iteration: residual {residual:.3e} after {iterations} iterations"
+            f"eigensolve: residual {residual:.3e} after {iterations} iteration(s)"
         )
         self.residual = residual
         self.iterations = iterations
@@ -132,9 +132,8 @@ class SieveInstance:
                 "reduce Q or N"
             )
 
-    def _row_phases(self, j: int) -> np.ndarray:
-        """Phases (x_j * n) mod 1 for the frequency window, exactly reduced."""
-        n = np.arange(self.M + 1, self.M + self.N + 1, dtype=np.int64)
+    def _phases(self, j: int, n: np.ndarray) -> np.ndarray:
+        """Phases (x_j * n) mod 1 for the integer array n, exactly reduced."""
         if self.exact_points is not None:
             x = self.exact_points[j]
             p, r = x.numerator, x.denominator
@@ -147,101 +146,70 @@ class SieveInstance:
     def matrix(self) -> np.ndarray:
         """The K x N sieve matrix e(x_j n); only for moderate sizes."""
         self._check_guard()
+        n = np.arange(self.M + 1, self.M + self.N + 1, dtype=np.int64)
         T = np.empty((self.K, self.N), dtype=np.complex128)
         for j in range(self.K):
-            T[j] = np.exp(2j * np.pi * self._row_phases(j))
+            T[j] = np.exp(2j * np.pi * self._phases(j, n))
         return T
 
+    def gram_symbol(self) -> np.ndarray:
+        """c[h] = sum_j e(x_j h) for h = 0..N-1, one point at a time.
 
-class _GramOperator:
-    """Applies T*T (frequencies side) or TT* (points side) to vectors."""
-
-    def __init__(self, instance: SieveInstance, side: str):
-        instance._check_guard()
-        self.side = side
-        self.dim = instance.N if side == "frequencies" else instance.K
-        self.inst = instance
-        self._T = (
-            instance.matrix()
-            if instance.K * instance.N <= _MATERIALIZE_CELLS
-            else None
-        )
-
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        if self._T is not None:
-            T = self._T
-            if self.side == "frequencies":
-                return T.conj().T @ (T @ v)
-            return T @ (T.conj().T @ v)
-        # streamed row products; recompute e(x_j n) per row
-        inst = self.inst
-        if self.side == "frequencies":
-            out = np.zeros(inst.N, dtype=np.complex128)
-            for j in range(inst.K):
-                row = np.exp(2j * np.pi * inst._row_phases(j))
-                out += np.conj(row) * (row @ v)
-            return out
-        tv = np.zeros(inst.N, dtype=np.complex128)
-        out = np.empty(inst.K, dtype=np.complex128)
-        for j in range(inst.K):
-            row = np.exp(2j * np.pi * inst._row_phases(j))
-            tv += np.conj(row) * v[j]
-        for j in range(inst.K):
-            row = np.exp(2j * np.pi * inst._row_phases(j))
-            out[j] = row @ tv
-        return out
+        (T*T)[n, m] = c[m - n] whatever the window offset M.
+        """
+        h = np.arange(self.N, dtype=np.int64)
+        c = np.zeros(self.N, dtype=np.complex128)
+        for j in range(self.K):
+            c += np.exp(2j * np.pi * self._phases(j, h))
+        return c
 
 
-def _power_iteration(
-    op: _GramOperator, tol: float, seed: int, max_iter: int
-) -> GramSpectrum:
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(op.dim) + 1j * rng.standard_normal(op.dim)
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    residual = math.inf
-    for it in range(1, max_iter + 1):
-        w = op.apply(v)
-        lam = float(np.real(np.vdot(v, w)))  # Rayleigh quotient, real for PSD
-        residual = float(np.linalg.norm(w - lam * v))
-        if residual <= tol * max(1.0, abs(lam)):
-            return GramSpectrum(lambda_max=lam, iterations=it, residual=residual)
-        nw = np.linalg.norm(w)
-        if nw == 0.0:  # operator annihilated the vector: restart deterministically
-            v = rng.standard_normal(op.dim) + 1j * rng.standard_normal(op.dim)
-            v /= np.linalg.norm(v)
-            continue
-        v = w / nw
-    raise ConvergenceError(residual, max_iter)
+def _gram(instance: SieveInstance, side: str) -> np.ndarray:
+    """The Gram matrix of one side: TT* (K x K) or the Toeplitz T*T (N x N).
+
+    (T*T)[n, m] = c[m - n] with c[-h] = conj(c[h]), so the frequencies side
+    is a strided view over the 2N - 1 symbol values and never holds T.
+    """
+    if side == "points":
+        T = instance.matrix()
+        return T @ T.conj().T
+    c = instance.gram_symbol()
+    return sliding_window_view(np.concatenate((np.conj(c[:0:-1]), c)), instance.N)[::-1]
 
 
 def gram_lambda_max(
     instance: SieveInstance,
     side: Literal["points", "frequencies"] = "points",
-    tol: float = DEFAULT_POWER_TOL,
-    seed: int = 0,
-    max_iter: int = POWER_ITERATION_CAP,
 ) -> GramSpectrum:
     """Largest eigenvalue of the chosen Gram contraction.
 
     This value is exactly the best sieve constant for the instance: the
-    quadratic form attains it and no smaller constant works.
+    quadratic form attains it and no smaller constant works.  One dense
+    Hermitian eigensolve; the top eigenpair is checked by its residual.
     """
     if side not in ("points", "frequencies"):
         raise ValueError(f"unknown side {side!r}")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    return _power_iteration(_GramOperator(instance, side), tol, seed, max_iter)
+    instance._check_guard()
+    d = instance.N if side == "frequencies" else instance.K
+    if d * d > GRAM_CELL_GUARD:
+        raise ValueError(
+            f"{side} Gram has {d * d} cells, over the gram guard {GRAM_CELL_GUARD}; "
+            "reduce Q or N"
+        )
+    G = _gram(instance, side)
+    eigenvalues, eigenvectors = np.linalg.eigh(G)
+    lam = float(eigenvalues[-1])
+    v = eigenvectors[:, -1]
+    residual = float(np.linalg.norm(G @ v - lam * v))
+    if residual > RESIDUAL_TOL * max(1.0, abs(lam)):
+        raise ConvergenceError(residual, 1)
+    return GramSpectrum(lambda_max=lam, iterations=1, residual=residual)
 
 
-def duality_check(
-    instance: SieveInstance,
-    tol: float = DEFAULT_POWER_TOL,
-    seed: int = 0,
-) -> tuple[float, float]:
-    """lambda_max on both sides; equal spectral norms up to iteration error."""
-    lhs = gram_lambda_max(instance, "frequencies", tol, seed).lambda_max
-    rhs = gram_lambda_max(instance, "points", tol, seed).lambda_max
+def duality_check(instance: SieveInstance) -> tuple[float, float]:
+    """lambda_max on both sides; equal spectral norms up to rounding."""
+    lhs = gram_lambda_max(instance, "frequencies").lambda_max
+    rhs = gram_lambda_max(instance, "points").lambda_max
     return lhs, rhs
 
 
@@ -345,8 +313,6 @@ def sieve_ratio_experiment(
     Q: int,
     N: int,
     k: int = 2,
-    tol: float = DEFAULT_POWER_TOL,
-    seed: int = 0,
     epsilon: float = 0.0,
     fraction_set: FractionSet | None = None,
 ) -> dict:
@@ -360,7 +326,7 @@ def sieve_ratio_experiment(
     fs = fraction_set if fraction_set is not None else enumerate_set(Q, k)
     inst = SieveInstance.from_fraction_set(fs, N)
     side = "points" if inst.K <= inst.N else "frequencies"
-    spec = gram_lambda_max(inst, side, tol, seed)
+    spec = gram_lambda_max(inst, side)
     ceiling = per_q_exact_ceiling(Q, N, k)
     if spec.lambda_max > ceiling + 1e-6 * max(1.0, ceiling):
         raise SieveBoundViolation(

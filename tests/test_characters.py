@@ -1,6 +1,8 @@
 """Character tables, primitivity, Gauss sums, and the transfer inequality."""
 
+import gc
 import json
+import weakref
 from math import gcd
 
 import numpy as np
@@ -76,6 +78,16 @@ class TestTableConstruction:
         for a in range(m):
             if gcd(a, m) != 1:
                 assert (t.values[:, a] == 0).all()
+
+    def test_dropped_table_freed_without_cyclic_gc(self):
+        table = build_character_table(7, 2)
+        ref = weakref.ref(table)
+        gc.disable()
+        try:
+            del table
+            assert ref() is None
+        finally:
+            gc.enable()
 
     def test_guard_on_modulus(self):
         with pytest.raises(ValueError, match="guard"):

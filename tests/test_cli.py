@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from powersieve.cli import EXIT_ASSERTION, EXIT_OK, EXIT_USAGE, main
+from powersieve.cli import EXIT_ASSERTION, EXIT_OK, EXIT_USAGE, _cached_set, main
 
 
 def run_cli(argv, capsys):
@@ -160,3 +160,28 @@ class TestCache:
         code, _ = run_cli(["spacing", "--Q", "3", "--N", "27"], capsys)
         assert code == EXIT_OK
         assert (tmp_path / "envcache" / "fracset_Q3_k2.bin").exists()
+
+    def test_renamed_foreign_cache_rejected(self, tmp_path, capsys):
+        cache = tmp_path / "cache"
+        assert main(["spacing", "--Q", "3", "--N", "27", "--cache-dir", str(cache)]) == EXIT_OK
+        (cache / "fracset_Q3_k2.bin").rename(cache / "fracset_Q4_k2.bin")
+        with pytest.raises(ValueError, match="S\\(3, 2\\)"):
+            _cached_set(4, 2, str(cache))
+        argv = ["spacing", "--Q", "4", "--N", "64", "--cache-dir", str(cache)]
+        assert main(argv) == EXIT_USAGE
+
+    @pytest.mark.parametrize("keep", [20, -16])
+    def test_truncated_cache_rejected(self, tmp_path, capsys, keep):
+        cache = tmp_path / "cache"
+        argv = ["spacing", "--Q", "3", "--N", "27", "--cache-dir", str(cache)]
+        assert main(argv) == EXIT_OK
+        path = cache / "fracset_Q3_k2.bin"
+        path.write_bytes(path.read_bytes()[:keep])
+        with pytest.raises(ValueError, match="truncated"):
+            _cached_set(3, 2, str(cache))
+        assert main(argv) == EXIT_USAGE
+
+    def test_cache_write_leaves_no_temporary(self, tmp_path, capsys):
+        cache = tmp_path / "cache"
+        assert main(["spacing", "--Q", "2", "--N", "8", "--cache-dir", str(cache)]) == EXIT_OK
+        assert [p.name for p in cache.iterdir()] == ["fracset_Q2_k2.bin"]

@@ -5,7 +5,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from powersieve import sieve as sv
 from powersieve.rationals import enumerate_set
 from powersieve.sieve import (
     ConvergenceError,
@@ -104,38 +107,51 @@ class TestLambdaMax:
 
     def test_deterministic_for_fixed_seed(self):
         inst = SieveInstance([Fraction(1, 7), Fraction(2, 7), Fraction(4, 7)], 0, 5)
-        a = gram_lambda_max(inst, seed=3)
-        b = gram_lambda_max(inst, seed=3)
-        assert a.lambda_max == b.lambda_max and a.iterations == b.iterations
-
-    def test_convergence_error_carries_state(self):
-        inst = SieveInstance.from_fraction_set(enumerate_set(3, 2), 27)
-        with pytest.raises(ConvergenceError) as err:
-            gram_lambda_max(inst, tol=1e-10, max_iter=2)
-        assert err.value.iterations == 2
-        assert err.value.residual > 0
+        a = gram_lambda_max(inst)
+        b = gram_lambda_max(inst)
+        assert a.lambda_max == b.lambda_max and a.iterations == b.iterations == 1
 
     def test_rejects_bad_side_and_tol(self):
         inst = SieveInstance([Fraction(1, 3)], 0, 2)
         with pytest.raises(ValueError):
             gram_lambda_max(inst, side="rows")
-        with pytest.raises(ValueError):
-            gram_lambda_max(inst, tol=0.0)
 
-    def test_streamed_matches_materialized(self):
-        from powersieve import sieve as sv
+    @pytest.mark.parametrize(
+        "points, M",
+        [
+            ([Fraction(1, 9), Fraction(4, 25), Fraction(7, 16), Fraction(2, 3)], 11),
+            ([Fraction(a, 257) for a in (3, 40, 41, 99, 180, 256)], -5),
+            ([0.1, 0.35, 0.82, 0.8201], 7),
+            ([0.0, 2 ** -0.5, 3 ** -0.5], 0),
+        ],
+    )
+    def test_toeplitz_frequency_gram_matches_dense(self, points, M):
+        inst = SieveInstance(points, M, 30)
+        T = inst.matrix()
+        dense = T.conj().T @ T
+        toeplitz = sv._gram(inst, "frequencies")
+        assert toeplitz.shape == dense.shape
+        assert np.allclose(toeplitz, dense, rtol=0, atol=1e-12 * inst.K)
 
-        rng = np.random.default_rng(8)
-        pts = sorted({Fraction(int(a), 257) for a in rng.integers(1, 257, 25)})
-        inst = SieveInstance(pts, 0, 30)
-        lam_mat = gram_lambda_max(inst).lambda_max
-        old = sv._MATERIALIZE_CELLS
-        sv._MATERIALIZE_CELLS = 0  # force the streamed route
-        try:
-            lam_str = gram_lambda_max(inst).lambda_max
-        finally:
-            sv._MATERIALIZE_CELLS = old
-        assert lam_str == pytest.approx(lam_mat, rel=1e-9)
+    def test_perturbed_eigenpair_raises_convergence_error(self, monkeypatch):
+        inst = SieveInstance.from_fraction_set(enumerate_set(3, 2), 27)
+        eigh = np.linalg.eigh
+
+        def perturbed(G):
+            w, V = eigh(G)
+            return w + 1e-3, V
+
+        monkeypatch.setattr(np.linalg, "eigh", perturbed)
+        with pytest.raises(ConvergenceError) as err:
+            gram_lambda_max(inst)
+        assert err.value.iterations == 1
+        assert err.value.residual == pytest.approx(1e-3, rel=1e-6)
+
+    def test_guard_on_solved_gram_cells(self):
+        inst = SieveInstance([Fraction(1, 3)], 0, 4000)
+        with pytest.raises(ValueError, match="guard"):
+            gram_lambda_max(inst, side="frequencies")
+        assert gram_lambda_max(inst, side="points").lambda_max == pytest.approx(4000)
 
 
 class TestDuality:
@@ -157,6 +173,26 @@ class TestDuality:
         inst = SieveInstance.from_fraction_set(enumerate_set(1, 2), 4)
         lhs, rhs = duality_check(inst)
         assert abs(lhs - rhs) <= 1e-8 * max(lhs, rhs)
+
+
+class TestSpectralProperties:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        points=st.sets(
+            st.fractions(min_value=0, max_value=1, max_denominator=300),
+            min_size=1,
+            max_size=12,
+        ),
+        M=st.integers(-50, 50),
+        N=st.integers(1, 24),
+    )
+    def test_duality_ceiling_and_floor(self, points, M, N):
+        inst = SieveInstance(sorted({x % 1 for x in points}), M, N)
+        lhs, rhs = duality_check(inst)
+        lam = max(lhs, rhs)
+        assert abs(lhs - rhs) <= 1e-8 * lam
+        assert lam <= cohen_selberg_ceiling(inst) + 1e-6
+        assert lam >= max(inst.K, inst.N) * (1 - 1e-9)
 
 
 class TestCeilings:

@@ -19,7 +19,6 @@ from .characters import (
 )
 from .expsum import (
     PolynomialPhase,
-    WeylParams,
     exp_sum,
     fejer_phi,
     fejer_phi_hat,

@@ -35,6 +35,7 @@ from .spacing import (
     conjecture_scan,
     spacing_count_bruteforce,
     spacing_count_fast,
+    table1_statistic,
 )
 
 EXIT_OK = 0
@@ -128,8 +129,7 @@ def _cmd_table1(config: RunConfig) -> tuple[dict, int]:
     rows = []
     for Q in range(1, q_max + 1):
         fs = _cached_set(Q, 2, config.cache_dir)
-        res = spacing_count_fast(SpacingQuery(Q, 2, Q ** 3), fs)
-        rows.append({"Q": Q, "M": res.count})
+        rows.append({"Q": Q, "M": table1_statistic(Q, fs)})
     return {"rows": rows}, EXIT_OK
 
 

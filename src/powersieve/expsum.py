@@ -87,25 +87,6 @@ class PolynomialPhase:
         return cls((0,) * k + (alpha,))
 
 
-@dataclass(frozen=True)
-class WeylParams:
-    """Differencing parameters for a degree-k phase on an interval."""
-
-    kappa: int
-    interval: Interval
-
-    @classmethod
-    def for_phase(cls, phase: PolynomialPhase, interval: Interval) -> "WeylParams":
-        return cls(kappa=2 ** (phase.degree - 1), interval=interval)
-
-    def __post_init__(self) -> None:
-        k = self.kappa
-        if k < 1 or (k & (k - 1)) != 0:
-            raise ValueError(f"kappa must be a power of two, got {k}")
-        if self.interval[1] < 1:
-            raise ValueError("interval length must be >= 1")
-
-
 def _phase_fractions_mod1(phase: PolynomialPhase, ns: Sequence[int]) -> list[float]:
     """f(n) mod 1 for each n, reduced exactly when the phase is rational."""
     if phase.is_rational:

@@ -28,7 +28,6 @@ from __future__ import annotations
 import os
 import struct
 from dataclasses import dataclass
-from decimal import Decimal, localcontext
 from fractions import Fraction
 from math import gcd
 from typing import Iterator
@@ -186,19 +185,6 @@ class FractionSet:
         return list(self)
 
     # -- serialization ----------------------------------------------------
-
-    def write_csv(self, path) -> None:
-        """CSV columns a, q, k, value; value is an 18-digit decimal string."""
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write("a,q,k,value\n")
-            with localcontext() as ctx:
-                ctx.prec = 40
-                quant = Decimal(1).scaleb(-18)
-                for i in range(len(self)):
-                    a = int(self._a[i])
-                    q = int(self._q[i])
-                    val = (Decimal(a) / Decimal(q) ** self.k).quantize(quant)
-                    fh.write(f"{a},{q},{self.k},{val}\n")
 
     def write_cache(self, path) -> None:
         """Compact binary cache: header (Q, k, count) then (a, q) u64 pairs.

@@ -75,6 +75,13 @@ class BoundFormula:
     evaluate: Callable[[int, int, int, float], float]
 
 
+def _check_gram_guard(K: int, N: int) -> None:
+    if K * N > GRAM_CELL_GUARD:
+        raise ValueError(
+            f"K*N = {K * N} exceeds the gram guard {GRAM_CELL_GUARD}; reduce Q or N"
+        )
+
+
 class SieveInstance:
     """A finite torus point set plus the frequency window (M, M+N].
 
@@ -125,13 +132,6 @@ class SieveInstance:
     def K(self) -> int:
         return len(self.float_points)
 
-    def _check_guard(self) -> None:
-        if self.K * self.N > GRAM_CELL_GUARD:
-            raise ValueError(
-                f"K*N = {self.K * self.N} exceeds the gram guard {GRAM_CELL_GUARD}; "
-                "reduce Q or N"
-            )
-
     def _phases(self, j: int, n: np.ndarray) -> np.ndarray:
         """Phases (x_j * n) mod 1 for the integer array n, exactly reduced."""
         if self.exact_points is not None:
@@ -145,7 +145,7 @@ class SieveInstance:
 
     def matrix(self) -> np.ndarray:
         """The K x N sieve matrix e(x_j n); only for moderate sizes."""
-        self._check_guard()
+        _check_gram_guard(self.K, self.N)
         n = np.arange(self.M + 1, self.M + self.N + 1, dtype=np.int64)
         T = np.empty((self.K, self.N), dtype=np.complex128)
         for j in range(self.K):
@@ -189,7 +189,7 @@ def gram_lambda_max(
     """
     if side not in ("points", "frequencies"):
         raise ValueError(f"unknown side {side!r}")
-    instance._check_guard()
+    _check_gram_guard(instance.K, instance.N)
     d = instance.N if side == "frequencies" else instance.K
     if d * d > GRAM_CELL_GUARD:
         raise ValueError(
@@ -324,6 +324,7 @@ def sieve_ratio_experiment(
     from .rationals import enumerate_set
 
     fs = fraction_set if fraction_set is not None else enumerate_set(Q, k)
+    _check_gram_guard(len(fs), N)  # before building one Fraction per point
     inst = SieveInstance.from_fraction_set(fs, N)
     side = "points" if inst.K <= inst.N else "frequencies"
     spec = gram_lambda_max(inst, side)

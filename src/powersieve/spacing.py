@@ -8,8 +8,9 @@ with t = 1/(2N) in the standard parameterization.  Two engines compute it:
 
 * a brute-force oracle that forms every pairwise distance (blocked and
   vectorized, but structurally O(n^2) with no sortedness assumptions), and
-* a fast path that sorts the set once and finds each point's neighbor arc
-  with a monotone window over the circle, wrapping the seam at 0/1.
+* a fast path that sorts the set once, finds each point's forward arc with
+  a monotone window over the circle (wrapping the seam at 0/1), and reads
+  the backward neighbors off those same arcs.
 
 Both decide ``||x - x'|| < t`` by exact integer comparison.  The fast path
 uses float64 positions only as a search hint; every window boundary is then
@@ -42,22 +43,15 @@ _BLOCK_ROWS = 64
 
 @dataclass(frozen=True)
 class SpacingQuery:
-    """Parameters for a spacing count over S(Q, k) at threshold 1/(2N).
-
-    ``exclude_self`` is always True: the count is over x' != x.  The field
-    exists so the convention is visible in serialized run configurations.
-    """
+    """Parameters for a spacing count over S(Q, k) at threshold 1/(2N)."""
 
     Q: int
     k: int
     N: int
-    exclude_self: bool = True
 
     def __post_init__(self) -> None:
         if self.Q < 1 or self.k < 2 or self.N < 1:
             raise ValueError(f"invalid query Q={self.Q}, k={self.k}, N={self.N}")
-        if not self.exclude_self:
-            raise ValueError("exclude_self=False is not a supported convention")
 
 
 @dataclass(eq=False)
@@ -80,7 +74,7 @@ class SpacingResult:
         return [(self.fraction_set[i], int(c)) for i, c in enumerate(self.counts)]
 
 
-def _fits_int64(nums, dens, t_num: int, t_den: int) -> bool:
+def _fits_int64(dens, t_num: int, t_den: int) -> bool:
     if len(dens) == 0:
         return True
     dmax = max(int(d) for d in dens) if dens.dtype == object else int(dens.max())
@@ -89,7 +83,7 @@ def _fits_int64(nums, dens, t_num: int, t_den: int) -> bool:
 
 
 def _cast_for_engine(nums, dens, t_num, t_den):
-    if _fits_int64(nums, dens, t_num, t_den):
+    if _fits_int64(dens, t_num, t_den):
         return nums.astype(np.int64), dens.astype(np.int64)
     return nums.astype(object), dens.astype(object)
 
@@ -170,9 +164,14 @@ def _forward_counts(nums, dens, t_num: int, t_den: int) -> np.ndarray:
 def neighbor_counts_sorted(nums, dens, t_num: int, t_den: int) -> np.ndarray:
     """Per-point neighbor counts for a strictly increasing point sequence.
 
-    Splits the neighbor arc of each point into the forward piece
-    ((v' - v) mod 1 < t) and the mirrored backward piece; for t <= 1/2 the
-    two are disjoint for distinct points, so the counts add.
+    One forward pass gives each point i its forward arc, the positions
+    (i, i + fwd[i]] of the doubled index range [0, 2n) whose points lie
+    within (v' - v) mod 1 < t.  The backward neighbors of j are exactly the
+    points whose forward arc covers j or j + n, counted with a difference
+    array over the doubled range.  For t <= 1/2 the forward and backward
+    relations are disjoint for distinct points ((v' - v) mod 1 and
+    (v - v') mod 1 sum to 1, so at most one is below 1/2), and an arc is
+    shorter than n, so no point covers j twice: the cover count is exact.
     """
     n = len(nums)
     if n == 0:
@@ -183,18 +182,11 @@ def neighbor_counts_sorted(nums, dens, t_num: int, t_den: int) -> np.ndarray:
     if n > 1 and not bool(np.all(nums[:-1] * dens[1:] < nums[1:] * dens[:-1])):
         raise ValueError("sorted engine requires strictly increasing values")
     fwd = _forward_counts(nums, dens, t_num, t_den)
-    # mirror x -> (1 - x) mod 1 swaps the scan direction; it reverses the
-    # sort order except that a point at exactly 0 is its own mirror image
-    # and stays in front
-    if nums[0] == 0:
-        order = np.concatenate([[0], np.arange(n - 1, 0, -1)])
-    else:
-        order = np.arange(n - 1, -1, -1)
-    m_nums = ((dens - nums) % dens)[order]
-    m_dens = dens[order]
-    bwd = np.empty(n, dtype=np.int64)
-    bwd[order] = _forward_counts(m_nums, m_dens, t_num, t_den)
-    return fwd + bwd
+    idx = np.arange(n)
+    starts = np.bincount(idx + 1, minlength=2 * n)
+    ends = np.bincount(idx + fwd + 1, minlength=2 * n)
+    cover = np.cumsum(starts - ends)
+    return fwd + cover[:n] + cover[n:]
 
 
 def _result_from_counts(fs: FractionSet, counts: np.ndarray) -> SpacingResult:
@@ -294,11 +286,11 @@ def conjecture_scan(
     for Q in range(q_min, q_max + 1):
         fs = cache(Q) if cache is not None else enumerate_set(Q, k)
         N = Q ** (k + 1)
-        counts = neighbor_counts_sorted(fs.numerators, fs.denominators(), 1, 2 * N)
-        w = int(np.argmax(counts))
-        m = int(counts[w])
-        open_counts = neighbor_counts_sorted(fs.numerators, fs.denominators(), 1, N)
-        running = max(running, m)
+        dens = fs.denominators()
+        counts = neighbor_counts_sorted(fs.numerators, dens, 1, 2 * N)
+        res = _result_from_counts(fs, counts)
+        open_counts = neighbor_counts_sorted(fs.numerators, dens, 1, N)
+        running = max(running, res.count)
         kappa = 2 ** (k - 1)  # epsilon = 0 form of the degree-k majorant
         denom = Q ** (k + 1) / N + Q ** ((kappa - 1) / kappa) + Q ** (
             (kappa + k) / kappa
@@ -306,11 +298,11 @@ def conjecture_scan(
         rows.append(
             ScanRow(
                 Q=Q,
-                count=m,
+                count=res.count,
                 count_open=int(open_counts.max()),
-                witness_a=int(fs.numerators[w]),
-                witness_q=int(fs.bases[w]),
-                ratio=m / denom,
+                witness_a=res.witness.a,
+                witness_q=res.witness.q,
+                ratio=res.count / denom,
             )
         )
     qs = np.array([r.Q for r in rows], dtype=np.float64)

@@ -10,7 +10,6 @@ import pytest
 
 from powersieve.expsum import (
     PolynomialPhase,
-    WeylParams,
     exp_sum,
     fejer_phi,
     fejer_phi_hat,
@@ -74,17 +73,6 @@ class TestExpSum:
             for n in range(1, 31)
         )
         assert s == pytest.approx(oracle, rel=1e-9)
-
-
-class TestWeylParams:
-    def test_kappa_matches_degree(self):
-        p = PolynomialPhase.monomial(Fraction(1, 3), 4)
-        w = WeylParams.for_phase(p, (1, 9))
-        assert w.kappa == 8
-
-    def test_kappa_must_be_power_of_two(self):
-        with pytest.raises(ValueError):
-            WeylParams(kappa=3, interval=(1, 5))
 
 
 class TestWeylBound:

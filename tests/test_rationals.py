@@ -175,17 +175,6 @@ class TestSpacingFloor:
 
 
 class TestSerialization:
-    def test_csv_roundtrip_values(self, tmp_path):
-        fs = enumerate_set(2, 2)
-        path = tmp_path / "s22.csv"
-        fs.write_csv(path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "a,q,k,value"
-        assert len(lines) == 15
-        a, q, k, value = lines[1].split(",")
-        assert (int(a), int(q), int(k)) == (1, 4, 2)
-        assert value == "0.062500000000000000"
-
     def test_binary_cache_roundtrip(self, tmp_path):
         fs = enumerate_set(3, 2)
         path = tmp_path / "s32.bin"

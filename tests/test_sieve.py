@@ -282,3 +282,13 @@ class TestRatioExperiment:
     def test_guard_rejects_oversized(self):
         with pytest.raises(ValueError, match="guard"):
             sieve_ratio_experiment(40, 10 ** 6, 2)
+
+    def test_guard_checked_before_instance_build(self, monkeypatch):
+        fs = enumerate_set(40, 2)
+
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("instance built for a guarded experiment")
+
+        monkeypatch.setattr(SieveInstance, "__init__", refuse)
+        with pytest.raises(ValueError, match=r"K\*N = 92278000000 exceeds the gram guard"):
+            sieve_ratio_experiment(40, 10 ** 6, fraction_set=fs)

@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from powersieve.rationals import enumerate_set
 from powersieve.spacing import (
@@ -34,10 +36,6 @@ class TestQueryValidation:
         for bad in [(0, 2, 1), (1, 1, 1), (1, 2, 0)]:
             with pytest.raises(ValueError):
                 SpacingQuery(*bad)
-
-    def test_self_exclusion_is_not_optional(self):
-        with pytest.raises(ValueError):
-            SpacingQuery(1, 2, 1, exclude_self=False)
 
 
 class TestKnownCounts:
@@ -136,6 +134,37 @@ class TestSeam:
         for t_num, t_den in [(1, 20), (1, 40), (1, 3)]:
             fast = neighbor_counts_sorted(*fraction_columns(pts), t_num, t_den)
             brute = neighbor_counts_bruteforce(*fraction_columns(pts), t_num, t_den)
+            assert fast.tolist() == brute.tolist()
+
+
+@st.composite
+def seam_point_sets(draw):
+    """Distinct fractions with denominators <= 12, always holding 0 and a
+    point on each side of the 0/1 seam, plus the distance of one pair."""
+    e = draw(st.integers(2, 12))
+    pts = {Fraction(0), Fraction(1, e), Fraction(e - 1, e)}
+    for a, d in draw(st.lists(st.tuples(st.integers(0, 11), st.integers(1, 12)))):
+        pts.add(Fraction(a % d, d))
+    pts = sorted(pts)
+    x, y = draw(st.lists(st.sampled_from(pts), min_size=2, max_size=2, unique=True))
+    d = (x - y) % 1
+    return pts, min(d, 1 - d)
+
+
+class TestEngineProperty:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        case=seam_point_sets(),
+        t_free=st.fractions(min_value=Fraction(1, 200), max_value=1, max_denominator=200),
+    )
+    def test_sorted_equals_bruteforce_per_point(self, case, t_free):
+        pts, tie = case
+        nums, dens = fraction_columns(pts)
+        # t = 1/2 is the largest threshold the cover count handles; at t = tie
+        # the pair that set it sits exactly on the strict < boundary
+        for t in (Fraction(1, 2), tie, t_free):
+            fast = neighbor_counts_sorted(nums, dens, t.numerator, t.denominator)
+            brute = neighbor_counts_bruteforce(nums, dens, t.numerator, t.denominator)
             assert fast.tolist() == brute.tolist()
 
 

@@ -1,21 +1,25 @@
 """Dirichlet characters to power moduli, Gauss sums, and the transfer check.
 
-A character table for modulus m = q**k holds every Dirichlet character as an
-explicit value vector of length m (zero on residues sharing a factor with
-m).  Construction goes through the cyclic decomposition of the unit group:
-CRT over the prime powers of m, primitive roots for the odd ones, and the
-{+-1} x <3> structure for powers of two.  Explicit vectors keep
-orthogonality and Gauss-sum checks as plain dot products; memory grows as
-phi(m) * m, which is the price of auditability at desk scale.
+A character table for m = q**k lives on discrete-log coordinates.  The unit
+group is a product of cyclic groups <g_i> of orders d_i (CRT over the prime
+powers of m, primitive roots for the odd ones, {+-1} x <3> for powers of
+two), so each unit is a = prod g_i**e_i for one e in the exponent grid
+Z/d_1 x ... x Z/d_r, and the character labelled c is chi_c(a) =
+e(sum c_i e_i / d_i).  The table keeps the generators, orders, labels and
+the unit residues in C order over the grid, all O(phi(m)).  A sum over the
+units of f(a) chi_c(a) is, for all c at once, phi(m) times the inverse DFT
+of f on the grid: every Gauss sum comes from one group FFT of e(a/m), and
+the character sums of a sequence from one group FFT of the sequence binned
+by residue.  Dense value rows are built only on demand.
 
-Primitivity is decided by subgroup restriction: chi is induced from a
-proper divisor modulus exactly when it is trivial on some kernel
-{a == 1 mod m/p}, so chi is primitive iff it is nonconstant on that kernel
-for every prime p | m.  The modulus-1 table is treated as having no
-primitive character, so the q = 1 term of weighted primitive sums vanishes.
+Primitivity is exact: chi is induced from m/p iff it is trivial on the
+kernel {a == 1 mod m/p}, which (p**2 | m as k >= 2) is cyclic on 1 + m/p,
+so chi_c is primitive iff sum c_i dlog_i(1 + m/p) L/d_i != 0 mod L =
+lcm(d_i) for every prime p | m.  Mod 1 no character counts as primitive,
+so the q = 1 term of weighted primitive sums vanishes.
 
-For primitive chi the Gauss sum G(chi) = sum chi(a) e(a/m) has |G| =
-sqrt(m) (= q**(k/2)), which powers the additive-to-multiplicative transfer
+For primitive chi, |G(chi)| = sqrt(m) = q**(k/2), which powers the
+additive-to-multiplicative transfer
 
     sum over primitive chi of |sum a_n chi(n)|**2
         <= (phi(m)/m) * sum over coprime a of |sum a_n e(an/m)|**2,
@@ -26,16 +30,20 @@ phi(q**k)/q**k = phi(q)/q for every k.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
-from math import gcd
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
-from .arith import factorize, totient, unit_group_generators
+from .arith import coprime_residues, factorize, totient, unit_group_generators
 
-# build guard: q**k at or under a million, per the desk-scale contract
+# build guard: q**k at or under a million, per the desk-scale contract; the
+# table itself is O(phi(m)), only the dense ``values`` matrix is phi(m) * m
 MAX_MODULUS = 10 ** 6
+VALUES_CELL_GUARD = 5 * 10 ** 7
 
 
 @dataclass(frozen=True)
@@ -50,11 +58,11 @@ class GaussSum:
 class CharacterTable:
     """All phi(m) Dirichlet characters to modulus m = q**k.
 
-    ``values`` is a phi(m) x m complex matrix; row j is the value vector of
-    character j on residues 0..m-1.  Row 0 is the principal character.
-    ``primitive`` flags each row.  ``labels`` carries the exponent tuple of
-    each character against the stored unit-group generators, which is also
-    the export key for cross-checking with computer-algebra systems.
+    ``labels[j]`` is the exponent tuple c of character j against the stored
+    generators, in C order over the grid (the export key for cross-checks
+    with computer-algebra systems); label 0 is the principal character.
+    ``residues[t]`` is the unit at grid index t, ``primitive`` flags each
+    character and ``gauss`` holds every G(chi).
     """
 
     def __init__(self, q: int, k: int):
@@ -67,64 +75,65 @@ class CharacterTable:
         self.k = k
         self.modulus = m
         self.generators = unit_group_generators(m)
+        self.orders = [d for _, d in self.generators]
+        self.shape = tuple(self.orders) or (1,)
+        assert math.prod(self.orders) == totient(m)
 
-        orders = [d for _, d in self.generators]
-        phi = 1
-        for d in orders:
-            phi *= d
-        assert phi == totient(m)
-
-        # discrete logs of every coprime residue against each generator,
-        # found by walking the group once: residues[t] = prod g_i**exps[i, t]
-        coprime = np.array([a for a in range(m) if gcd(a, m) == 1], dtype=np.int64)
-        self._coprime = coprime
+        # walk the group once: residues[t] = prod g_i**t_i, t in C order
         residues = np.array([1 % m], dtype=np.int64)
-        exps = np.zeros((0, 1), dtype=np.int64)
         for g, d in self.generators:
             powers = np.array([pow(g, e, m) for e in range(d)], dtype=np.int64)
             residues = (residues[:, None] * powers[None, :] % m).ravel()
-            exps = np.vstack((
-                np.repeat(exps, d, axis=1),
-                np.tile(np.arange(d, dtype=np.int64), exps.shape[1]),
-            ))
-        dlogs = np.empty_like(exps)
-        dlogs[:, np.searchsorted(coprime, residues)] = exps
-
-        self.labels: list[tuple[int, ...]] = []
-        self.values = np.zeros((phi, m), dtype=np.complex128)
-        if len(self.generators) == 0:  # m == 1: the single trivial character
-            self.labels.append(())
-            self.values[0, :] = 1.0
-        else:
-            tuples = np.indices(orders).reshape(len(orders), -1).T
-            for j, c in enumerate(tuples):
-                self.labels.append(tuple(int(x) for x in c))
-                phase = np.zeros(len(coprime), dtype=np.float64)
-                for i, d in enumerate(orders):
-                    phase += (int(c[i]) * dlogs[i]) % d / np.float64(d)
-                self.values[j, coprime] = np.exp(2j * np.pi * phase)
-
-        self.primitive = np.array(
-            [self._is_primitive_row(j) for j in range(phi)], dtype=bool
-        )
+        self.residues = residues
+        self.labels = list(itertools.product(*(range(d) for d in self.orders)))
+        self.primitive = self._primitive_flags()
 
     def __len__(self) -> int:
-        return self.values.shape[0]
+        return len(self.residues)
 
-    def _is_primitive_row(self, j: int) -> bool:
+    def _primitive_flags(self) -> np.ndarray:
         m = self.modulus
-        if m == 1:
-            return False  # convention: no primitive character mod 1
-        row = self.values[j]
+        L = math.lcm(*self.orders)
+        primitive = np.full(self.shape, m > 1)  # convention: none primitive mod 1
         for p, _ in factorize(m):
-            sub = [a for a in range(1, m, m // p) if gcd(a, m) == 1]
-            vals = row[sub]
-            if np.allclose(vals, 1.0, atol=1e-12):
-                return False  # trivial on the kernel: induced from m/p
-        return True
+            t = int(np.flatnonzero(self.residues == 1 + m // p)[0])
+            dlog = np.unravel_index(t, self.shape)
+            terms = [np.arange(d) * int(e) % d * (L // d)
+                     for e, d in zip(dlog, self.orders)]
+            primitive &= sum(np.ix_(*terms)) % L != 0  # else trivial on the kernel
+        return primitive.ravel()
 
     def chi(self, j: int) -> np.ndarray:
-        return self.values[j]
+        """Value vector of character j on residues 0..m-1, built in O(m)."""
+        terms = [c * np.arange(d) % d / np.float64(d)
+                 for c, d in zip(self.labels[j], self.orders)]
+        phase = sum(np.ix_(*terms), np.zeros(self.shape))
+        row = np.zeros(self.modulus, dtype=np.complex128)
+        row[self.residues] = np.exp(2j * np.pi * phase.ravel())
+        return row
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        """The dense phi(m) x m matrix whose row j is ``chi(j)``, built on
+        first use; nothing else in the package needs it."""
+        cells = len(self) * self.modulus
+        if cells > VALUES_CELL_GUARD:
+            raise ValueError(f"{cells} values exceed the guard {VALUES_CELL_GUARD}")
+        out = np.empty((len(self), self.modulus), dtype=np.complex128)
+        for j in range(len(self)):
+            out[j] = self.chi(j)
+        return out
+
+    def unit_sums(self, f: np.ndarray) -> np.ndarray:
+        """sum over units a of f[a] chi_j(a), for every j, by one group FFT."""
+        grid = f[self.residues].reshape(self.shape)
+        return len(self) * np.fft.ifftn(grid).ravel()
+
+    @cached_property
+    def gauss(self) -> np.ndarray:
+        """G(chi_j) = sum over a mod m of chi_j(a) e(a/m), for every j."""
+        m = self.modulus
+        return self.unit_sums(np.exp(2j * np.pi * np.arange(m) / m))
 
     def principal_index(self) -> int:
         return self.labels.index(tuple(0 for _ in self.generators))
@@ -139,9 +148,7 @@ class CharacterTable:
                     "index": j,
                     "label": list(self.labels[j]),
                     "primitive": bool(self.primitive[j]),
-                    "values": [
-                        [float(z.real), float(z.imag)] for z in self.values[j]
-                    ],
+                    "values": [[float(z.real), float(z.imag)] for z in self.chi(j)],
                 }
                 for j in range(len(self))
             ],
@@ -159,15 +166,14 @@ def is_primitive(table: CharacterTable, j: int) -> bool:
 
 
 def gauss_sum(table: CharacterTable, j: int) -> GaussSum:
-    """G(chi) = sum over a mod m of chi(a) e(a/m), by direct summation."""
-    m = table.modulus
-    e = np.exp(2j * np.pi * np.arange(m) / m)
-    return GaussSum(chi_index=j, value=complex(np.dot(table.values[j], e)))
+    """G(chi) = sum over a mod m of chi(a) e(a/m), read off the group FFT."""
+    return GaussSum(chi_index=j, value=complex(table.gauss[j]))
 
 
 def invert_to_character(table: CharacterTable, j: int, n: int) -> complex:
     """chi(n) recovered from additive characters: the inversion
-    chi(n) = G(conj chi)**-1 * sum conj(chi)(a) e(an/m).
+    chi(n) = G(conj chi)**-1 * sum conj(chi)(a) e(an/m),
+    with G(conj chi) = chi(-1) conj(G(chi)).
 
     Defined only for primitive chi (the Gauss sum of conj(chi) is nonzero
     exactly then); raises otherwise.
@@ -175,19 +181,35 @@ def invert_to_character(table: CharacterTable, j: int, n: int) -> complex:
     if not is_primitive(table, j):
         raise ValueError("inversion requires a primitive character")
     m = table.modulus
-    conj_row = np.conj(table.values[j])
-    g = np.dot(conj_row, np.exp(2j * np.pi * np.arange(m) / m))
+    conj_row = np.conj(table.chi(j))
+    g = conj_row[m - 1] * np.conj(table.gauss[j])
     s = np.dot(conj_row, np.exp(2j * np.pi * (np.arange(m) * n % m) / m))
     return complex(s / g)
+
+
+def _binned(seq: Sequence[complex], M: int, m: int) -> np.ndarray:
+    """sum of a_n over n == r mod m, for r = 0..m-1; n = M+1..M+len(seq)."""
+    a_n = np.asarray(list(seq), dtype=np.complex128)
+    n = np.arange(M + 1, M + len(a_n) + 1, dtype=np.int64) % m
+    return np.bincount(n, a_n.real, m) + 1j * np.bincount(n, a_n.imag, m)
 
 
 def _window_sums_additive(q: int, k: int, seq: Sequence[complex], M: int) -> np.ndarray:
     """S(a) = sum_n a_n e(a n / m) for every a mod m; n = M+1..M+len(seq)."""
     m = q ** k
-    a_n = np.asarray(list(seq), dtype=np.complex128)
-    n = np.arange(M + 1, M + len(a_n) + 1, dtype=np.int64)
-    phases = (np.arange(m)[:, None] * (n[None, :] % m)) % m
-    return np.exp(2j * np.pi * phases / m) @ a_n
+    return m * np.fft.ifft(_binned(seq, M, m))
+
+
+def _additive_energy(q: int, k: int, seq: Sequence[complex], M: int) -> float:
+    """sum over a mod q**k coprime to q of |S(a)|**2 (mod 1: the residue 0)."""
+    units = coprime_residues(q ** k) if q > 1 else [0]
+    return float(np.sum(np.abs(_window_sums_additive(q, k, seq, M)[units]) ** 2))
+
+
+def _primitive_energy(table: CharacterTable, seq: Sequence[complex], M: int) -> float:
+    """sum over primitive chi of |sum_n a_n chi(n)|**2."""
+    sums = table.unit_sums(_binned(seq, M, table.modulus))
+    return float(np.sum(np.abs(sums[table.primitive]) ** 2))
 
 
 def mult_transfer_check(
@@ -205,29 +227,13 @@ def mult_transfer_check(
     explicit constants and is asserted by the test suite, not here.
     """
     t = table if table is not None else build_character_table(q, k)
-    m = t.modulus
-    a_n = np.asarray(list(seq), dtype=np.complex128)
-    n = np.arange(M + 1, M + len(a_n) + 1, dtype=np.int64) % m
-    lhs = 0.0
-    for j in range(len(t)):
-        if not t.primitive[j]:
-            continue
-        lhs += abs(np.dot(t.values[j][n], a_n)) ** 2
-    S = _window_sums_additive(q, k, seq, M)
-    coprime = t._coprime
-    rhs = (totient(m) / m) * float(np.sum(np.abs(S[coprime]) ** 2))
-    return float(lhs), float(rhs)
+    rhs = (totient(t.modulus) / t.modulus) * _additive_energy(q, k, seq, M)
+    return _primitive_energy(t, seq, M), rhs
 
 
 def additive_lhs(Q: int, k: int, seq: Sequence[complex], M: int = 0) -> float:
     """sum over q <= Q, coprime a mod q**k of |sum_n a_n e(a n / q**k)|**2."""
-    total = 0.0
-    for q in range(1, Q + 1):
-        S = _window_sums_additive(q, k, seq, M)
-        m = q ** k
-        coprime = np.array([a for a in range(m) if gcd(a, m) == 1], dtype=np.int64)
-        total += float(np.sum(np.abs(S[coprime]) ** 2))
-    return total
+    return sum((_additive_energy(q, k, seq, M) for q in range(1, Q + 1)), 0.0)
 
 
 def multiplicative_lhs(Q: int, k: int, seq: Sequence[complex], M: int = 0) -> float:
@@ -239,12 +245,5 @@ def multiplicative_lhs(Q: int, k: int, seq: Sequence[complex], M: int = 0) -> fl
     """
     total = 0.0
     for q in range(1, Q + 1):
-        t = build_character_table(q, k)
-        a_n = np.asarray(list(seq), dtype=np.complex128)
-        n = np.arange(M + 1, M + len(a_n) + 1, dtype=np.int64) % t.modulus
-        part = 0.0
-        for j in range(len(t)):
-            if t.primitive[j]:
-                part += abs(np.dot(t.values[j][n], a_n)) ** 2
-        total += (q / totient(q)) * part
+        total += q / totient(q) * _primitive_energy(build_character_table(q, k), seq, M)
     return total

@@ -2,14 +2,17 @@
 
 import gc
 import json
+import tracemalloc
 import weakref
 from math import gcd
 
 import numpy as np
 import pytest
 
-from powersieve.arith import totient
+from powersieve.arith import factorize, totient
 from powersieve.characters import (
+    CharacterTable,
+    _window_sums_additive,
     additive_lhs,
     build_character_table,
     gauss_sum,
@@ -93,6 +96,19 @@ class TestTableConstruction:
         with pytest.raises(ValueError, match="guard"):
             build_character_table(1001, 2)
 
+    def test_values_guard_refuses_without_allocating(self):
+        # m = 10**6: the table is O(phi(m)); the 4e11-cell matrix is refused
+        t = CharacterTable(1000, 2)
+        assert len(t) == 400000
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="guard"):
+                t.values
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 ** 6
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             build_character_table(0, 2)
@@ -143,6 +159,21 @@ class TestPrimitivity:
             induced = np.allclose(t.values[j][kernel], 1.0, atol=1e-9)
             assert is_primitive(t, j) == (not induced)
 
+    @pytest.mark.parametrize(
+        "q,k", [(2, k) for k in range(2, 12)] + [(q, 2) for q in (6, 10, 12, 30)]
+    )
+    def test_exact_flags_match_kernel_definition(self, q, k):
+        # primitive iff not constant 1 on {a == 1 mod m/p} for every p | m
+        t = build_character_table(q, k)
+        m = t.modulus
+        kernels = [
+            [a for a in range(1, m, m // p) if gcd(a, m) == 1] for p, _ in factorize(m)
+        ]
+        for j in range(len(t)):
+            row = t.chi(j)
+            induced = any(np.allclose(row[K], 1.0, atol=1e-9) for K in kernels)
+            assert is_primitive(t, j) == (not induced)
+
     def test_modulus_one_has_no_primitive_character(self):
         t = build_character_table(1, 2)
         assert len(t) == 1
@@ -175,6 +206,16 @@ class TestGaussSums:
         for j in range(len(t)):
             if t.primitive[j]:
                 assert abs(gauss_sum(t, j).value) == pytest.approx(q, abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "q,k", [(q, 2) for q in range(1, 51)] + [(q, 3) for q in range(1, 14)]
+    )
+    def test_fft_matches_direct_summation(self, q, k):
+        t = build_character_table(q, k)
+        m = t.modulus
+        direct = t.values @ np.exp(2j * np.pi * np.arange(m) / m)
+        fft = np.array([gauss_sum(t, j).value for j in range(len(t))])
+        assert np.max(np.abs(fft - direct)) <= 1e-12 * max(1.0, m ** 0.5)
 
     def test_cube_moduli_magnitude(self):
         # |G| = m**(1/2) = q**(3/2) for primitive characters mod q**3
@@ -251,6 +292,29 @@ class TestTransfer:
                 seq = rng.standard_normal(n) + 1j * rng.standard_normal(n)
                 lhs, rhs = mult_transfer_check(q, 2, seq)
                 assert lhs <= rhs * (1 + 1e-9) + 1e-9
+
+    @pytest.mark.parametrize("q,k,M", [(5, 2, -7), (6, 2, 13), (3, 3, 1000), (4, 2, -100)])
+    def test_lhs_equals_per_character_dot_product(self, q, k, M):
+        rng = np.random.default_rng(q * k + abs(M))
+        seq = rng.standard_normal(40) + 1j * rng.standard_normal(40)
+        t = build_character_table(q, k)
+        n = np.arange(M + 1, M + 41) % t.modulus
+        direct = sum(
+            abs(np.dot(t.chi(j)[n], seq)) ** 2 for j in range(len(t)) if t.primitive[j]
+        )
+        lhs, _ = mult_transfer_check(q, k, seq, M, table=t)
+        assert lhs == pytest.approx(direct, rel=1e-12)
+
+    @pytest.mark.parametrize("q,k,M", [(1, 2, 0), (3, 2, -5), (4, 3, 17), (10, 2, 250)])
+    def test_binned_additive_sums_equal_dense_phases(self, q, k, M):
+        rng = np.random.default_rng(q + abs(M))
+        seq = rng.standard_normal(60) + 1j * rng.standard_normal(60)
+        m = q ** k
+        n = np.arange(M + 1, M + 61)
+        phases = np.arange(m)[:, None] * (n[None, :] % m) % m
+        dense = np.exp(2j * np.pi * phases / m) @ seq
+        binned = _window_sums_additive(q, k, seq, M)
+        assert np.max(np.abs(binned - dense)) <= 1e-12 * np.sum(np.abs(seq))
 
     def test_proof_chain_identities_small_modulus(self):
         """The two equalities inside the transfer argument, term by term.

@@ -126,6 +126,8 @@ def _cmd_table1(config: RunConfig) -> tuple[dict, int]:
     q_max = config.q_max
     if q_max is None or q_max < 1:
         raise ValueError(f"--q-max must be >= 1, got {q_max}")
+    if config.k != 2:
+        raise ValueError(f"table1 is the k = 2 statistic, got --k {config.k}")
     rows = []
     for Q in range(1, q_max + 1):
         fs = _cached_set(Q, 2, config.cache_dir)

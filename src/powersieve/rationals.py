@@ -16,11 +16,13 @@ exact reduced fraction min(d, 1-d) for d = (x - y) mod 1, and
 ``compare_distance_to_threshold`` decides the strict comparison
 ``dist < 1/(2N)`` purely in integer arithmetic.
 
-All cross-multiplications are budgeted to 128 bits: any q**k at or above
-2**64 is rejected with OverflowError up front (the product of two such
-denominators is what the comparisons actually form).  Python integers would
-not overflow, but the explicit budget keeps failures loud and keeps the
-int64 fast paths honest about when they apply.
+Integer columns ``(nums, dens)`` are the one exact form of a point set:
+``exact_columns`` is the width rule (int64 while every product the caller
+forms stays below 2**62, Python-integer object arrays past it) and
+``strictly_increasing`` the order certificate.  A ``FractionSet`` is always
+int64: S(Q, k) is refused once (2Q)**(2k) reaches 2**62, far past what
+memory holds (S(3, 12), the smallest such set, has 929,295,220 points).
+Single ``PowerFraction`` pairs use Python integers with q**k below 2**64.
 """
 
 from __future__ import annotations
@@ -39,8 +41,7 @@ from .arith import coprime_residues
 # q**k must stay below 2**64 so that q**k * q'**k fits the 128-bit budget.
 MAX_DENOMINATOR_BITS = 64
 
-# int64 vector paths need every comparison product below 2**63; we keep a
-# safety bit and require (2Q)**(2k) < 2**62 before using int64 storage.
+# int64 columns need every product below 2**63; one safety bit is kept.
 _INT64_PRODUCT_BITS = 62
 
 _CACHE_MAGIC = b"PWFRSET1"
@@ -56,6 +57,30 @@ def _check_denominator(q: int, k: int) -> int:
             f"cross products require q**k < 2**{MAX_DENOMINATOR_BITS}"
         )
     return qk
+
+
+def _check_window(Q: int, k: int) -> None:
+    """Refuse S(Q, k) unless its cross products (2Q)**(2k) fit int64 columns."""
+    qk = (2 * Q) ** k
+    if (qk * qk).bit_length() > _INT64_PRODUCT_BITS:
+        raise OverflowError(
+            f"q**k = {qk} (q={2 * Q}, k={k}): S({Q}, {k}) is too wide for int64 "
+            "columns, its cross products reach 2**62"
+        )
+
+
+def exact_columns(*cols, bound: int) -> tuple[np.ndarray, ...]:
+    """The width rule: ``cols`` as int64 arrays when ``bound``, the largest
+    product the caller forms from them, stays below 2**62, and as
+    Python-integer object arrays otherwise."""
+    dtype = np.int64 if int(bound).bit_length() <= _INT64_PRODUCT_BITS else object
+    return tuple(np.asarray(c, dtype=dtype) for c in cols)
+
+
+def strictly_increasing(nums: np.ndarray, dens: np.ndarray) -> bool:
+    """The order certificate: nums[i]/dens[i] < nums[i+1]/dens[i+1] for every
+    adjacent pair, by exact cross products (columns at ``exact_columns`` width)."""
+    return bool(np.all(nums[:-1] * dens[1:] < nums[1:] * dens[:-1]))
 
 
 @dataclass(frozen=True)
@@ -144,9 +169,9 @@ def compare_distance_to_threshold(d: TorusDistance, N: int) -> bool:
 class FractionSet:
     """An enumerated S(Q, k), sorted ascending by value.
 
-    Storage is columnar: ``numerators`` and ``bases`` are parallel integer
-    arrays (int64 when the comparison products provably fit, otherwise
-    Python-integer object arrays).  Individual elements materialize as
+    Storage is columnar: ``numerators`` and ``bases`` are parallel int64
+    arrays, and ``denominators()`` gives the int64 column q**k; every cross
+    product of two points fits int64.  Individual elements materialize as
     :class:`PowerFraction` on demand; ``elements`` builds the whole list,
     which is only sensible for small sets.
     """
@@ -176,9 +201,7 @@ class FractionSet:
         return self._q
 
     def denominators(self) -> np.ndarray:
-        if self._q.dtype == object:
-            return np.array([int(q) ** self.k for q in self._q], dtype=object)
-        return self._q.astype(np.int64) ** self.k
+        return self._q ** self.k
 
     @property
     def elements(self) -> list[PowerFraction]:
@@ -198,8 +221,7 @@ class FractionSet:
                 fh.write(_CACHE_MAGIC)
                 fh.write(_CACHE_HEADER.pack(self.Q, self.k, len(self)))
                 rec = np.empty((len(self), 2), dtype="<u8")
-                rec[:, 0] = self._a.astype(np.uint64)
-                rec[:, 1] = self._q.astype(np.uint64)
+                rec[:, 0], rec[:, 1] = self._a, self._q
                 rec.tofile(fh)
             os.replace(tmp, path)
         finally:
@@ -216,20 +238,14 @@ class FractionSet:
             if len(head) != _CACHE_HEADER.size:
                 raise ValueError(f"{path}: truncated cache header")
             Q, k, count = _CACHE_HEADER.unpack(head)
+            _check_window(Q, k)
             rec = np.fromfile(fh, dtype="<u8", count=2 * count)
         if rec.size != 2 * count:
             raise ValueError(f"{path}: truncated cache (expected {count} records)")
-        rec = rec.reshape(count, 2)
-        a = rec[:, 0].astype(np.int64)
-        q = rec[:, 1].astype(np.int64)
-        if not _int64_safe(int(Q), int(k)):
-            a = a.astype(object)
-            q = q.astype(object)
-        return cls(int(Q), int(k), a, q)
-
-
-def _int64_safe(Q: int, k: int) -> bool:
-    return ((2 * Q) ** (2 * k)).bit_length() <= _INT64_PRODUCT_BITS
+        a, q = rec[0::2].astype(np.int64), rec[1::2].astype(np.int64)
+        if not strictly_increasing(a, q ** k):
+            raise ValueError(f"{path}: cache records are not strictly increasing")
+        return cls(Q, k, a, q)
 
 
 def enumerate_set(Q: int, k: int) -> FractionSet:
@@ -241,60 +257,39 @@ def enumerate_set(Q: int, k: int) -> FractionSet:
 
     Sorting uses a float64 argsort as a hint and then certifies strict
     increase of adjacent pairs by exact cross-multiplication; if the floats
-    cannot resolve the order (possible only near the width budget) it falls
-    back to a full exact sort.
+    cannot resolve the order (adjacent values may differ by less than a
+    float64 step) it falls back to a full exact sort.  Sets whose cross
+    products would not fit int64 are refused before anything is allocated.
     """
     if Q < 1:
         raise ValueError(f"Q must be >= 1, got {Q}")
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
-    _check_denominator(2 * Q, k)  # loud failure naming the largest q**k
+    _check_window(Q, k)  # loud failure naming the largest q**k
 
-    use_i64 = _int64_safe(Q, k)
-    dtype = np.int64 if use_i64 else object
-    a_parts = []
-    q_parts = []
+    a_parts, q_parts = [], []
     for q in range(Q + 1, 2 * Q + 1):
         res = coprime_residues(q)
         rows = q ** (k - 1)
-        if use_i64:
-            a = (np.arange(rows, dtype=np.int64)[:, None] * q + res[None, :]).ravel()
-        else:
-            a = (
-                np.arange(rows, dtype=object)[:, None] * q
-                + res.astype(object)[None, :]
-            ).ravel()
+        a = (np.arange(rows, dtype=np.int64)[:, None] * q + res[None, :]).ravel()
         a_parts.append(a)
-        q_parts.append(np.full(len(a), q, dtype=dtype))
-    nums = np.concatenate(a_parts) if a_parts else np.empty(0, dtype=dtype)
-    bases = np.concatenate(q_parts) if q_parts else np.empty(0, dtype=dtype)
+        q_parts.append(np.full(len(a), q, dtype=np.int64))
+    nums = np.concatenate(a_parts)
+    bases = np.concatenate(q_parts)
 
-    dens = bases.astype(np.float64) ** k
-    order = np.argsort(nums.astype(np.float64) / dens, kind="stable")
+    order = np.argsort(nums / bases.astype(np.float64) ** k, kind="stable")
     nums = nums[order]
     bases = bases[order]
 
-    if not _strictly_increasing(nums, bases, k):
+    if not strictly_increasing(nums, bases ** k):
         # float hint failed; do it the slow exact way
         keys = [Fraction(int(a), int(q) ** k) for a, q in zip(nums, bases)]
         order = sorted(range(len(keys)), key=keys.__getitem__)
         nums = nums[order]
         bases = bases[order]
-        if not _strictly_increasing(nums, bases, k):
+        if not strictly_increasing(nums, bases ** k):
             raise AssertionError("duplicate values in fraction set")  # impossible
     return FractionSet(Q, k, nums, bases)
-
-
-def _strictly_increasing(nums: np.ndarray, bases: np.ndarray, k: int) -> bool:
-    if len(nums) < 2:
-        return True
-    if bases.dtype == object:
-        d = np.array([int(q) ** k for q in bases], dtype=object)
-    else:
-        d = bases ** k
-    lhs = nums[:-1] * d[1:]
-    rhs = nums[1:] * d[:-1]
-    return bool(np.all(lhs < rhs))
 
 
 def expected_cardinality(Q: int, k: int) -> int:

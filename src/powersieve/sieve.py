@@ -35,10 +35,14 @@ from typing import Callable, Literal, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .rationals import FractionSet, PowerFraction
+from .rationals import FractionSet, PowerFraction, exact_columns, strictly_increasing
 
 # cell guard for gram experiments: K*N for T and d*d for the Gram matrix solved
 GRAM_CELL_GUARD = 10 ** 7
+
+# about this many cells of the sieve matrix are formed at once; small blocks
+# keep the phase temporaries in memory the allocator reuses
+_BLOCK_CELLS = 2 ** 12
 
 # largest residual |Gv - lambda v| / max(1, lambda) accepted from the eigensolver
 RESIDUAL_TOL = 1e-10
@@ -82,86 +86,93 @@ def _check_gram_guard(K: int, N: int) -> None:
         )
 
 
+def _point_columns(points: Sequence):
+    """(nums, dens, None) when every point is rational, else (None, None, values)."""
+    pts = [p.as_fraction() if isinstance(p, PowerFraction) else p for p in points]
+    pts = [
+        Fraction(p) % 1 if isinstance(p, (int, Fraction)) else float(p) % 1.0 for p in pts
+    ]
+    exact = all(isinstance(p, Fraction) for p in pts)
+    if not exact:
+        pts = [float(p) for p in pts]
+    if len(set(pts)) != len(pts):
+        raise ValueError("points must be pairwise distinct mod 1")
+    if not exact:
+        return None, None, np.array(pts, dtype=np.float64)
+    return [p.numerator for p in pts], [p.denominator for p in pts], None
+
+
 class SieveInstance:
     """A finite torus point set plus the frequency window (M, M+N].
 
-    Points may be PowerFractions, Fractions, ints, or floats; rational
-    inputs keep an exact representation (used for the minimal-distance
-    ceiling), floats stay floats.  Points must be distinct mod 1.
+    Points are a FractionSet, whose columns are taken as they are, or a
+    sequence of PowerFractions, Fractions, ints and floats, distinct mod 1.
+    Rational points are held as reduced integer columns ``nums``, ``dens``
+    at the ``exact_columns`` width of the products dens**2; float points
+    (one float makes them all float) as a float ``values`` array.
     """
 
-    def __init__(self, points: Sequence, M: int, N: int):
+    def __init__(self, points: FractionSet | Sequence, M: int, N: int):
         if N < 1:
             raise ValueError(f"N must be >= 1, got {N}")
-        exact: list[Fraction] | None = []
-        vals: list[float] = []
-        for p in points:
-            if isinstance(p, PowerFraction):
-                p = p.as_fraction()
-            if isinstance(p, (int, Fraction)):
-                f = Fraction(p) % 1
-                if exact is not None:
-                    exact.append(f)
-                vals.append(float(f))
-            else:
-                exact = None
-                vals.append(float(p) % 1.0)
-        if exact is not None and len(exact) != len(vals):
-            exact = None
-        if len(vals) == 0:
+        if isinstance(points, FractionSet):
+            nums, dens, values = points.numerators, points.denominators(), None
+            if not strictly_increasing(nums, dens):
+                raise ValueError("fraction set is not strictly increasing")
+        else:
+            nums, dens, values = _point_columns(points)
+        if len(nums if values is None else values) == 0:
             raise ValueError("instance needs at least one point")
-        if exact is not None:
-            if len(set(exact)) != len(exact):
-                raise ValueError("points must be pairwise distinct mod 1")
-        elif len(set(vals)) != len(vals):
-            raise ValueError("points must be pairwise distinct mod 1")
-        self.exact_points = tuple(exact) if exact is not None else None
-        self.float_points = tuple(vals)
-        self.M = int(M)
-        self.N = int(N)
+        if values is None:
+            dmax = int(np.max(dens))
+            nums, dens = exact_columns(nums, dens, bound=dmax * dmax)
+        self.nums, self.dens, self.values = nums, dens, values
+        self.M, self.N = int(M), int(N)
 
     @classmethod
     def from_fraction_set(cls, fs: FractionSet, N: int, M: int = 0) -> "SieveInstance":
-        dens = fs.denominators()
-        fracs = [
-            Fraction(int(a), int(d)) for a, d in zip(fs.numerators, dens)
-        ]
-        return cls(fracs, M, N)
+        return cls(fs, M, N)
 
     @property
     def K(self) -> int:
-        return len(self.float_points)
+        return len(self.values if self.nums is None else self.nums)
 
-    def _phases(self, j: int, n: np.ndarray) -> np.ndarray:
-        """Phases (x_j * n) mod 1 for the integer array n, exactly reduced."""
-        if self.exact_points is not None:
-            x = self.exact_points[j]
-            p, r = x.numerator, x.denominator
-            if r * r < 2 ** 62:
-                return (((n % r) * (p % r)) % r) / float(r)
-            resid = [(int(v) * p) % r for v in (n % r)]
-            return np.array(resid, dtype=np.float64) / float(r)
-        return (n * self.float_points[j]) % 1.0
+    @property
+    def exact_points(self) -> tuple[Fraction, ...] | None:
+        """The exact points as Fractions, built on request; None for floats."""
+        if self.nums is None:
+            return None
+        return tuple(Fraction(int(a), int(d)) for a, d in zip(self.nums, self.dens))
+
+    def _row_blocks(self, n: np.ndarray):
+        """(rows, e(x_j n) for j in rows) over row blocks of about _BLOCK_CELLS
+        cells; for exact points x_j n mod 1 is reduced in integers."""
+        step = max(1, _BLOCK_CELLS // len(n))
+        for lo in range(0, self.K, step):
+            rows = slice(lo, lo + step)
+            if self.nums is None:
+                phases = (self.values[rows, None] * n) % 1.0
+            else:
+                p, r = self.nums[rows, None], self.dens[rows, None]
+                phases = ((n % r) * p % r).astype(np.float64) / r.astype(np.float64)
+            yield rows, np.exp(2j * np.pi * phases)
 
     def matrix(self) -> np.ndarray:
         """The K x N sieve matrix e(x_j n); only for moderate sizes."""
         _check_gram_guard(self.K, self.N)
         n = np.arange(self.M + 1, self.M + self.N + 1, dtype=np.int64)
         T = np.empty((self.K, self.N), dtype=np.complex128)
-        for j in range(self.K):
-            T[j] = np.exp(2j * np.pi * self._phases(j, n))
+        for rows, e in self._row_blocks(n):
+            T[rows] = e
         return T
 
     def gram_symbol(self) -> np.ndarray:
-        """c[h] = sum_j e(x_j h) for h = 0..N-1, one point at a time.
+        """c[h] = sum_j e(x_j h) for h = 0..N-1, summed over row blocks.
 
         (T*T)[n, m] = c[m - n] whatever the window offset M.
         """
         h = np.arange(self.N, dtype=np.int64)
-        c = np.zeros(self.N, dtype=np.complex128)
-        for j in range(self.K):
-            c += np.exp(2j * np.pi * self._phases(j, h))
-        return c
+        return sum(e.sum(axis=0) for _, e in self._row_blocks(h))
 
 
 def _gram(instance: SieveInstance, side: str) -> np.ndarray:
@@ -221,19 +232,12 @@ def min_torus_gap(instance: SieveInstance) -> Fraction | float:
     """
     if instance.K < 2:
         raise ValueError("need at least two points for a gap")
-    if instance.exact_points is not None:
-        pts = sorted(instance.exact_points)
-        gaps = [b - a for a, b in zip(pts, pts[1:])]
-        gaps.append(1 - (pts[-1] - pts[0]))
-        best = min(min(g, 1 - g) for g in gaps)
-        if best == 0:
-            raise ValueError("coincident points")
-        return best
-    pts = sorted(instance.float_points)
+    exact = instance.exact_points
+    pts = sorted(exact if exact is not None else instance.values.tolist())
     gaps = [b - a for a, b in zip(pts, pts[1:])]
-    gaps.append(1.0 - (pts[-1] - pts[0]))
-    best = min(min(g, 1.0 - g) for g in gaps)
-    if best == 0.0:
+    gaps.append(1 - (pts[-1] - pts[0]))
+    best = min(min(g, 1 - g) for g in gaps)
+    if best == 0:
         raise ValueError("coincident points")
     return best
 
@@ -247,10 +251,7 @@ def cohen_selberg_ceiling(instance: SieveInstance) -> float:
     """
     if instance.K == 1:
         return float(instance.N)
-    delta = min_torus_gap(instance)
-    if isinstance(delta, Fraction):
-        return float(1 / delta - 1 + instance.N)
-    return 1.0 / delta - 1.0 + instance.N
+    return float(1 / min_torus_gap(instance) - 1 + instance.N)
 
 
 def per_q_exact_ceiling(Q: int, N: int, k: int) -> float:
@@ -324,7 +325,7 @@ def sieve_ratio_experiment(
     from .rationals import enumerate_set
 
     fs = fraction_set if fraction_set is not None else enumerate_set(Q, k)
-    _check_gram_guard(len(fs), N)  # before building one Fraction per point
+    _check_gram_guard(len(fs), N)  # before the instance is built
     inst = SieveInstance.from_fraction_set(fs, N)
     side = "points" if inst.K <= inst.N else "frequencies"
     spec = gram_lambda_max(inst, side)

@@ -33,7 +33,13 @@ from typing import Optional
 
 import numpy as np
 
-from .rationals import FractionSet, PowerFraction, enumerate_set
+from .rationals import (
+    FractionSet,
+    PowerFraction,
+    enumerate_set,
+    exact_columns,
+    strictly_increasing,
+)
 
 # Hard guard for the quadratic oracle.
 BRUTEFORCE_MAX_POINTS = 50_000
@@ -74,18 +80,10 @@ class SpacingResult:
         return [(self.fraction_set[i], int(c)) for i, c in enumerate(self.counts)]
 
 
-def _fits_int64(dens, t_num: int, t_den: int) -> bool:
-    if len(dens) == 0:
-        return True
-    dmax = max(int(d) for d in dens) if dens.dtype == object else int(dens.max())
-    worst = 2 * dmax * dmax * max(t_num, t_den)
-    return worst.bit_length() <= 62
-
-
-def _cast_for_engine(nums, dens, t_num, t_den):
-    if _fits_int64(dens, t_num, t_den):
-        return nums.astype(np.int64), dens.astype(np.int64)
-    return nums.astype(object), dens.astype(object)
+def _engine_columns(nums, dens, t_num: int, t_den: int):
+    """Both engines' columns; their largest product is 2 dmax**2 max(t_num, t_den)."""
+    dmax = int(np.max(dens))
+    return exact_columns(nums, dens, bound=2 * dmax * dmax * max(t_num, t_den))
 
 
 def neighbor_counts_bruteforce(nums, dens, t_num: int, t_den: int) -> np.ndarray:
@@ -101,7 +99,7 @@ def neighbor_counts_bruteforce(nums, dens, t_num: int, t_den: int) -> np.ndarray
         return np.zeros(0, dtype=np.int64)
     if 2 * t_num > t_den:  # t > 1/2: every other point is a neighbor
         return np.full(n, n - 1, dtype=np.int64)
-    nums, dens = _cast_for_engine(nums, dens, t_num, t_den)
+    nums, dens = _engine_columns(nums, dens, t_num, t_den)
     counts = np.empty(n, dtype=np.int64)
     for lo in range(0, n, _BLOCK_ROWS):
         hi = min(lo + _BLOCK_ROWS, n)
@@ -178,8 +176,8 @@ def neighbor_counts_sorted(nums, dens, t_num: int, t_den: int) -> np.ndarray:
         return np.zeros(0, dtype=np.int64)
     if 2 * t_num > t_den:
         return np.full(n, n - 1, dtype=np.int64)
-    nums, dens = _cast_for_engine(nums, dens, t_num, t_den)
-    if n > 1 and not bool(np.all(nums[:-1] * dens[1:] < nums[1:] * dens[:-1])):
+    nums, dens = _engine_columns(nums, dens, t_num, t_den)
+    if not strictly_increasing(nums, dens):
         raise ValueError("sorted engine requires strictly increasing values")
     fwd = _forward_counts(nums, dens, t_num, t_den)
     idx = np.arange(n)

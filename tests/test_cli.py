@@ -9,6 +9,7 @@ import sys
 import pytest
 
 from powersieve.cli import EXIT_ASSERTION, EXIT_OK, EXIT_USAGE, _cached_set, main
+from powersieve.rationals import expected_cardinality
 
 
 def run_cli(argv, capsys):
@@ -40,6 +41,13 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as err:
             main([])
         assert err.value.code == EXIT_USAGE
+
+    def test_table1_refuses_k_other_than_2(self, capsys):
+        for k in ("3", "4"):
+            assert main(["table1", "--q-max", "2", "--k", k]) == EXIT_USAGE
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert f"table1 is the k = 2 statistic, got --k {k}" in captured.err
 
     def test_guard_violation_maps_to_usage(self, capsys):
         # gram guard: K*N too large
@@ -180,6 +188,22 @@ class TestCache:
         with pytest.raises(ValueError, match="truncated"):
             _cached_set(3, 2, str(cache))
         assert main(argv) == EXIT_USAGE
+
+    def test_swapped_cache_records_rejected(self, tmp_path, capsys):
+        cache = tmp_path / "cache"
+        argv = ["spacing", "--Q", "3", "--N", "27", "--cache-dir", str(cache)]
+        assert main(argv) == EXIT_OK
+        path = cache / "fracset_Q3_k2.bin"
+        data = bytearray(path.read_bytes())
+        head = len(data) - 16 * expected_cardinality(3, 2)  # (a, q) u64 pairs
+        first, second = data[head:head + 16], data[head + 16:head + 32]
+        data[head:head + 32] = second + first
+        path.write_bytes(bytes(data))
+        capsys.readouterr()
+        assert main(argv) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{path}: cache records are not strictly increasing" in captured.err
 
     def test_cache_write_leaves_no_temporary(self, tmp_path, capsys):
         cache = tmp_path / "cache"

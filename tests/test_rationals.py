@@ -1,6 +1,8 @@
 """Enumeration, torus distance, and threshold comparison semantics."""
 
 import random
+import struct
+import tracemalloc
 from fractions import Fraction
 from math import gcd
 
@@ -72,8 +74,18 @@ class TestEnumeration:
             enumerate_set(3, 1)
 
     def test_overflow_guard_names_the_denominator(self):
-        with pytest.raises(OverflowError, match=r"q\*\*k"):
-            enumerate_set(2 ** 32, 2)
+        # S(3, 12) is the smallest set whose cross products (2Q)**(2k) reach
+        # 2**62; it has 929,295,220 points and is refused before any of them
+        for Q, k in [(2 ** 32, 2), (3, 12)]:
+            tracemalloc.start()
+            try:
+                with pytest.raises(OverflowError, match=r"q\*\*k"):
+                    enumerate_set(Q, k)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 2 ** 20
+        assert expected_cardinality(3, 12) == 929_295_220
 
 
 class TestPowerFraction:
@@ -194,6 +206,10 @@ class TestSerialization:
         path = tmp_path / "junk.bin"
         path.write_bytes(b"not a cache at all")
         with pytest.raises(ValueError, match="not a fraction-set cache"):
+            FractionSet.read_cache(path)
+        # a header claiming S(3, 12), too wide for int64 columns
+        path.write_bytes(b"PWFRSET1" + struct.pack("<QQQ", 3, 12, 929_295_220))
+        with pytest.raises(OverflowError, match=r"q\*\*k = 2176782336"):
             FractionSet.read_cache(path)
 
     def test_cache_rejects_truncation(self, tmp_path):

@@ -123,11 +123,18 @@ class TestLambdaMax:
             ([Fraction(a, 257) for a in (3, 40, 41, 99, 180, 256)], -5),
             ([0.1, 0.35, 0.82, 0.8201], 7),
             ([0.0, 2 ** -0.5, 3 ** -0.5], 0),
+            # dens**2 past 2**62: the phases are reduced in Python integers
+            ([Fraction(1, 9), Fraction(3_000_000_019, 2 ** 32 + 15), Fraction(2, 3)], 10 ** 12),
         ],
     )
     def test_toeplitz_frequency_gram_matches_dense(self, points, M):
         inst = SieveInstance(points, M, 30)
         T = inst.matrix()
+        if inst.exact_points is not None:
+            phases = [
+                [float(x * n % 1) for n in range(M + 1, M + 31)] for x in inst.exact_points
+            ]
+            assert np.allclose(T, np.exp(2j * np.pi * np.array(phases)), rtol=0, atol=1e-12)
         dense = T.conj().T @ T
         toeplitz = sv._gram(inst, "frequencies")
         assert toeplitz.shape == dense.shape
@@ -282,6 +289,18 @@ class TestRatioExperiment:
     def test_guard_rejects_oversized(self):
         with pytest.raises(ValueError, match="guard"):
             sieve_ratio_experiment(40, 10 ** 6, 2)
+
+    def test_fraction_set_instance_builds_no_fraction(self, monkeypatch):
+        fs = enumerate_set(6, 2)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("Fraction built for a fraction-set instance")
+
+        monkeypatch.setattr(sv, "Fraction", refuse)
+        inst = SieveInstance.from_fraction_set(fs, 216)
+        assert inst.K == len(fs) == 326
+        lhs, rhs = duality_check(inst)
+        assert abs(lhs - rhs) <= 1e-8 * max(lhs, rhs)
 
     def test_guard_checked_before_instance_build(self, monkeypatch):
         fs = enumerate_set(40, 2)

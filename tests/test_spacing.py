@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from powersieve import spacing
 from powersieve.rationals import enumerate_set
 from powersieve.spacing import (
     BRUTEFORCE_MAX_POINTS,
@@ -29,6 +30,15 @@ def fraction_columns(points):
     nums = np.array([p.numerator for p in pts], dtype=object)
     dens = np.array([p.denominator for p in pts], dtype=object)
     return nums, dens
+
+
+def fraction_counts(points, t):
+    """Plain Fraction count of the x' != x with ||x - x'|| < t, per point."""
+    out = []
+    for x in points:
+        dists = [min((x - y) % 1, (y - x) % 1) for y in points if y != x]
+        out.append(sum(d < t for d in dists))
+    return out
 
 
 class TestQueryValidation:
@@ -166,6 +176,44 @@ class TestEngineProperty:
             fast = neighbor_counts_sorted(nums, dens, t.numerator, t.denominator)
             brute = neighbor_counts_bruteforce(nums, dens, t.numerator, t.denominator)
             assert fast.tolist() == brute.tolist()
+
+
+class TestObjectWidth:
+    """Columns whose engine products reach 2**62 run in Python integers."""
+
+    @staticmethod
+    def check_both_engines(pts, t):
+        nums, dens = fraction_columns(pts)
+        wide, _ = spacing._engine_columns(nums, dens, t.numerator, t.denominator)
+        assert wide.dtype == object
+        expected = fraction_counts(pts, t)
+        fast = neighbor_counts_sorted(nums, dens, t.numerator, t.denominator)
+        brute = neighbor_counts_bruteforce(nums, dens, t.numerator, t.denominator)
+        assert fast.tolist() == expected
+        assert brute.tolist() == expected
+
+    def test_denominators_above_2_31(self):
+        rng = random.Random(31)
+        pts = set()
+        while len(pts) < 60:
+            d, e = rng.randrange(2 ** 31 + 1, 2 ** 34), rng.randrange(2 ** 31 + 1, 2 ** 34)
+            a = rng.randrange(d)
+            pts.add(Fraction(a, d))
+            # a near twin a few units of 1/e away, across the seam when a/d is near 0
+            pts.add(Fraction((a * e // d + rng.randrange(-3, 4)) % e, e))
+        pts = sorted(pts)
+        d = (pts[7] - pts[3]) % 1
+        for t in (Fraction(1, 40), Fraction(1, 2), min(d, 1 - d), Fraction(1, 2 ** 32)):
+            self.check_both_engines(pts, t)
+
+    def test_threshold_pushes_small_denominators_past_2_62(self):
+        pts = sorted({Fraction(a, d) for d in range(1, 13) for a in range(d)})
+        # thresholds near 1/30 and just above the minimal gap 1/132, whose
+        # numerators and denominators are near 10**18: 2 * 12**2 * t_den > 2**62
+        wide = (Fraction(10 ** 17 + 3, 3 * 10 ** 18), Fraction(1, 132) + Fraction(1, 10 ** 17))
+        for t in wide:
+            assert 2 * 12 ** 2 * t.denominator >= 2 ** 62
+            self.check_both_engines(pts, t)
 
 
 class TestScanStatistic:

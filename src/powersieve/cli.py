@@ -2,8 +2,8 @@
 
 Reports embed their full run configuration so any output can be regenerated
 from its own header.  JSON is the canonical format; CSV is provided for
-table diffing.  Exit codes: 0 success, 1 usage or guard error, 2 an
-assertable invariant was violated by the computation.
+table diffing.  Exit codes: 0 success, 1 usage, guard or file-system error,
+2 an assertable invariant was violated by the computation.
 
 Fraction sets are cached per (Q, k) in a cache directory (flag
 ``--cache-dir`` or environment variable POWERSIEVE_CACHE_DIR) using the
@@ -214,12 +214,14 @@ def _cmd_bounds(config: RunConfig) -> tuple[dict, int]:
 def _cmd_weyl(config: RunConfig) -> tuple[dict, int]:
     alpha = Fraction(config.extra["alpha"])
     start = config.extra.get("start", 1)
-    n_min = config.extra.get("n_min") or config.N
+    n_min = config.extra.get("n_min", config.N)
+    if not 1 <= n_min <= config.N:
+        raise ValueError(f"need 1 <= --n-min <= --N = {config.N}, got --n-min {n_min}")
+    phase = PolynomialPhase.monomial(alpha, config.k)
     kappa = 2 ** (config.k - 1)
     rows = []
     violations = 0
     for N in range(n_min, config.N + 1):
-        phase = PolynomialPhase.monomial(alpha, config.k)
         s = abs(exp_sum(phase, (start, N))) ** kappa
         b = weyl_bound(phase, (start, N))
         if s > b * (1 + 1e-12):
@@ -394,10 +396,10 @@ def run(config: RunConfig) -> int:
     start = time.perf_counter()
     try:
         payload, status = handler(config)
-    except (ValueError, OverflowError) as exc:
+        _emit(config, payload, time.perf_counter() - start)
+    except (ValueError, OverflowError, OSError) as exc:
         print(f"powersieve {config.subcommand}: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    _emit(config, payload, time.perf_counter() - start)
     return status
 
 

@@ -12,12 +12,13 @@ the sum k-1 times (kappa = 2**(k-1)):
     |S|**kappa <= 2**(2 kappa) N**(kappa-1)
                 + 2**kappa N**(kappa-k) * sum min(N, 1/||alpha k! r_1...r_{k-1}||)
 
-with each r ranging over 1..N-1.  Where the fractional distance vanishes
-(rational alpha whose denominator divides the product) the min caps the term
-at N; the distance is evaluated in exact rational arithmetic so that branch
-is taken exactly, never by dividing by a float zero.  For irrational (float)
-alpha the distance is computed in double precision with a 1e-9 guard band
-around zero.
+with each r ranging over 1..N-1.  The products r_1...r_{k-1} are one
+integer column of distinct values with their multiplicities.  For rational
+alpha = u/v the distance is the residue res = P u k! mod v folded to
+min(res, v - res), so the term is N exactly when that residue vanishes or
+N*num <= v, and v/num otherwise, all in integers at the ``exact_columns``
+width, never by dividing by a float zero.  For irrational (float) alpha the
+distance is computed in double precision with a 1e-9 guard band around zero.
 
 The kernel half of the module implements phi(x) = (sin(pi x) / (2x))**2,
 its triangular Fourier transform, the truncated Poisson identity
@@ -40,6 +41,8 @@ from math import fsum
 from typing import Sequence
 
 import numpy as np
+
+from .rationals import exact_columns
 
 # Distances below this are treated as exact zeros on the float-alpha path.
 ZERO_GUARD = 1e-9
@@ -124,23 +127,6 @@ def exp_sum(phase: PolynomialPhase, interval: Interval) -> complex:
     return complex(re, im)
 
 
-def _min_N_inv_distance(alpha, multiplier: int, N: int) -> float:
-    """min(N, 1 / ||alpha * multiplier||) with the zero branch taken exactly."""
-    if isinstance(alpha, (int, Fraction)):
-        x = Fraction(alpha) * multiplier
-        num = x.numerator % x.denominator
-        num = min(num, x.denominator - num)
-        if num == 0:
-            return float(N)
-        inv = Fraction(x.denominator, num)
-        return float(min(Fraction(N), inv))
-    y = alpha * multiplier
-    dist = abs(y - round(y))
-    if dist < ZERO_GUARD:
-        return float(N)
-    return min(float(N), 1.0 / dist)
-
-
 def weyl_bound(phase: PolynomialPhase, interval: Interval) -> float:
     """Explicit majorant for |S|**kappa from k-1 rounds of differencing.
 
@@ -155,23 +141,30 @@ def weyl_bound(phase: PolynomialPhase, interval: Interval) -> float:
         raise ValueError("interval length must be >= 1")
     alpha = phase.leading
     fact = math.factorial(k)
+    exact = isinstance(alpha, (int, Fraction))
+    u, v = Fraction(alpha).as_integer_ratio() if exact else (0, 1)
 
-    # distinct products r_1 * ... * r_{k-1} with multiplicities
-    prods: dict[int, int] = {}
-    if N > 1:
-        current = {1: 1}
-        for _ in range(k - 1):
-            nxt: dict[int, int] = {}
-            for val, mult in current.items():
-                for r in range(1, N):
-                    nxt[val * r] = nxt.get(val * r, 0) + mult
-            current = nxt
-        prods = current
+    # distinct products r_1 * ... * r_{k-1} with multiplicities; the bound
+    # covers k! P on the float path and v*v, N*v on the rational one
+    bound = max(fact * (N - 1) ** (k - 1), v * v, N * v)
+    prods, r = exact_columns([1], np.arange(1, N), bound=bound)
+    mult = np.ones(1)
+    for _ in range(k - 1):
+        prods, inv = np.unique(np.multiply.outer(prods, r).ravel(), return_inverse=True)
+        mult = np.bincount(inv, weights=np.repeat(mult, len(r)))
 
-    rsum = fsum(
-        mult * _min_N_inv_distance(alpha, fact * val, N)
-        for val, mult in prods.items()
-    )
+    # min(N, 1/||alpha k! P||) per distinct product
+    if exact:
+        res = prods % v * (u * fact % v) % v
+        num = np.minimum(res, v - res)
+        capped = (num == 0) | (N * num <= v)
+        terms = np.where(capped, N, v / np.where(capped, 1, num)).astype(np.float64)
+    else:
+        y = (alpha * (fact * prods)).astype(np.float64)
+        dist = np.abs(y - np.round(y))
+        terms = np.where(dist < ZERO_GUARD, N, 1.0 / np.maximum(dist, ZERO_GUARD))
+        terms = np.minimum(N, terms)
+    rsum = fsum(mult * terms)
     return float(2 ** (2 * kappa)) * N ** (kappa - 1) + float(2 ** kappa) * N ** (
         kappa - k
     ) * rsum

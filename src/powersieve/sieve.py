@@ -93,8 +93,7 @@ def _point_columns(points: Sequence):
         Fraction(p) % 1 if isinstance(p, (int, Fraction)) else float(p) % 1.0 for p in pts
     ]
     exact = all(isinstance(p, Fraction) for p in pts)
-    if not exact:
-        pts = [float(p) for p in pts]
+    pts = sorted(pts if exact else map(float, pts))
     if len(set(pts)) != len(pts):
         raise ValueError("points must be pairwise distinct mod 1")
     if not exact:
@@ -107,9 +106,9 @@ class SieveInstance:
 
     Points are a FractionSet, whose columns are taken as they are, or a
     sequence of PowerFractions, Fractions, ints and floats, distinct mod 1.
-    Rational points are held as reduced integer columns ``nums``, ``dens``
-    at the ``exact_columns`` width of the products dens**2; float points
-    (one float makes them all float) as a float ``values`` array.
+    They are held ascending in [0, 1): rational ones as reduced integer
+    columns ``nums``, ``dens`` at the ``exact_columns`` width of dens**2,
+    float ones (one float makes them all float) as a float ``values`` array.
     """
 
     def __init__(self, points: FractionSet | Sequence, M: int, N: int):
@@ -136,13 +135,6 @@ class SieveInstance:
     @property
     def K(self) -> int:
         return len(self.values if self.nums is None else self.nums)
-
-    @property
-    def exact_points(self) -> tuple[Fraction, ...] | None:
-        """The exact points as Fractions, built on request; None for floats."""
-        if self.nums is None:
-            return None
-        return tuple(Fraction(int(a), int(d)) for a, d in zip(self.nums, self.dens))
 
     def _row_blocks(self, n: np.ndarray):
         """(rows, e(x_j n) for j in rows) over row blocks of about _BLOCK_CELLS
@@ -227,19 +219,20 @@ def duality_check(instance: SieveInstance) -> tuple[float, float]:
 def min_torus_gap(instance: SieveInstance) -> Fraction | float:
     """Exact minimal pairwise torus distance (Fraction when points are rational).
 
-    After sorting, the minimum over all pairs is attained on circularly
-    adjacent ones, so only K gaps are inspected.
+    The points are ascending, so the minimum over all pairs is attained on
+    circularly adjacent ones: K gaps, read off the columns in integers.
     """
     if instance.K < 2:
         raise ValueError("need at least two points for a gap")
-    exact = instance.exact_points
-    pts = sorted(exact if exact is not None else instance.values.tolist())
-    gaps = [b - a for a, b in zip(pts, pts[1:])]
-    gaps.append(1 - (pts[-1] - pts[0]))
-    best = min(min(g, 1 - g) for g in gaps)
-    if best == 0:
-        raise ValueError("coincident points")
-    return best
+    if instance.nums is None:
+        x = instance.values
+        gaps = (np.roll(x, -1) - x) % 1.0  # the seam gap is 1 - (x[-1] - x[0])
+        return float(np.minimum(gaps, 1.0 - gaps).min())
+    # the K exact gaps sum to 1, so the least is at most 1/2 and needs no fold
+    a, d = instance.nums, instance.dens
+    den = d * np.roll(d, -1)
+    g = (np.roll(a, -1) * d - a * np.roll(d, -1)) % den  # seam: wraps past 1
+    return min(map(Fraction, g.tolist(), den.tolist()))
 
 
 def cohen_selberg_ceiling(instance: SieveInstance) -> float:

@@ -118,6 +118,16 @@ class TestSubcommands:
         for r in doc["rows"]:
             assert r["S_pow_kappa"] <= r["bound"]
 
+    @pytest.mark.parametrize("n_min", ["0", "13"])
+    def test_weyl_refuses_n_min_outside_1_to_N(self, capsys, n_min):
+        argv = ["weyl", "--alpha", "1/7", "--k", "3", "--N", "12", "--n-min", n_min]
+        assert main(argv) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"powersieve weyl: need 1 <= --n-min <= --N = 12, got --n-min {n_min}" in (
+            captured.err
+        )
+
     def test_poisson_within_bound(self, capsys):
         code, out = run_cli(["poisson", "--N", "4"], capsys)
         assert code == EXIT_OK
@@ -147,6 +157,28 @@ class TestSubcommands:
         assert {"Q", "M", "M_open", "witness_a", "witness_q", "ratio"} <= set(
             doc["rows"][0]
         )
+
+
+class TestFileSystemErrors:
+    def test_out_into_missing_directory(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "report.json"
+        assert main(["bounds", "--Q", "2", "--N", "16", "--out", str(target)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("powersieve bounds: ")
+        assert str(target) in captured.err and "Traceback" not in captured.err
+        assert not target.parent.exists()
+
+    def test_cache_dir_under_regular_file(self, tmp_path, capsys):
+        plain = tmp_path / "plain"
+        plain.write_text("not a directory")
+        cache = plain / "cache"
+        argv = ["spacing", "--Q", "2", "--N", "8", "--cache-dir", str(cache)]
+        assert main(argv) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("powersieve spacing: ")
+        assert str(plain) in captured.err and "Traceback" not in captured.err
 
 
 class TestCache:

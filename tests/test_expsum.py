@@ -8,7 +8,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from powersieve import expsum
 from powersieve.expsum import (
+    ZERO_GUARD,
     PolynomialPhase,
     exp_sum,
     fejer_phi,
@@ -29,6 +31,58 @@ def direct_exp_sum(coeffs, start, length):
         frac = f - math.floor(f)
         total += cmath.exp(2j * math.pi * float(frac))
     return total
+
+
+def reference_weyl_bound(phase, interval):
+    """The majorant with a dict of products and one Fraction per term."""
+    k = phase.degree
+    kappa = 2 ** (k - 1)
+    _, N = interval
+    alpha = phase.leading
+    fact = math.factorial(k)
+    prods = {}
+    if N > 1:
+        prods = {1: 1}
+        for _ in range(k - 1):
+            nxt = {}
+            for val, mult in prods.items():
+                for r in range(1, N):
+                    nxt[val * r] = nxt.get(val * r, 0) + mult
+            prods = nxt
+
+    def term(multiplier):
+        if isinstance(alpha, (int, Fraction)):
+            x = Fraction(alpha) * multiplier
+            num = x.numerator % x.denominator
+            num = min(num, x.denominator - num)
+            if num == 0:
+                return float(N)
+            return float(min(Fraction(N), Fraction(x.denominator, num)))
+        y = alpha * multiplier
+        dist = abs(y - round(y))
+        return float(N) if dist < ZERO_GUARD else min(float(N), 1.0 / dist)
+
+    rsum = math.fsum(mult * term(fact * val) for val, mult in prods.items())
+    return float(2 ** (2 * kappa)) * N ** (kappa - 1) + float(2 ** kappa) * N ** (
+        kappa - k
+    ) * rsum
+
+
+def criterion_5_phases():
+    """The 500 (phase, interval) pairs of acceptance criterion 5."""
+    rng = random.Random(1894)
+    out = []
+    for trial in range(500):
+        k = 2 if trial % 2 == 0 else 3
+        den = rng.randrange(1, 120)
+        alpha = Fraction(rng.randrange(1, den + 1), den)
+        lower = tuple(
+            Fraction(rng.randrange(0, 7), rng.randrange(1, 9)) for _ in range(k)
+        )
+        N = rng.randrange(1, 201)
+        start = rng.randrange(-50, 50)
+        out.append((PolynomialPhase(lower + (alpha,)), (start, N)))
+    return out
 
 
 class TestExpSum:
@@ -130,6 +184,53 @@ class TestWeylBound:
         phase = PolynomialPhase.monomial(0.5 + 1e-12, 2)
         bound_exact = weyl_bound(PolynomialPhase.monomial(Fraction(1, 2), 2), (1, 10))
         assert weyl_bound(phase, (1, 10)) == pytest.approx(bound_exact, rel=1e-6)
+
+
+class TestWeylReference:
+    """weyl_bound on integer columns equals the per-term Fraction majorant
+    bit for bit (==, not approx)."""
+
+    def test_criterion_5_phases(self):
+        for phase, interval in criterion_5_phases():
+            assert weyl_bound(phase, interval) == reference_weyl_bound(phase, interval)
+
+    @pytest.mark.parametrize(
+        "alpha, k, N",
+        [
+            (0.5 + 1e-12, 2, 10),  # guard band: multiples of 2 alpha land within 1e-9
+            (0.5 + 1e-12, 3, 25),
+            (1 / 3 + 1e-11, 3, 30),
+            (math.sqrt(2), 3, 40),
+            (-math.pi, 2, 57),
+            (Fraction(1, 7), 4, 12),
+            (Fraction(5, 11), 4, 9),
+            (math.sqrt(3), 4, 10),
+            (Fraction(37, 97), 3, 1),
+            (Fraction(37, 97), 3, 2),
+            (0.25, 2, 1),
+            (math.sqrt(2), 3, 2),
+            (3, 3, 20),
+            (Fraction(-5, 7), 2, 30),
+        ],
+    )
+    def test_float_rational_and_edge_cases(self, alpha, k, N):
+        phase = PolynomialPhase.monomial(alpha, k)
+        assert weyl_bound(phase, (1, N)) == reference_weyl_bound(phase, (1, N))
+
+    @pytest.mark.parametrize("k, N", [(2, 50), (3, 30)])
+    def test_denominator_past_2_31_takes_object_path(self, monkeypatch, k, N):
+        dtypes = []
+        width_rule = expsum.exact_columns
+
+        def spy(*cols, bound):
+            out = width_rule(*cols, bound=bound)
+            dtypes.extend(c.dtype for c in out)
+            return out
+
+        monkeypatch.setattr(expsum, "exact_columns", spy)
+        phase = PolynomialPhase.monomial(Fraction(3_000_000_019, 2 ** 40 + 15), k)
+        assert weyl_bound(phase, (1, N)) == reference_weyl_bound(phase, (1, N))
+        assert dtypes and all(dt == object for dt in dtypes)
 
 
 class TestFejerKernel:

@@ -1,6 +1,7 @@
 """Gram spectra, duality, exact ceilings, and the bound catalog."""
 
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from powersieve import sieve as sv
-from powersieve.rationals import enumerate_set
+from powersieve.rationals import enumerate_set, strictly_increasing
 from powersieve.sieve import (
     ConvergenceError,
     SieveBoundViolation,
@@ -33,6 +34,22 @@ def closed_form_2x2_lambda(inst: SieveInstance) -> float:
     return tr / 2 + math.sqrt(max(tr * tr / 4 - det, 0.0))
 
 
+def sorted_gap_reference(points):
+    """Minimal torus gap by sorting every point as a Fraction (or float)."""
+    pts = sorted(
+        Fraction(p) % 1 if isinstance(p, (int, Fraction)) else p % 1.0 for p in points
+    )
+    gaps = [b - a for a, b in zip(pts, pts[1:])] + [1 - (pts[-1] - pts[0])]
+    return min(min(g, 1 - g) for g in gaps)
+
+
+def assert_ascending(inst: SieveInstance) -> None:
+    if inst.nums is None:
+        assert np.all(np.diff(inst.values) > 0)
+    else:
+        assert strictly_increasing(inst.nums, inst.dens)
+
+
 class TestInstanceValidation:
     def test_distinct_points_required(self):
         with pytest.raises(ValueError, match="distinct"):
@@ -40,7 +57,7 @@ class TestInstanceValidation:
 
     def test_points_reduced_mod_one(self):
         inst = SieveInstance([Fraction(4, 3)], 0, 2)
-        assert inst.exact_points == (Fraction(1, 3),)
+        assert (inst.nums.tolist(), inst.dens.tolist()) == ([1], [3])
 
     def test_needs_a_point_and_positive_window(self):
         with pytest.raises(ValueError):
@@ -130,9 +147,10 @@ class TestLambdaMax:
     def test_toeplitz_frequency_gram_matches_dense(self, points, M):
         inst = SieveInstance(points, M, 30)
         T = inst.matrix()
-        if inst.exact_points is not None:
+        if inst.nums is not None:
             phases = [
-                [float(x * n % 1) for n in range(M + 1, M + 31)] for x in inst.exact_points
+                [float(Fraction(a, d) * n % 1) for n in range(M + 1, M + 31)]
+                for a, d in zip(inst.nums.tolist(), inst.dens.tolist())
             ]
             assert np.allclose(T, np.exp(2j * np.pi * np.array(phases)), rtol=0, atol=1e-12)
         dense = T.conj().T @ T
@@ -226,6 +244,73 @@ class TestCeilings:
     def test_coincident_points_rejected_by_gap(self):
         with pytest.raises(ValueError):
             min_torus_gap(SieveInstance([Fraction(1, 3)], 0, 2))
+
+
+class TestMinTorusGap:
+    """min_torus_gap reads K adjacent gaps off ascending columns; checked
+    against sorting every point."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_shuffled_rational_points(self, seed):
+        rng = random.Random(seed)
+        den = rng.randrange(50, 5000)
+        pts = list({Fraction(rng.randrange(-den, 2 * den), rng.randrange(1, den)) % 1
+                    for _ in range(rng.randrange(2, 60))})
+        rng.shuffle(pts)
+        inst = SieveInstance(pts, 0, 5)
+        assert_ascending(inst)
+        gap = min_torus_gap(inst)
+        assert isinstance(gap, Fraction)
+        assert gap == sorted_gap_reference(pts)
+
+    def test_seam_gap_is_the_minimum(self):
+        pts = [Fraction(2, 3), Fraction(499, 500), Fraction(1, 3), Fraction(1, 500)]
+        inst = SieveInstance(pts, 0, 4)
+        assert min_torus_gap(inst) == Fraction(1, 250) == sorted_gap_reference(pts)
+        floats = [2 / 3, 0.999, 1 / 3, 0.001]
+        assert min_torus_gap(SieveInstance(floats, 0, 4)) == sorted_gap_reference(floats)
+
+    @pytest.mark.parametrize(
+        "pts, expected",
+        [
+            ([Fraction(6, 7), Fraction(1, 7)], Fraction(2, 7)),
+            ([Fraction(1, 5), Fraction(3, 10)], Fraction(1, 10)),
+            ([Fraction(1, 2), 0], Fraction(1, 2)),
+            ([0.1, 0.0], 1 - (1 - 0.1)),  # the float fold of the seam gap 0.9
+        ],
+    )
+    def test_two_point_instance(self, pts, expected):
+        gap = min_torus_gap(SieveInstance(pts, 0, 3))
+        assert gap == expected == sorted_gap_reference(pts)
+
+    def test_denominators_past_2_31_take_object_width(self):
+        rng = random.Random(31)
+        pts = [Fraction(rng.randrange(1, d), d) for d in
+               (2 ** 32 + 15, 2 ** 33 + 17, 2 ** 40 + 15, 3 ** 25, 7)]
+        pts += [pts[0] + Fraction(1, (2 ** 32 + 15) * 5)]  # a near twin
+        rng.shuffle(pts)
+        inst = SieveInstance(pts, 0, 3)
+        assert inst.nums.dtype == object and inst.dens.dtype == object
+        assert_ascending(inst)
+        assert min_torus_gap(inst) == sorted_gap_reference(pts)
+
+    def test_shuffled_float_points(self):
+        rng = random.Random(7)
+        for _ in range(5):
+            pts = list({rng.random() for _ in range(rng.randrange(2, 40))})
+            pts += [0.0, 0.9999999999999999]
+            rng.shuffle(pts)
+            inst = SieveInstance(pts, 0, 3)
+            assert_ascending(inst)
+            gap = min_torus_gap(inst)
+            assert type(gap) is float and gap == sorted_gap_reference(pts)
+
+    @pytest.mark.parametrize("Q", [2, 5, 12])
+    def test_fraction_set_columns_ascending(self, Q):
+        fs = enumerate_set(Q, 2)
+        inst = SieveInstance.from_fraction_set(fs, 8)
+        assert_ascending(inst)
+        assert min_torus_gap(inst) == sorted_gap_reference(p.as_fraction() for p in fs)
 
 
 class TestBoundCatalog:

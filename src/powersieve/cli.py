@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -313,6 +314,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", default=None)
 
 
+@functools.cache  # built once per process: a parse leaves no state on the parser
 def build_parser() -> _Parser:
     parser = _Parser(prog="powersieve", description=__doc__)
     sub = parser.add_subparsers(dest="subcommand", required=True)

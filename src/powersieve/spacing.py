@@ -6,8 +6,8 @@ The central quantity is, for a point set S on R/Z and a threshold t,
 
 with t = 1/(2N) in the standard parameterization.  Two engines compute it:
 
-* a brute-force oracle that forms every pairwise distance (blocked and
-  vectorized, but structurally O(n^2) with no sortedness assumptions), and
+* a brute-force oracle that decides every pair in one blocked O(n^2) sweep
+  for any number of thresholds, with no sortedness assumptions, and
 * a fast path that sorts the set once, finds each point's forward arc with
   a monotone window over the circle (wrapping the seam at 0/1), and reads
   the backward neighbors off those same arcs.
@@ -44,7 +44,7 @@ from .rationals import (
 # Hard guard for the quadratic oracle.
 BRUTEFORCE_MAX_POINTS = 50_000
 
-_BLOCK_ROWS = 64
+_BLOCK_ROWS = 16
 
 
 @dataclass(frozen=True)
@@ -86,32 +86,49 @@ def _engine_columns(nums, dens, t_num: int, t_den: int):
     return exact_columns(nums, dens, bound=2 * dmax * dmax * max(t_num, t_den))
 
 
-def neighbor_counts_bruteforce(nums, dens, t_num: int, t_den: int) -> np.ndarray:
+def neighbor_counts_bruteforce(nums, dens, t_num, t_den) -> np.ndarray:
     """Per-point neighbor counts by exhaustive pairwise comparison.
 
-    For each ordered pair the residue r = (a_i d_j - a_j d_i) mod (d_i d_j)
-    is folded to min(r, d_i d_j - r) and compared against t = t_num/t_den by
-    cross-multiplication.  The self pair contributes distance 0 and is
-    subtracted.  Rows are processed in blocks to keep memory flat.
+    For the pair (i, j) let a = |a_i d_j - a_j d_i| < p = d_i d_j.  The torus
+    distance is min(a, p - a)/p, so ||x_i - x_j|| < t = t_num/t_den exactly
+    when min(a, p - a) * t_den < t_num * p, in integers.  a and p are
+    symmetric in (i, j), so a block of rows meets only the columns from its
+    first row on, and a hit counts for its row and, past the block, for its
+    column.  The self pair is a hit and is subtracted.  The block buffers
+    are allocated once and every product is formed in place.
+
+    Scalar ``t_num, t_den`` give an ``(n,)`` array; equal-length sequences
+    give ``(T, n)``, every threshold compared against the same a and p, so
+    one sweep answers them all.  Above t = 1/2 every other point counts.
     """
+    if np.ndim(t_num) != np.ndim(t_den) or np.size(t_num) != np.size(t_den):
+        raise ValueError("t_num and t_den must be scalars or sequences of one length")
     n = len(nums)
-    if n == 0:
-        return np.zeros(0, dtype=np.int64)
-    if 2 * t_num > t_den:  # t > 1/2: every other point is a neighbor
-        return np.full(n, n - 1, dtype=np.int64)
-    nums, dens = _engine_columns(nums, dens, t_num, t_den)
-    counts = np.empty(n, dtype=np.int64)
-    for lo in range(0, n, _BLOCK_ROWS):
-        hi = min(lo + _BLOCK_ROWS, n)
-        ai = nums[lo:hi, None]
-        di = dens[lo:hi, None]
-        prod = di * dens[None, :]
-        diff = ai * dens[None, :] - nums[None, :] * di
-        r = np.where(diff < 0, diff + prod, diff)  # |diff| < prod always
-        m = np.minimum(r, prod - r)
-        hits = (m * t_den < t_num * prod).sum(axis=1)
-        counts[lo:hi] = hits.astype(np.int64) - 1  # drop the self pair
-    return counts
+    pairs = [(int(u), int(v)) for u, v in zip(np.ravel(t_num), np.ravel(t_den))]
+    counts = np.full((len(pairs), n), n - 1, dtype=np.int64)
+    rows = [(r, u, v) for r, (u, v) in enumerate(pairs) if 2 * u <= v]
+    counts[[r for r, _, _ in rows]] = -1  # the self pair is a hit below
+    if n and rows:
+        _, t_nums, t_dens = zip(*rows)
+        nums, dens = _engine_columns(nums, dens, max(t_nums), max(t_dens))
+        bufs = [np.empty((_BLOCK_ROWS, n), dtype=t) for t in [nums.dtype] * 4 + [bool]]
+        for lo in range(0, n, _BLOCK_ROWS):
+            b = min(_BLOCK_ROWS, n - lo)
+            prod, a, lhs, rhs, hit = (x[:b, : n - lo] for x in bufs)
+            di = dens[lo : lo + b, None]
+            np.multiply(di, dens[lo:], out=prod)
+            np.multiply(nums[lo : lo + b, None], dens[lo:], out=a)
+            np.multiply(di, nums[lo:], out=lhs)
+            np.subtract(a, lhs, out=a)
+            np.abs(a, out=a)
+            np.subtract(prod, a, out=lhs)
+            np.minimum(a, lhs, out=a)
+            for r, u, v in rows:
+                np.multiply(a, v, out=lhs)
+                np.less(lhs, prod if u == 1 else np.multiply(prod, u, out=rhs), out=hit)
+                counts[r, lo : lo + b] += np.count_nonzero(hit, axis=1)
+                counts[r, lo + b :] += np.count_nonzero(hit[:, b:], axis=0)
+    return counts if np.ndim(t_num) else counts[0]
 
 
 def _forward_counts(nums, dens, t_num: int, t_den: int) -> np.ndarray:

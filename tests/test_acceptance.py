@@ -52,7 +52,7 @@ from powersieve.sieve import (
 from powersieve.spacing import (
     SpacingQuery,
     conjecture_scan,
-    spacing_count_bruteforce,
+    neighbor_counts_bruteforce,
     spacing_count_fast,
 )
 from powersieve.arith import totient
@@ -110,11 +110,16 @@ def test_criterion_2_oracle_equivalence():
     for k in (2, 3):
         for Q in range(1, 13):
             fs = enumerate_set(Q, k)
-            for N in sorted({10, Q ** 3, Q ** (k + 1), 2 * Q ** (k + 1)}):
-                query = SpacingQuery(Q, k, N)
-                fast = spacing_count_fast(query, fs).count
-                brute = spacing_count_bruteforce(query, fs).count
-                assert fast == brute, (Q, k, N, fast, brute)
+            Ns = sorted({10, Q ** 3, Q ** (k + 1), 2 * Q ** (k + 1)})
+            # one exhaustive oracle sweep per (Q, k) answers all its thresholds
+            brute_rows = neighbor_counts_bruteforce(
+                fs.numerators, fs.denominators(), [1] * len(Ns), [2 * N for N in Ns]
+            )
+            for N, brute_counts in zip(Ns, brute_rows):
+                fast = spacing_count_fast(SpacingQuery(Q, k, N), fs)
+                brute = int(brute_counts.max())
+                assert fast.count == brute, (Q, k, N, fast.count, brute)
+                assert np.array_equal(fast.counts, brute_counts), (Q, k, N)
                 checked += 1
     report(2, True, f"fast == brute-force on {checked} (Q, k, N) queries")
 

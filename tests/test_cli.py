@@ -8,7 +8,14 @@ import sys
 
 import pytest
 
-from powersieve.cli import EXIT_ASSERTION, EXIT_OK, EXIT_USAGE, _cached_set, main
+from powersieve.cli import (
+    EXIT_ASSERTION,
+    EXIT_OK,
+    EXIT_USAGE,
+    _cached_set,
+    build_parser,
+    main,
+)
 from powersieve.rationals import expected_cardinality
 
 
@@ -41,6 +48,27 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as err:
             main([])
         assert err.value.code == EXIT_USAGE
+
+    def test_one_parser_serves_successive_calls(self, capsys):
+        # the parser is built once per process: a refused parse must leave
+        # nothing behind for the calls that follow it
+        assert build_parser() is build_parser()
+        with pytest.raises(SystemExit) as err:
+            main(["spacing", "--Q", "3", "--N", "27", "--engine", "slow"])
+        assert err.value.code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == "" and "invalid choice: 'slow'" in captured.err
+        code, out = run_cli(["spacing", "--Q", "3", "--N", "27", "--engine", "brute"], capsys)
+        assert code == EXIT_OK
+        doc = json.loads(out)
+        assert doc["header"]["config"]["extra"] == {"engine": "brute"}
+        assert (doc["rows"][0]["M"], doc["rows"][0]["set_size"]) == (2, 40)
+        code, out = run_cli(["bounds", "--Q", "2", "--N", "16"], capsys)
+        assert code == EXIT_OK
+        doc = json.loads(out)
+        assert doc["header"]["config"]["subcommand"] == "bounds"
+        assert doc["header"]["config"]["extra"] == {}
+        assert "per_q_exact" in [r["name"] for r in doc["rows"]]
 
     def test_table1_refuses_k_other_than_2(self, capsys):
         for k in ("3", "4"):

@@ -2,6 +2,7 @@
 
 import csv
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -84,12 +85,14 @@ class TestOracleEquivalence:
     @pytest.mark.parametrize("k", [2, 3])
     def test_fast_equals_bruteforce_small(self, Q, k):
         fs = enumerate_set(Q, k)
-        for N in (10, Q ** 3, Q ** (k + 1), 2 * Q ** (k + 1)):
-            query = SpacingQuery(Q, k, N)
-            assert (
-                spacing_count_fast(query, fs).count
-                == spacing_count_bruteforce(query, fs).count
-            )
+        Ns = (10, Q ** 3, Q ** (k + 1), 2 * Q ** (k + 1))
+        brute_rows = neighbor_counts_bruteforce(
+            fs.numerators, fs.denominators(), [1] * 4, [2 * N for N in Ns]
+        )
+        for N, brute_counts in zip(Ns, brute_rows):
+            fast = spacing_count_fast(SpacingQuery(Q, k, N), fs)
+            assert fast.count == brute_counts.max()
+            assert np.array_equal(fast.counts, brute_counts)
 
     def test_per_point_counts_agree(self):
         fs = enumerate_set(5, 2)
@@ -178,6 +181,29 @@ class TestEngineProperty:
             assert fast.tolist() == brute.tolist()
 
 
+def wide_denominator_case():
+    """Points with denominators past 2**31, near twins across the seam, and
+    four thresholds, one of them a pair distance."""
+    rng = random.Random(31)
+    pts = set()
+    while len(pts) < 60:
+        d, e = rng.randrange(2 ** 31 + 1, 2 ** 34), rng.randrange(2 ** 31 + 1, 2 ** 34)
+        a = rng.randrange(d)
+        pts.add(Fraction(a, d))
+        # a near twin a few units of 1/e away, across the seam when a/d is near 0
+        pts.add(Fraction((a * e // d + rng.randrange(-3, 4)) % e, e))
+    pts = sorted(pts)
+    d = (pts[7] - pts[3]) % 1
+    return pts, [Fraction(1, 40), Fraction(1, 2), min(d, 1 - d), Fraction(1, 2 ** 32)]
+
+
+def wide_threshold_case():
+    """Denominators <= 12 with thresholds near 1/30 and just above the minimal
+    gap 1/132, whose numerators and denominators are near 10**18."""
+    pts = sorted({Fraction(a, d) for d in range(1, 13) for a in range(d)})
+    return pts, [Fraction(10 ** 17 + 3, 3 * 10 ** 18), Fraction(1, 132) + Fraction(1, 10 ** 17)]
+
+
 class TestObjectWidth:
     """Columns whose engine products reach 2**62 run in Python integers."""
 
@@ -193,27 +219,93 @@ class TestObjectWidth:
         assert brute.tolist() == expected
 
     def test_denominators_above_2_31(self):
-        rng = random.Random(31)
-        pts = set()
-        while len(pts) < 60:
-            d, e = rng.randrange(2 ** 31 + 1, 2 ** 34), rng.randrange(2 ** 31 + 1, 2 ** 34)
-            a = rng.randrange(d)
-            pts.add(Fraction(a, d))
-            # a near twin a few units of 1/e away, across the seam when a/d is near 0
-            pts.add(Fraction((a * e // d + rng.randrange(-3, 4)) % e, e))
-        pts = sorted(pts)
-        d = (pts[7] - pts[3]) % 1
-        for t in (Fraction(1, 40), Fraction(1, 2), min(d, 1 - d), Fraction(1, 2 ** 32)):
+        pts, thresholds = wide_denominator_case()
+        for t in thresholds:
             self.check_both_engines(pts, t)
 
     def test_threshold_pushes_small_denominators_past_2_62(self):
-        pts = sorted({Fraction(a, d) for d in range(1, 13) for a in range(d)})
-        # thresholds near 1/30 and just above the minimal gap 1/132, whose
-        # numerators and denominators are near 10**18: 2 * 12**2 * t_den > 2**62
-        wide = (Fraction(10 ** 17 + 3, 3 * 10 ** 18), Fraction(1, 132) + Fraction(1, 10 ** 17))
-        for t in wide:
+        pts, thresholds = wide_threshold_case()
+        for t in thresholds:  # 2 * 12**2 * t_den > 2**62
             assert 2 * 12 ** 2 * t.denominator >= 2 ** 62
             self.check_both_engines(pts, t)
+
+
+class TestOracleBroadcast:
+    """A threshold sequence gives one row per threshold from one sweep."""
+
+    @staticmethod
+    def check_rows(nums, dens, thresholds):
+        t_nums = [t.numerator for t in thresholds]
+        t_dens = [t.denominator for t in thresholds]
+        rows = neighbor_counts_bruteforce(nums, dens, t_nums, t_dens)
+        assert rows.shape == (len(thresholds), len(nums))
+        for row, t_num, t_den in zip(rows, t_nums, t_dens):
+            single = neighbor_counts_bruteforce(nums, dens, t_num, t_den)
+            assert single.shape == (len(nums),)
+            assert row.tolist() == single.tolist()
+        return rows
+
+    def test_rows_equal_scalar_calls_on_a_fraction_set(self):
+        fs = enumerate_set(5, 2)
+        thresholds = [Fraction(1, 2 * N) for N in (10, 125, 625, 1250)]
+        thresholds += [Fraction(1, 2), Fraction(3, 1000)]
+        self.check_rows(fs.numerators, fs.denominators(), thresholds)
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        case=seam_point_sets(),
+        t_free=st.fractions(min_value=Fraction(1, 200), max_value=1, max_denominator=200),
+    )
+    def test_rows_equal_scalar_calls_on_seam_sets(self, case, t_free):
+        pts, tie = case
+        self.check_rows(*fraction_columns(pts), [Fraction(1, 2), tie, t_free])
+
+    @pytest.mark.parametrize("case", [wide_denominator_case, wide_threshold_case])
+    def test_rows_equal_scalar_calls_at_object_width(self, case):
+        pts, thresholds = case()
+        nums, dens = fraction_columns(pts)
+        t_num = max(t.numerator for t in thresholds)
+        t_den = max(t.denominator for t in thresholds)
+        assert spacing._engine_columns(nums, dens, t_num, t_den)[0].dtype == object
+        rows = self.check_rows(nums, dens, thresholds)
+        assert rows.tolist() == [fraction_counts(pts, t) for t in thresholds]
+
+    def test_threshold_above_half_counts_every_other_point(self):
+        fs = enumerate_set(3, 2)
+        n = len(fs)
+        rows = self.check_rows(
+            fs.numerators, fs.denominators(), [Fraction(2, 3), Fraction(1, 54), Fraction(3, 5)]
+        )
+        assert rows[0].tolist() == rows[2].tolist() == [n - 1] * n
+        assert rows[1].max() < n - 1
+
+    def test_empty_point_set(self):
+        empty = np.zeros(0, dtype=np.int64)
+        assert neighbor_counts_bruteforce(empty, empty, 1, 10).shape == (0,)
+        assert neighbor_counts_bruteforce(empty, empty, [1, 2], [10, 3]).shape == (2, 0)
+
+    def test_threshold_lengths_must_match(self):
+        fs = enumerate_set(2, 2)
+        nums, dens = fs.numerators, fs.denominators()
+        for t_num, t_den in [([1, 1], [10]), ([1], [10, 20]), (1, [10]), ([1], 10)]:
+            with pytest.raises(ValueError, match="one length"):
+                neighbor_counts_bruteforce(nums, dens, t_num, t_den)
+
+
+class TestOracleMemory:
+    def test_block_buffers_bound_the_peak(self):
+        # four int64 block buffers and a bool mask are 33 bytes a cell; 40
+        # leaves room for the row and column sums, while forming the
+        # products as fresh temporaries per block takes about 49
+        fs = enumerate_set(6, 3)
+        nums, dens = fs.numerators, fs.denominators()
+        tracemalloc.start()
+        try:
+            counts = neighbor_counts_bruteforce(nums, dens, 1, 2 * 6 ** 4)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < spacing._BLOCK_ROWS * len(nums) * 40 + counts.nbytes
 
 
 class TestScanStatistic:

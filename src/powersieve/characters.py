@@ -5,12 +5,13 @@ group is a product of cyclic groups <g_i> of orders d_i (CRT over the prime
 powers of m, primitive roots for the odd ones, {+-1} x <3> for powers of
 two), so each unit is a = prod g_i**e_i for one e in the exponent grid
 Z/d_1 x ... x Z/d_r, and the character labelled c is chi_c(a) =
-e(sum c_i e_i / d_i).  The table keeps the generators, orders, labels and
-the unit residues in C order over the grid, all O(phi(m)).  A sum over the
-units of f(a) chi_c(a) is, for all c at once, phi(m) times the inverse DFT
-of f on the grid: every Gauss sum comes from one group FFT of e(a/m), and
-the character sums of a sequence from one group FFT of the sequence binned
-by residue.  Dense value rows are built only on demand.
+e(sum c_i e_i / d_i).  The table keeps the generators, orders and the unit
+residues in C order over the grid, all O(phi(m)); character j is labelled
+by grid index j, read off on demand.  A sum over the units of f(a) chi_c(a)
+is, for all c at once, phi(m) times the inverse DFT of f on the grid: every
+Gauss sum comes from one group FFT of e(a/m), and the character sums of a
+sequence from one group FFT of the sequence binned by residue.  Dense value
+rows are built only on demand.
 
 Primitivity is exact: chi is induced from m/p iff it is trivial on the
 kernel {a == 1 mod m/p}, which (p**2 | m as k >= 2) is cyclic on 1 + m/p,
@@ -30,7 +31,6 @@ phi(q**k)/q**k = phi(q)/q for every k.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -58,9 +58,9 @@ class GaussSum:
 class CharacterTable:
     """All phi(m) Dirichlet characters to modulus m = q**k.
 
-    ``labels[j]`` is the exponent tuple c of character j against the stored
+    ``label(j)`` is the exponent tuple c of character j against the stored
     generators, in C order over the grid (the export key for cross-checks
-    with computer-algebra systems); label 0 is the principal character.
+    with computer-algebra systems); character 0 is the principal one.
     ``residues[t]`` is the unit at grid index t, ``primitive`` flags each
     character and ``gauss`` holds every G(chi).
     """
@@ -68,12 +68,14 @@ class CharacterTable:
     def __init__(self, q: int, k: int):
         if q < 1 or k < 2:
             raise ValueError(f"need q >= 1 and k >= 2, got q={q}, k={k}")
-        m = q ** k
-        if m > MAX_MODULUS:
-            raise ValueError(f"modulus {m} exceeds the guard {MAX_MODULUS}")
+        # q**k has more than k*(b-1) bits (b = q.bit_length()): refuse from
+        # that bound before a power past the guard is formed
+        if k * (q.bit_length() - 1) >= MAX_MODULUS.bit_length() or q ** k > MAX_MODULUS:
+            raise ValueError(f"modulus {q}**{k} (about {k * math.log2(q):.0f} bits) "
+                             f"exceeds the guard {MAX_MODULUS}")
         self.q = q
         self.k = k
-        self.modulus = m
+        self.modulus = m = q ** k
         self.generators = unit_group_generators(m)
         self.orders = [d for _, d in self.generators]
         self.shape = tuple(self.orders) or (1,)
@@ -85,7 +87,6 @@ class CharacterTable:
             powers = np.array([pow(g, e, m) for e in range(d)], dtype=np.int64)
             residues = (residues[:, None] * powers[None, :] % m).ravel()
         self.residues = residues
-        self.labels = list(itertools.product(*(range(d) for d in self.orders)))
         self.primitive = self._primitive_flags()
 
     def __len__(self) -> int:
@@ -103,10 +104,13 @@ class CharacterTable:
             primitive &= sum(np.ix_(*terms)) % L != 0  # else trivial on the kernel
         return primitive.ravel()
 
+    def label(self, j: int) -> tuple[int, ...]:
+        return tuple(int(c) for c in np.unravel_index(j, self.orders))
+
     def chi(self, j: int) -> np.ndarray:
         """Value vector of character j on residues 0..m-1, built in O(m)."""
         terms = [c * np.arange(d) % d / np.float64(d)
-                 for c, d in zip(self.labels[j], self.orders)]
+                 for c, d in zip(self.label(j), self.orders)]
         phase = sum(np.ix_(*terms), np.zeros(self.shape))
         row = np.zeros(self.modulus, dtype=np.complex128)
         row[self.residues] = np.exp(2j * np.pi * phase.ravel())
@@ -136,7 +140,7 @@ class CharacterTable:
         return self.unit_sums(np.exp(2j * np.pi * np.arange(m) / m))
 
     def principal_index(self) -> int:
-        return self.labels.index(tuple(0 for _ in self.generators))
+        return 0  # label (0, ..., 0) comes first in C order
 
     def to_json_dict(self) -> dict:
         return {
@@ -146,7 +150,7 @@ class CharacterTable:
             "characters": [
                 {
                     "index": j,
-                    "label": list(self.labels[j]),
+                    "label": list(self.label(j)),
                     "primitive": bool(self.primitive[j]),
                     "values": [[float(z.real), float(z.imag)] for z in self.chi(j)],
                 }

@@ -1,13 +1,17 @@
 """Command-line front end: every experiment as a reproducible subcommand.
 
-Reports embed their full run configuration so any output can be regenerated
-from its own header.  JSON is the canonical format; CSV is provided for
+Each subcommand takes only the flags its handler reads, declared once in
+``build_parser``; handlers read the parsed namespace.  Reports echo those
+flags (the ones with a value) in their header, so any output can be
+regenerated from its own header.  ``sieve-ratio --seed`` is the one flag
+accepted and ignored.  JSON is the canonical format; CSV is provided for
 table diffing.  Exit codes: 0 success, 1 usage, guard or file-system error,
 2 an assertable invariant was violated by the computation.
 
 Fraction sets are cached per (Q, k) in a cache directory (flag
-``--cache-dir`` or environment variable POWERSIEVE_CACHE_DIR) using the
-compact binary format, so range scans do not re-enumerate.
+``--cache-dir`` or environment variable POWERSIEVE_CACHE_DIR, on the
+subcommands that take the flag) using the compact binary format, so range
+scans do not re-enumerate.
 """
 
 from __future__ import annotations
@@ -20,7 +24,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import Optional
 
@@ -44,24 +47,6 @@ EXIT_USAGE = 1
 EXIT_ASSERTION = 2
 
 CACHE_ENV = "POWERSIEVE_CACHE_DIR"
-
-
-@dataclass
-class RunConfig:
-    """Echo of one CLI run; serialized into every report header."""
-
-    subcommand: str
-    Q: Optional[int] = None
-    q_min: Optional[int] = None
-    q_max: Optional[int] = None
-    k: int = 2
-    N: Optional[int] = None
-    epsilon: float = 0.0
-    seed: int = 0
-    format: str = "json"
-    cache_dir: Optional[str] = None
-    out: Optional[str] = None
-    extra: dict = field(default_factory=dict)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -92,14 +77,14 @@ def _cached_set(Q: int, k: int, cache_dir: Optional[str]) -> FractionSet:
     return fs
 
 
-def _emit(config: RunConfig, payload: dict, wall: float) -> None:
+def _emit(args: argparse.Namespace, payload: dict, wall: float) -> None:
     header = {
         "tool": "powersieve",
         "version": __version__,
-        "config": {k: v for k, v in asdict(config).items() if v is not None},
+        "config": {k: v for k, v in vars(args).items() if v is not None},
         "wall_time_s": round(wall, 6),
     }
-    if config.format == "json":
+    if args.format == "json":
         text = json.dumps({"header": header, **payload}, indent=2) + "\n"
     else:
         buf = io.StringIO()
@@ -116,41 +101,37 @@ def _emit(config: RunConfig, payload: dict, wall: float) -> None:
             if key != "rows":
                 buf.write(f"# {key}: {json.dumps(val, sort_keys=True)}\n")
         text = buf.getvalue()
-    if config.out:
-        with open(config.out, "w", encoding="utf-8") as fh:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
 
 
-def _cmd_table1(config: RunConfig) -> tuple[dict, int]:
-    q_max = config.q_max
-    if q_max is None or q_max < 1:
-        raise ValueError(f"--q-max must be >= 1, got {q_max}")
-    if config.k != 2:
-        raise ValueError(f"table1 is the k = 2 statistic, got --k {config.k}")
+def _cmd_table1(args: argparse.Namespace) -> tuple[dict, int]:
+    if args.q_max < 1:
+        raise ValueError(f"--q-max must be >= 1, got {args.q_max}")
     rows = []
-    for Q in range(1, q_max + 1):
-        fs = _cached_set(Q, 2, config.cache_dir)
+    for Q in range(1, args.q_max + 1):
+        fs = _cached_set(Q, 2, args.cache_dir)
         rows.append({"Q": Q, "M": table1_statistic(Q, fs)})
     return {"rows": rows}, EXIT_OK
 
 
-def _cmd_spacing(config: RunConfig) -> tuple[dict, int]:
-    fs = _cached_set(config.Q, config.k, config.cache_dir)
-    query = SpacingQuery(config.Q, config.k, config.N)
-    engine = config.extra.get("engine", "fast")
+def _cmd_spacing(args: argparse.Namespace) -> tuple[dict, int]:
+    fs = _cached_set(args.Q, args.k, args.cache_dir)
+    query = SpacingQuery(args.Q, args.k, args.N)
     res = (
         spacing_count_bruteforce(query, fs)
-        if engine == "brute"
+        if args.engine == "brute"
         else spacing_count_fast(query, fs)
     )
     payload = {
         "rows": [
             {
-                "Q": config.Q,
-                "k": config.k,
-                "N": config.N,
+                "Q": args.Q,
+                "k": args.k,
+                "N": args.N,
                 "M": res.count,
                 "witness_a": res.witness.a if res.witness else None,
                 "witness_q": res.witness.q if res.witness else None,
@@ -161,12 +142,12 @@ def _cmd_spacing(config: RunConfig) -> tuple[dict, int]:
     return payload, EXIT_OK
 
 
-def _cmd_conjecture(config: RunConfig) -> tuple[dict, int]:
+def _cmd_conjecture(args: argparse.Namespace) -> tuple[dict, int]:
     report = conjecture_scan(
-        config.q_min,
-        config.q_max,
-        config.k,
-        cache=lambda Q: _cached_set(Q, config.k, config.cache_dir),
+        args.q_min,
+        args.q_max,
+        args.k,
+        cache=lambda Q: _cached_set(Q, args.k, args.cache_dir),
     )
     rows = [
         {
@@ -187,14 +168,14 @@ def _cmd_conjecture(config: RunConfig) -> tuple[dict, int]:
     return payload, EXIT_OK
 
 
-def _cmd_sieve_ratio(config: RunConfig) -> tuple[dict, int]:
-    fs = _cached_set(config.Q, config.k, config.cache_dir)
+def _cmd_sieve_ratio(args: argparse.Namespace) -> tuple[dict, int]:
+    fs = _cached_set(args.Q, args.k, args.cache_dir)
     try:
         rec = sieve_ratio_experiment(
-            config.Q,
-            config.N,
-            config.k,
-            epsilon=config.epsilon,
+            args.Q,
+            args.N,
+            args.k,
+            epsilon=args.epsilon,
             fraction_set=fs,
         )
     except SieveBoundViolation as exc:
@@ -202,29 +183,27 @@ def _cmd_sieve_ratio(config: RunConfig) -> tuple[dict, int]:
     return rec, EXIT_OK
 
 
-def _cmd_bounds(config: RunConfig) -> tuple[dict, int]:
+def _cmd_bounds(args: argparse.Namespace) -> tuple[dict, int]:
     rows = [
         {"name": name, "value": value, "assertable": assertable}
         for name, value, assertable in bound_catalog(
-            config.Q, config.N, config.k, config.epsilon
+            args.Q, args.N, args.k, args.epsilon
         )
     ]
     return {"rows": rows}, EXIT_OK
 
 
-def _cmd_weyl(config: RunConfig) -> tuple[dict, int]:
-    alpha = Fraction(config.extra["alpha"])
-    start = config.extra.get("start", 1)
-    n_min = config.extra.get("n_min", config.N)
-    if not 1 <= n_min <= config.N:
-        raise ValueError(f"need 1 <= --n-min <= --N = {config.N}, got --n-min {n_min}")
-    phase = PolynomialPhase.monomial(alpha, config.k)
-    kappa = 2 ** (config.k - 1)
+def _cmd_weyl(args: argparse.Namespace) -> tuple[dict, int]:
+    n_min = args.N if args.n_min is None else args.n_min
+    if not 1 <= n_min <= args.N:
+        raise ValueError(f"need 1 <= --n-min <= --N = {args.N}, got --n-min {n_min}")
+    phase = PolynomialPhase.monomial(Fraction(args.alpha), args.k)
+    kappa = 2 ** (args.k - 1)
     rows = []
     violations = 0
-    for N in range(n_min, config.N + 1):
-        s = abs(exp_sum(phase, (start, N))) ** kappa
-        b = weyl_bound(phase, (start, N))
+    for N in range(n_min, args.N + 1):
+        s = abs(exp_sum(phase, (args.start, N))) ** kappa
+        b = weyl_bound(phase, (args.start, N))
         if s > b * (1 + 1e-12):
             violations += 1
         rows.append({"N": N, "S_pow_kappa": s, "bound": b, "ratio": s / b})
@@ -232,13 +211,13 @@ def _cmd_weyl(config: RunConfig) -> tuple[dict, int]:
     return payload, EXIT_ASSERTION if violations else EXIT_OK
 
 
-def _cmd_poisson(config: RunConfig) -> tuple[dict, int]:
-    check = poisson_identity_check(config.N, config.extra.get("tail"))
+def _cmd_poisson(args: argparse.Namespace) -> tuple[dict, int]:
+    check = poisson_identity_check(args.N, args.tail)
     ok = check.gap <= check.tail_bound
     payload = {
         "rows": [
             {
-                "N": config.N,
+                "N": args.N,
                 "lhs": check.lhs,
                 "rhs": check.rhs,
                 "gap": check.gap,
@@ -251,8 +230,8 @@ def _cmd_poisson(config: RunConfig) -> tuple[dict, int]:
     return payload, EXIT_OK if ok else EXIT_ASSERTION
 
 
-def _cmd_gauss(config: RunConfig) -> tuple[dict, int]:
-    q, k = config.Q, config.k
+def _cmd_gauss(args: argparse.Namespace) -> tuple[dict, int]:
+    q, k = args.Q, args.k
     table = build_character_table(q, k)
     expected = q ** (k / 2)
     rows = []
@@ -280,13 +259,13 @@ def _cmd_gauss(config: RunConfig) -> tuple[dict, int]:
     return payload, EXIT_ASSERTION if violations else EXIT_OK
 
 
-def _cmd_transfer(config: RunConfig) -> tuple[dict, int]:
-    rng = np.random.default_rng(config.seed)
-    seq = rng.standard_normal(config.N) + 1j * rng.standard_normal(config.N)
-    lhs, rhs = mult_transfer_check(config.Q, config.k, seq)
+def _cmd_transfer(args: argparse.Namespace) -> tuple[dict, int]:
+    rng = np.random.default_rng(args.seed)
+    seq = rng.standard_normal(args.N) + 1j * rng.standard_normal(args.N)
+    lhs, rhs = mult_transfer_check(args.Q, args.k, seq)
     ok = lhs <= rhs * (1 + 1e-9) + 1e-9
     payload = {
-        "rows": [{"q": config.Q, "k": config.k, "N": config.N, "lhs": lhs, "rhs": rhs}],
+        "rows": [{"q": args.Q, "k": args.k, "N": args.N, "lhs": lhs, "rhs": rhs}],
         "inequality_holds": ok,
     }
     return payload, EXIT_OK if ok else EXIT_ASSERTION
@@ -305,110 +284,76 @@ _COMMANDS = {
 }
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--k", type=int, default=2)
-    p.add_argument("--epsilon", type=float, default=0.0)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--format", choices=("csv", "json"), default="json")
-    p.add_argument("--cache-dir", default=None)
-    p.add_argument("--out", default=None)
-
-
 @functools.cache  # built once per process: a parse leaves no state on the parser
 def build_parser() -> _Parser:
+    """The one place a flag is declared: each subcommand gets the parent
+    parsers of the flags its handler reads, and --format/--out."""
+
+    def flag(*names, **kwargs) -> argparse.ArgumentParser:
+        parent = argparse.ArgumentParser(add_help=False)
+        parent.add_argument(*names, **kwargs)
+        return parent
+
+    output = flag("--format", choices=("csv", "json"), default="json")
+    output.add_argument("--out", default=None)
+    Q = flag("--Q", type=int, required=True)
+    q = flag("--Q", "--q", dest="Q", type=int, required=True)
+    N = flag("--N", type=int, required=True)
+    k = flag("--k", type=int, default=2)
+    epsilon = flag("--epsilon", type=float, default=0.0)
+    seed = flag("--seed", type=int, default=0,
+                help="seed of transfer's input; sieve-ratio accepts and ignores it")
+    cache = flag("--cache-dir", default=None, help=f"default: ${CACHE_ENV}")
+
     parser = _Parser(prog="powersieve", description=__doc__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    p = sub.add_parser("table1", parents=[], help="quadratic-denominator scan table")
+    def command(name: str, help: str, *parents) -> argparse.ArgumentParser:
+        return sub.add_parser(name, help=help, parents=[*parents, output])
+
+    p = command("table1", "quadratic-denominator scan table", cache)
     p.add_argument("--q-max", type=int, required=True)
-    _add_common(p)
 
-    p = sub.add_parser("spacing", help="one spacing count M_k(Q, N)")
-    p.add_argument("--Q", type=int, required=True)
-    p.add_argument("--N", type=int, required=True)
+    p = command("spacing", "one spacing count M_k(Q, N)", Q, N, k, cache)
     p.add_argument("--engine", choices=("fast", "brute"), default="fast")
-    _add_common(p)
 
-    p = sub.add_parser("conjecture", help="scan Q range at N = Q**(k+1)")
+    p = command("conjecture", "scan Q range at N = Q**(k+1)", k, cache)
     p.add_argument("--q-min", type=int, default=1)
     p.add_argument("--q-max", type=int, required=True)
-    _add_common(p)
 
-    p = sub.add_parser("sieve-ratio", help="lambda_max against the bound catalog")
-    p.add_argument("--Q", type=int, required=True)
-    p.add_argument("--N", type=int, required=True)
-    _add_common(p)
+    command("sieve-ratio", "lambda_max against the bound catalog", Q, N, k, epsilon, cache, seed)
+    command("bounds", "evaluate the closed-form bound catalog", Q, N, k, epsilon)
 
-    p = sub.add_parser("bounds", help="evaluate the closed-form bound catalog")
-    p.add_argument("--Q", type=int, required=True)
-    p.add_argument("--N", type=int, required=True)
-    _add_common(p)
-
-    p = sub.add_parser("weyl", help="differencing bound tightness rows")
+    p = command("weyl", "differencing bound tightness rows", N, k)
     p.add_argument("--alpha", required=True, help="leading coefficient, e.g. 1/7")
-    p.add_argument("--N", type=int, required=True)
     p.add_argument("--n-min", type=int, default=None)
     p.add_argument("--start", type=int, default=1)
-    _add_common(p)
 
-    p = sub.add_parser("poisson", help="truncated kernel summation identity")
-    p.add_argument("--N", type=int, required=True)
+    p = command("poisson", "truncated kernel summation identity", N)
     p.add_argument("--tail", type=int, default=None)
-    _add_common(p)
 
-    p = sub.add_parser("gauss", help="Gauss sums of all characters mod q**k")
-    p.add_argument("--Q", "--q", dest="Q", type=int, required=True)
-    _add_common(p)
-
-    p = sub.add_parser("transfer", help="multiplicative-to-additive transfer")
-    p.add_argument("--Q", "--q", dest="Q", type=int, required=True)
-    p.add_argument("--N", type=int, required=True)
-    _add_common(p)
-
+    command("gauss", "Gauss sums of all characters mod q**k", q, k)
+    command("transfer", "multiplicative-to-additive transfer", q, N, k, seed)
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    extra = {}
-    for key in ("engine", "alpha", "n_min", "start", "tail"):
-        if hasattr(args, key) and getattr(args, key) is not None:
-            extra[key] = getattr(args, key)
-    return RunConfig(
-        subcommand=args.subcommand,
-        Q=getattr(args, "Q", None),
-        q_min=getattr(args, "q_min", None),
-        q_max=getattr(args, "q_max", None),
-        k=args.k,
-        N=getattr(args, "N", None),
-        epsilon=args.epsilon,
-        seed=args.seed,
-        format=args.format,
-        cache_dir=args.cache_dir or os.environ.get(CACHE_ENV),
-        out=args.out,
-        extra=extra,
-    )
-
-
-def run(config: RunConfig) -> int:
-    """Dispatch a run; returns the process exit status."""
-    handler = _COMMANDS.get(config.subcommand)
-    if handler is None:
-        print(f"powersieve: unknown subcommand {config.subcommand!r}", file=sys.stderr)
-        return EXIT_USAGE
+def run(args: argparse.Namespace) -> int:
+    """Dispatch a parsed run; returns the process exit status."""
     start = time.perf_counter()
     try:
-        payload, status = handler(config)
-        _emit(config, payload, time.perf_counter() - start)
+        payload, status = _COMMANDS[args.subcommand](args)
+        _emit(args, payload, time.perf_counter() - start)
     except (ValueError, OverflowError, OSError) as exc:
-        print(f"powersieve {config.subcommand}: {exc}", file=sys.stderr)
+        print(f"powersieve {args.subcommand}: {exc}", file=sys.stderr)
         return EXIT_USAGE
     return status
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return run(config_from_args(args))
+    args = build_parser().parse_args(argv)
+    if "cache_dir" in vars(args):
+        args.cache_dir = args.cache_dir or os.environ.get(CACHE_ENV)
+    return run(args)
 
 
 if __name__ == "__main__":

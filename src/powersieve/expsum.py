@@ -18,7 +18,9 @@ alpha = u/v the distance is the residue res = P u k! mod v folded to
 min(res, v - res), so the term is N exactly when that residue vanishes or
 N*num <= v, and v/num otherwise, all in integers at the ``exact_columns``
 width, never by dividing by a float zero.  For irrational (float) alpha the
-distance is computed in double precision with a 1e-9 guard band around zero.
+distance is computed in double precision with a 1e-9 guard band around zero;
+the band changes a term only when N > 10**9, since below that
+min(N, 1/dist) is already N for every dist < 1e-9.
 
 The kernel half of the module implements phi(x) = (sin(pi x) / (2x))**2,
 its triangular Fourier transform, the truncated Poisson identity
@@ -44,7 +46,8 @@ import numpy as np
 
 from .rationals import exact_columns
 
-# Distances below this are treated as exact zeros on the float-alpha path.
+# Distances below this are treated as exact zeros on the float-alpha path;
+# that changes a term only when N > 10**9 (else min(N, 1/dist) is N anyway).
 ZERO_GUARD = 1e-9
 
 Interval = tuple[int, int]  # (start, length): the integers start..start+length-1

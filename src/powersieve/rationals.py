@@ -31,7 +31,7 @@ import os
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, log2
 from typing import Iterator
 
 import numpy as np
@@ -48,25 +48,32 @@ _CACHE_MAGIC = b"PWFRSET1"
 _CACHE_HEADER = struct.Struct("<QQQ")
 
 
-def _check_denominator(q: int, k: int) -> int:
-    """Return q**k, raising OverflowError when it busts the 128-bit budget."""
-    qk = q ** k
-    if qk.bit_length() > MAX_DENOMINATOR_BITS:
-        raise OverflowError(
-            f"q**k = {qk} (q={q}, k={k}) exceeds the exact-integer width; "
-            f"cross products require q**k < 2**{MAX_DENOMINATOR_BITS}"
-        )
+def _checked_power(q: int, k: int, bits: int, why: str) -> int:
+    """q**k, raising OverflowError that names its size in bits when it has
+    more than ``bits`` bits.  q**k has more than k*(b-1) bits, b the bit
+    length of q, so a power that bound refuses is never formed."""
+    qk = q ** k if k * (q.bit_length() - 1) < bits else None
+    if qk is None or qk.bit_length() > bits:
+        size = (f"{q}**{k} has about {k * log2(q):.0f}" if qk is None
+                else f"{qk} (q={q}, k={k}) has {qk.bit_length()}")
+        raise OverflowError(f"q**k = {size} bits, more than {bits}: {why}")
     return qk
 
 
+def _check_denominator(q: int, k: int) -> int:
+    """Return q**k, raising OverflowError when it busts the 128-bit budget."""
+    return _checked_power(q, k, MAX_DENOMINATOR_BITS, "cross products require q**k < 2**64")
+
+
 def _check_window(Q: int, k: int) -> None:
-    """Refuse S(Q, k) unless its cross products (2Q)**(2k) fit int64 columns."""
-    qk = (2 * Q) ** k
-    if (qk * qk).bit_length() > _INT64_PRODUCT_BITS:
-        raise OverflowError(
-            f"q**k = {qk} (q={2 * Q}, k={k}): S({Q}, {k}) is too wide for int64 "
-            "columns, its cross products reach 2**62"
-        )
+    """Refuse S(Q, k) unless Q >= 1, k >= 2 and its cross products
+    (2Q)**(2k) fit int64 columns, that is (2Q)**k < 2**31."""
+    if Q < 1:
+        raise ValueError(f"Q must be >= 1, got {Q}")
+    if k < 2:
+        raise ValueError(f"k must be >= 2, got {k}")
+    _checked_power(2 * Q, k, _INT64_PRODUCT_BITS // 2,
+                   f"S({Q}, {k}) is too wide for int64 columns, its cross products reach 2**62")
 
 
 def exact_columns(*cols, bound: int) -> tuple[np.ndarray, ...]:
@@ -238,7 +245,10 @@ class FractionSet:
             if len(head) != _CACHE_HEADER.size:
                 raise ValueError(f"{path}: truncated cache header")
             Q, k, count = _CACHE_HEADER.unpack(head)
-            _check_window(Q, k)
+            try:
+                _check_window(Q, k)  # the header enumerate_set would refuse
+            except (ValueError, OverflowError) as exc:
+                raise type(exc)(f"{path}: {exc}") from None
             rec = np.fromfile(fh, dtype="<u8", count=2 * count)
         if rec.size != 2 * count:
             raise ValueError(f"{path}: truncated cache (expected {count} records)")
@@ -261,11 +271,7 @@ def enumerate_set(Q: int, k: int) -> FractionSet:
     float64 step) it falls back to a full exact sort.  Sets whose cross
     products would not fit int64 are refused before anything is allocated.
     """
-    if Q < 1:
-        raise ValueError(f"Q must be >= 1, got {Q}")
-    if k < 2:
-        raise ValueError(f"k must be >= 2, got {k}")
-    _check_window(Q, k)  # loud failure naming the largest q**k
+    _check_window(Q, k)  # loud failure naming the largest q**k and its bits
 
     a_parts, q_parts = [], []
     for q in range(Q + 1, 2 * Q + 1):

@@ -1,6 +1,7 @@
 """Character tables, primitivity, Gauss sums, and the transfer inequality."""
 
 import gc
+import itertools
 import json
 import tracemalloc
 import weakref
@@ -114,6 +115,18 @@ class TestTableConstruction:
             build_character_table(0, 2)
         with pytest.raises(ValueError):
             build_character_table(3, 1)
+
+    @pytest.mark.parametrize("q,k", [(1, 2), (1, 3), (2, 2), (2, 3), (3, 2), (3, 3), (4, 2),
+                                     (5, 2), (6, 2), (10, 2), (12, 2), (14, 2), (2, 7)])
+    def test_labels_on_demand_are_the_c_order_grid(self, q, k):
+        # labels are read off the grid index; the export keeps the tuples in
+        # C order, [] when there is no generator (m = 1)
+        t = build_character_table(q, k)
+        grid = [list(c) for c in itertools.product(*(range(d) for d in t.orders))]
+        assert [ch["label"] for ch in t.to_json_dict()["characters"]] == grid
+        assert grid[t.principal_index()] == [0] * len(t.orders)
+        if q == 1:
+            assert grid == [[]]
 
     def test_json_export_shape(self):
         t = build_character_table(3, 2)

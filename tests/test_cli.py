@@ -4,7 +4,10 @@ import copy
 import csv
 import io
 import json
+import os
+import shlex
 import sys
+import time
 
 import pytest
 
@@ -61,21 +64,26 @@ class TestExitCodes:
         code, out = run_cli(["spacing", "--Q", "3", "--N", "27", "--engine", "brute"], capsys)
         assert code == EXIT_OK
         doc = json.loads(out)
-        assert doc["header"]["config"]["extra"] == {"engine": "brute"}
+        assert doc["header"]["config"]["engine"] == "brute"
         assert (doc["rows"][0]["M"], doc["rows"][0]["set_size"]) == (2, 40)
         code, out = run_cli(["bounds", "--Q", "2", "--N", "16"], capsys)
         assert code == EXIT_OK
         doc = json.loads(out)
-        assert doc["header"]["config"]["subcommand"] == "bounds"
-        assert doc["header"]["config"]["extra"] == {}
+        # the echo is flat and holds exactly the subcommand's flags
+        assert doc["header"]["config"] == {
+            "subcommand": "bounds", "Q": 2, "N": 16, "k": 2, "epsilon": 0.0, "format": "json"
+        }
         assert "per_q_exact" in [r["name"] for r in doc["rows"]]
 
     def test_table1_refuses_k_other_than_2(self, capsys):
-        for k in ("3", "4"):
-            assert main(["table1", "--q-max", "2", "--k", k]) == EXIT_USAGE
+        # table1 is the k = 2 statistic and takes no --k at all
+        for k in ("2", "3", "4"):
+            with pytest.raises(SystemExit) as err:
+                main(["table1", "--q-max", "2", "--k", k])
+            assert err.value.code == EXIT_USAGE
             captured = capsys.readouterr()
             assert captured.out == ""
-            assert f"table1 is the k = 2 statistic, got --k {k}" in captured.err
+            assert f"unrecognized arguments: --k {k}" in captured.err
 
     def test_guard_violation_maps_to_usage(self, capsys):
         # gram guard: K*N too large
@@ -127,11 +135,12 @@ class TestReports:
         assert payload_of(out1) == payload_of(out2)
 
     def test_config_echo_roundtrip(self, capsys):
-        _, out = run_cli(
-            ["conjecture", "--q-min", "2", "--q-max", "4", "--seed", "9"], capsys
-        )
+        _, out = run_cli(["conjecture", "--q-min", "2", "--q-max", "4"], capsys)
         cfg = json.loads(out)["header"]["config"]
-        assert cfg["q_min"] == 2 and cfg["q_max"] == 4 and cfg["seed"] == 9
+        assert cfg["q_min"] == 2 and cfg["q_max"] == 4
+        _, out = run_cli(["transfer", "--q", "3", "--N", "5", "--seed", "9"], capsys)
+        cfg = json.loads(out)["header"]["config"]
+        assert cfg["Q"] == 3 and cfg["N"] == 5 and cfg["seed"] == 9
 
 
 class TestSubcommands:
@@ -269,3 +278,78 @@ class TestCache:
         cache = tmp_path / "cache"
         assert main(["spacing", "--Q", "2", "--N", "8", "--cache-dir", str(cache)]) == EXIT_OK
         assert [p.name for p in cache.iterdir()] == ["fracset_Q2_k2.bin"]
+
+
+# every subcommand also takes --format and --out
+FLAGS = {
+    "table1": "--q-max --cache-dir",
+    "spacing": "--Q --N --k --engine --cache-dir",
+    "conjecture": "--q-min --q-max --k --cache-dir",
+    "sieve-ratio": "--Q --N --k --epsilon --cache-dir --seed",
+    "bounds": "--Q --N --k --epsilon",
+    "weyl": "--alpha --N --n-min --start --k",
+    "poisson": "--N --tail",
+    "gauss": "--Q --q --k",
+    "transfer": "--Q --q --N --k --seed",
+}
+
+README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+
+
+def subparsers():
+    (action,) = [a for a in build_parser()._actions if a.dest == "subcommand"]
+    return action.choices
+
+
+class TestFlagSets:
+    def test_each_subcommand_takes_exactly_its_flags(self):
+        got = {
+            name: {opt for a in p._actions for opt in a.option_strings} - {"-h", "--help"}
+            for name, p in subparsers().items()
+        }
+        assert got == {name: set(f"{flags} --format --out".split()) for name, flags in FLAGS.items()}
+
+    @pytest.mark.parametrize("argv", [
+        ["poisson", "--N", "4", "--k", "3"],
+        ["gauss", "--q", "3", "--cache-dir", "d"],
+        ["bounds", "--Q", "2", "--N", "16", "--seed", "1"],
+        ["weyl", "--alpha", "1/7", "--N", "5", "--epsilon", "0.1"],
+        ["conjecture", "--q-max", "3", "--seed", "1"],
+    ])
+    def test_removed_flag_exits_1(self, argv, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == "" and "unrecognized arguments" in captured.err
+
+    def test_sieve_ratio_accepts_and_echoes_seed(self, capsys):
+        code, out = run_cli(["sieve-ratio", "--Q", "2", "--N", "8", "--seed", "7"], capsys)
+        assert code == EXIT_OK
+        assert json.loads(out)["header"]["config"]["seed"] == 7
+
+    def test_readme_examples_parse(self):
+        with open(README, encoding="utf-8") as fh:
+            lines = [line.split("#")[0] for line in fh if line.startswith("powersieve ")]
+        assert len(lines) == len(FLAGS)
+        for line in lines:
+            args = build_parser().parse_args(shlex.split(line)[1:])
+            assert args.subcommand in FLAGS
+
+
+class TestWidthGuards:
+    @pytest.mark.parametrize("argv,message", [
+        (["spacing", "--Q", "1", "--k", "5000", "--N", "1"],
+         "q**k = 2**5000 has about 5000 bits, more than 31: S(1, 5000) is too wide"),
+        (["spacing", "--Q", "1", "--k", "15000", "--N", "1"],
+         "q**k = 2**15000 has about 15000 bits, more than 31: S(1, 15000) is too wide"),
+        (["gauss", "--q", "1000", "--k", "3000000"],
+         "modulus 1000**3000000 (about 29897353 bits) exceeds the guard 1000000"),
+    ])
+    def test_refused_before_the_power_is_formed(self, argv, message, capsys):
+        start = time.process_time()
+        assert main(argv) == EXIT_USAGE
+        assert time.process_time() - start < 1.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"powersieve {argv[0]}: {message}")

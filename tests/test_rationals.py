@@ -1,6 +1,7 @@
 """Enumeration, torus distance, and threshold comparison semantics."""
 
 import random
+import re
 import struct
 import tracemalloc
 from fractions import Fraction
@@ -75,8 +76,10 @@ class TestEnumeration:
 
     def test_overflow_guard_names_the_denominator(self):
         # S(3, 12) is the smallest set whose cross products (2Q)**(2k) reach
-        # 2**62; it has 929,295,220 points and is refused before any of them
-        for Q, k in [(2 ** 32, 2), (3, 12)]:
+        # 2**62; it has 929,295,220 points and is refused before any of them.
+        # At k = 10**7 the bit-length bound refuses before (2Q)**k (1.25 MB
+        # at Q = 1) is formed.
+        for Q, k in [(2 ** 32, 2), (3, 12), (1, 10 ** 7), (500, 10 ** 7)]:
             tracemalloc.start()
             try:
                 with pytest.raises(OverflowError, match=r"q\*\*k"):
@@ -211,6 +214,17 @@ class TestSerialization:
         path.write_bytes(b"PWFRSET1" + struct.pack("<QQQ", 3, 12, 929_295_220))
         with pytest.raises(OverflowError, match=r"q\*\*k = 2176782336"):
             FractionSet.read_cache(path)
+
+    @pytest.mark.parametrize("Q,k,message", [(3, 1, "k must be >= 2, got 1"),
+                                             (0, 2, "Q must be >= 1, got 0")])
+    def test_cache_refuses_headers_enumerate_set_refuses(self, tmp_path, Q, k, message):
+        # a k = 1 header is refused here, not only by the CLI's (Q, k) match
+        path = tmp_path / "bad.bin"
+        path.write_bytes(b"PWFRSET1" + struct.pack("<QQQ", Q, k, 0))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
+            FractionSet.read_cache(path)
+        with pytest.raises(ValueError, match=message):
+            enumerate_set(Q, k)
 
     def test_cache_rejects_truncation(self, tmp_path):
         fs = enumerate_set(2, 2)

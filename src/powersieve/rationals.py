@@ -44,6 +44,9 @@ MAX_DENOMINATOR_BITS = 64
 # int64 columns need every product below 2**63; one safety bit is kept.
 _INT64_PRODUCT_BITS = 62
 
+# adjacent pairs per block of the order certificate's cross products
+_CERTIFY_BLOCK = 2 ** 14
+
 _CACHE_MAGIC = b"PWFRSET1"
 _CACHE_HEADER = struct.Struct("<QQQ")
 
@@ -58,11 +61,6 @@ def _checked_power(q: int, k: int, bits: int, why: str) -> int:
                 else f"{qk} (q={q}, k={k}) has {qk.bit_length()}")
         raise OverflowError(f"q**k = {size} bits, more than {bits}: {why}")
     return qk
-
-
-def _check_denominator(q: int, k: int) -> int:
-    """Return q**k, raising OverflowError when it busts the 128-bit budget."""
-    return _checked_power(q, k, MAX_DENOMINATOR_BITS, "cross products require q**k < 2**64")
 
 
 def _check_window(Q: int, k: int) -> None:
@@ -84,15 +82,22 @@ def exact_columns(*cols, bound: int) -> tuple[np.ndarray, ...]:
     return tuple(np.asarray(c, dtype=dtype) for c in cols)
 
 
-def strictly_increasing(nums: np.ndarray, dens: np.ndarray) -> bool:
-    """The order certificate: nums[i]/dens[i] < nums[i+1]/dens[i+1] for every
-    adjacent pair, by exact cross products (columns at ``exact_columns`` width)."""
-    return bool(np.all(nums[:-1] * dens[1:] < nums[1:] * dens[:-1]))
+def strictly_increasing(nums: np.ndarray, dens: np.ndarray, k: int = 1) -> bool:
+    """The order certificate: nums[i]/dens[i]**k < nums[i+1]/dens[i+1]**k for
+    every adjacent pair, by exact cross products (columns at ``exact_columns``
+    width) formed a block of pairs at a time, so no temporary spans the columns."""
+    for lo in range(0, len(nums) - 1, _CERTIFY_BLOCK):
+        hi = lo + _CERTIFY_BLOCK + 1
+        a, d = nums[lo:hi], dens[lo:hi] ** k
+        if not np.all(a[:-1] * d[1:] < a[1:] * d[:-1]):
+            return False
+    return True
 
 
 @dataclass(frozen=True)
 class PowerFraction:
-    """A reduced fraction a / q**k with 1 <= a < q**k and gcd(a, q) = 1."""
+    """A reduced fraction a / q**k with 1 <= a < q**k and gcd(a, q) = 1; a
+    q**k of 2**64 or more is refused before it is formed."""
 
     a: int
     q: int
@@ -103,7 +108,8 @@ class PowerFraction:
             raise ValueError(f"exponent k must be >= 2, got {self.k}")
         if self.q < 1:
             raise ValueError(f"base q must be >= 1, got {self.q}")
-        qk = self.q ** self.k
+        qk = _checked_power(self.q, self.k, MAX_DENOMINATOR_BITS,
+                            "cross products require q**k < 2**64")
         if not 1 <= self.a < qk:
             raise ValueError(f"numerator {self.a} outside [1, {qk})")
         if gcd(self.a, self.q) != 1:
@@ -155,8 +161,7 @@ def torus_distance(x: PowerFraction, y: PowerFraction) -> TorusDistance:
     q**k * q'**k and folds the residue into [0, 1/2]; no floating point is
     involved at any step.
     """
-    dx = _check_denominator(x.q, x.k)
-    dy = _check_denominator(y.q, y.k)
+    dx, dy = x.denominator, y.denominator  # each below 2**64 by construction
     m = dx * dy
     r = (x.a * dy - y.a * dx) % m
     num = min(r, m - r)
@@ -253,7 +258,7 @@ class FractionSet:
         if rec.size != 2 * count:
             raise ValueError(f"{path}: truncated cache (expected {count} records)")
         a, q = rec[0::2].astype(np.int64), rec[1::2].astype(np.int64)
-        if not strictly_increasing(a, q ** k):
+        if not strictly_increasing(a, q, k):
             raise ValueError(f"{path}: cache records are not strictly increasing")
         return cls(Q, k, a, q)
 
@@ -287,13 +292,13 @@ def enumerate_set(Q: int, k: int) -> FractionSet:
     nums = nums[order]
     bases = bases[order]
 
-    if not strictly_increasing(nums, bases ** k):
+    if not strictly_increasing(nums, bases, k):
         # float hint failed; do it the slow exact way
         keys = [Fraction(int(a), int(q) ** k) for a, q in zip(nums, bases)]
         order = sorted(range(len(keys)), key=keys.__getitem__)
         nums = nums[order]
         bases = bases[order]
-        if not strictly_increasing(nums, bases ** k):
+        if not strictly_increasing(nums, bases, k):
             raise AssertionError("duplicate values in fraction set")  # impossible
     return FractionSet(Q, k, nums, bases)
 

@@ -35,7 +35,8 @@ from typing import Callable, Literal, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .rationals import FractionSet, PowerFraction, exact_columns, strictly_increasing
+from .rationals import (FractionSet, PowerFraction, _checked_power, exact_columns,
+                        strictly_increasing)
 
 # cell guard for gram experiments: K*N for T and d*d for the Gram matrix solved
 GRAM_CELL_GUARD = 10 ** 7
@@ -293,6 +294,10 @@ def bound_catalog(Q: int, N: int, k: int = 2, epsilon: float = 0.0):
     """
     if Q < 1 or N < 1 or k < 2 or epsilon < 0:
         raise ValueError("need Q, N >= 1, k >= 2, epsilon >= 0")
+    # the largest int a form converts to float, Q**(2k) or (2Q)**k at Q = 1,
+    # is refused past float64 range (1024 bits) before it is formed
+    _checked_power(max(Q * Q, 2 * Q), k, 1024,
+                   f"the bounds at Q={Q}, k={k} need Q**(2k) inside float range")
     entries = []
     for formula in CATALOG:
         if formula.name == "half_power" and k != 2:

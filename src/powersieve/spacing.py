@@ -7,15 +7,15 @@ The central quantity is, for a point set S on R/Z and a threshold t,
 with t = 1/(2N) in the standard parameterization.  Two engines compute it:
 
 * a brute-force oracle that decides every pair in one blocked O(n^2) sweep
-  for any number of thresholds, with no sortedness assumptions, and
-* a fast path that sorts the set once, finds each point's forward arc with
-  a monotone window over the circle (wrapping the seam at 0/1), and reads
-  the backward neighbors off those same arcs.
+  with no sortedness assumptions, and
+* a fast path over a sorted set that finds each point's forward arc on the
+  circle (wrapping the seam at 0/1) and reads the backward neighbors off
+  those same arcs.
 
-Both decide ``||x - x'|| < t`` by exact integer comparison.  The fast path
-uses float64 positions only as a search hint; every window boundary is then
-settled exactly, so the two engines agree bit for bit, which the test suite
-exercises as its primary oracle.
+Each answers any number of thresholds in one call and decides
+``||x - x'|| < t`` by exact integer comparison.  The fast path uses float64
+positions only to propose arc ends; every end is settled exactly at p and
+p + 1, so the two engines agree bit for bit, the suite's primary oracle.
 
 Threshold conventions.  The scan statistic published for quadratic
 denominators counts ``2 * ||x - x'|| < Q**-3``, which equals the
@@ -86,6 +86,16 @@ def _engine_columns(nums, dens, t_num: int, t_den: int):
     return exact_columns(nums, dens, bound=2 * dmax * dmax * max(t_num, t_den))
 
 
+def _thresholds(t_num, t_den, n: int):
+    """Both engines' thresholds: the (T, n) counts prefilled with n - 1, the
+    answer above t = 1/2, and the (row, t_num, t_den) with t <= 1/2."""
+    if np.ndim(t_num) != np.ndim(t_den) or np.size(t_num) != np.size(t_den):
+        raise ValueError("t_num and t_den must be scalars or sequences of one length")
+    pairs = [(int(u), int(v)) for u, v in zip(np.ravel(t_num), np.ravel(t_den))]
+    counts = np.full((len(pairs), n), n - 1, dtype=np.int64)
+    return counts, [(r, u, v) for r, (u, v) in enumerate(pairs) if 2 * u <= v]
+
+
 def neighbor_counts_bruteforce(nums, dens, t_num, t_den) -> np.ndarray:
     """Per-point neighbor counts by exhaustive pairwise comparison.
 
@@ -101,12 +111,8 @@ def neighbor_counts_bruteforce(nums, dens, t_num, t_den) -> np.ndarray:
     give ``(T, n)``, every threshold compared against the same a and p, so
     one sweep answers them all.  Above t = 1/2 every other point counts.
     """
-    if np.ndim(t_num) != np.ndim(t_den) or np.size(t_num) != np.size(t_den):
-        raise ValueError("t_num and t_den must be scalars or sequences of one length")
     n = len(nums)
-    pairs = [(int(u), int(v)) for u, v in zip(np.ravel(t_num), np.ravel(t_den))]
-    counts = np.full((len(pairs), n), n - 1, dtype=np.int64)
-    rows = [(r, u, v) for r, (u, v) in enumerate(pairs) if 2 * u <= v]
+    counts, rows = _thresholds(t_num, t_den, n)
     counts[[r for r, _, _ in rows]] = -1  # the self pair is a hit below
     if n and rows:
         _, t_nums, t_dens = zip(*rows)
@@ -131,77 +137,70 @@ def neighbor_counts_bruteforce(nums, dens, t_num, t_den) -> np.ndarray:
     return counts if np.ndim(t_num) else counts[0]
 
 
-def _forward_counts(nums, dens, t_num: int, t_den: int) -> np.ndarray:
-    """For sorted points, count j != i with (v_j - v_i) mod 1 < t.
+def _forward_ends(nums, dens, vf, wn, wd, wf, t_num: int, t_den: int) -> np.ndarray:
+    """For sorted points, each forward arc's end p_i: the largest p in
+    [i, i + n - 1] with w_p - v_i < t, so the arc holds p_i - i points.
 
-    The circular extension w_p equals v_p for p < n and v_{p-n} + 1 past the
-    seam.  For each i the answer is p_i - i where p_i is the largest p in
-    [i, i + n - 1] with w_p - v_i < t; float searchsorted proposes p_i and
-    exact integer comparisons settle it, walking in vectorized rounds.
+    ``wn/wd`` (floats ``wf``) extend the columns past the seam, w_p =
+    v_{p-n} + 1, over the points below the largest threshold and one more,
+    which no arc reaches.  One exact round on adjacent pairs (slices) settles
+    every empty arc; float searchsorted proposes the other ends, and exact
+    rounds testing p and p + 1 together move each until p is in, p + 1 out.
     """
     n = len(nums)
-    idx = np.arange(n)
 
-    def lt(i_arr: np.ndarray, p_arr: np.ndarray) -> np.ndarray:
-        j = p_arr % n
-        wrap = (p_arr >= n).astype(nums.dtype)
-        lhs = ((nums[j] + wrap * dens[j]) * dens[i_arr] - nums[i_arr] * dens[j]) * t_den
-        rhs = t_num * (dens[i_arr] * dens[j])
-        return lhs < rhs
+    def lt(ni, di, wnp, wdp):  # w_p - v_i < t, in integers
+        return (wnp * di - ni * wdp) * t_den < t_num * (di * wdp)
 
-    vf = nums.astype(np.float64) / dens.astype(np.float64)
-    wf = np.concatenate([vf, vf + 1.0])
-    tf = float(Fraction(int(t_num), int(t_den)))  # big thresholds stay finite
-    guess = np.searchsorted(wf, vf + tf, side="left") - 1
-    p = np.clip(guess, idx, idx + n - 1)
-
-    while True:  # extend while the next position is still inside the arc
-        can = p < idx + n - 1
-        if not can.any():
-            break
-        step = np.zeros(n, dtype=bool)
-        step[can] = lt(idx[can], p[can] + 1)
-        if not step.any():
-            break
-        p[step] += 1
-    while True:  # retract positions the float hint overshot
-        over = p > idx
-        if not over.any():
-            break
-        bad = np.zeros(n, dtype=bool)
-        bad[over] = ~lt(idx[over], p[over])
-        if not bad.any():
-            break
-        p[bad] -= 1
-    return (p - idx).astype(np.int64)
+    ends = np.arange(n)
+    i = np.flatnonzero(lt(nums, dens, wn[1 : n + 1], wd[1 : n + 1]))
+    p = np.searchsorted(wf, vf[i] + t_num / t_den) - 1
+    p = np.clip(p, i + 1, np.minimum(i + n - 1, len(wn) - 2))
+    while i.size:
+        ni, di = nums[i], dens[i]
+        inside = lt(ni, di, wn[p], wd[p])
+        beyond = lt(ni, di, wn[p + 1], wd[p + 1])
+        done = inside & ~beyond
+        ends[i[done]] = p[done]
+        p += beyond
+        p -= ~inside
+        i, p = i[~done], p[~done]
+    return ends
 
 
-def neighbor_counts_sorted(nums, dens, t_num: int, t_den: int) -> np.ndarray:
+def neighbor_counts_sorted(nums, dens, t_num, t_den) -> np.ndarray:
     """Per-point neighbor counts for a strictly increasing point sequence.
 
     One forward pass gives each point i its forward arc, the positions
-    (i, i + fwd[i]] of the doubled index range [0, 2n) whose points lie
-    within (v' - v) mod 1 < t.  The backward neighbors of j are exactly the
-    points whose forward arc covers j or j + n, counted with a difference
-    array over the doubled range.  For t <= 1/2 the forward and backward
-    relations are disjoint for distinct points ((v' - v) mod 1 and
+    (i, p_i] of the doubled index range [0, 2n) whose points lie within
+    (v' - v) mod 1 < t.  The backward neighbors of j are exactly the points
+    whose forward arc covers j or j + n.  For t <= 1/2 the forward and
+    backward relations are disjoint for distinct points ((v' - v) mod 1 and
     (v - v') mod 1 sum to 1, so at most one is below 1/2), and an arc is
-    shorter than n, so no point covers j twice: the cover count is exact.
+    shorter than n, so no point covers j twice.  With E(x) the number of
+    arcs ending before x, j counts p_j - j + (j - E(j)) + (n - E(j + n)).
+
+    Thresholds follow the oracle, ``(n,)`` for a scalar and ``(T, n)`` for
+    sequences, and share one set of columns, order certificate and floats.
     """
     n = len(nums)
-    if n == 0:
-        return np.zeros(0, dtype=np.int64)
-    if 2 * t_num > t_den:
-        return np.full(n, n - 1, dtype=np.int64)
-    nums, dens = _engine_columns(nums, dens, t_num, t_den)
-    if not strictly_increasing(nums, dens):
-        raise ValueError("sorted engine requires strictly increasing values")
-    fwd = _forward_counts(nums, dens, t_num, t_den)
-    idx = np.arange(n)
-    starts = np.bincount(idx + 1, minlength=2 * n)
-    ends = np.bincount(idx + fwd + 1, minlength=2 * n)
-    cover = np.cumsum(starts - ends)
-    return fwd + cover[:n] + cover[n:]
+    counts, rows = _thresholds(t_num, t_den, n)
+    if n and rows:
+        _, t_nums, t_dens = zip(*rows)
+        nums, dens = _engine_columns(nums, dens, max(t_nums), max(t_dens))
+        if not strictly_increasing(nums, dens):
+            raise ValueError("sorted engine requires strictly increasing values")
+        vf = nums.astype(np.float64) / dens.astype(np.float64)
+        tu, tv = max(((u, v) for _, u, v in rows), key=lambda t: Fraction(*t))
+        e = min(n, 1 + np.count_nonzero(nums * tv < tu * dens))  # m = #{v < t_max}, + 1
+        wn = np.concatenate([nums, nums[:e] + dens[:e]])
+        wd = np.concatenate([dens, dens[:e]])
+        wf = np.concatenate([vf, vf[:e] + 1.0])
+        for r, u, v in rows:
+            ends = _forward_ends(nums, dens, vf, wn, wd, wf, u, v)
+            before = np.cumsum(np.bincount(ends + 1, minlength=2 * n))  # E(x)
+            counts[r] = ends + n - before[:n] - before[n:]
+    return counts if np.ndim(t_num) else counts[0]
 
 
 def _result_from_counts(fs: FractionSet, counts: np.ndarray) -> SpacingResult:
@@ -301,10 +300,10 @@ def conjecture_scan(
     for Q in range(q_min, q_max + 1):
         fs = cache(Q) if cache is not None else enumerate_set(Q, k)
         N = Q ** (k + 1)
-        dens = fs.denominators()
-        counts = neighbor_counts_sorted(fs.numerators, dens, 1, 2 * N)
+        counts, open_counts = neighbor_counts_sorted(
+            fs.numerators, fs.denominators(), [1, 1], [2 * N, N]
+        )
         res = _result_from_counts(fs, counts)
-        open_counts = neighbor_counts_sorted(fs.numerators, dens, 1, N)
         running = max(running, res.count)
         kappa = 2 ** (k - 1)  # epsilon = 0 form of the degree-k majorant
         denom = Q ** (k + 1) / N + Q ** ((kappa - 1) / kappa) + Q ** (

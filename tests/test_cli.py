@@ -345,6 +345,9 @@ class TestWidthGuards:
          "q**k = 2**15000 has about 15000 bits, more than 31: S(1, 15000) is too wide"),
         (["gauss", "--q", "1000", "--k", "3000000"],
          "modulus 1000**3000000 (about 29897353 bits) exceeds the guard 1000000"),
+        (["bounds", "--Q", "1000", "--N", "1", "--k", "300000"],
+         "q**k = 1000000**300000 has about 5979471 bits, more than 1024: "
+         "the bounds at Q=1000, k=300000 need Q**(2k) inside float range"),
     ])
     def test_refused_before_the_power_is_formed(self, argv, message, capsys):
         start = time.process_time()

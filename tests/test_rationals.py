@@ -3,6 +3,7 @@
 import random
 import re
 import struct
+import time
 import tracemalloc
 from fractions import Fraction
 from math import gcd
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 import sympy
 
+from powersieve import rationals
 from powersieve.rationals import (
     FractionSet,
     PowerFraction,
@@ -18,6 +20,7 @@ from powersieve.rationals import (
     compare_distance_to_threshold,
     enumerate_set,
     expected_cardinality,
+    strictly_increasing,
     torus_distance,
 )
 
@@ -91,6 +94,45 @@ class TestEnumeration:
         assert expected_cardinality(3, 12) == 929_295_220
 
 
+class TestOrderCertificate:
+    """The blocked certificate equals the one-shot cross-product expression."""
+
+    @staticmethod
+    def full_array(nums, dens):
+        return bool(np.all(nums[:-1] * dens[1:] < nums[1:] * dens[:-1]))
+
+    @pytest.mark.parametrize("extra", [0, 1, 2])
+    @pytest.mark.parametrize("blocks", [0, 1])
+    def test_matches_the_full_array_expression(self, blocks, extra):
+        n = blocks * rationals._CERTIFY_BLOCK + extra  # 0, 1, 2, a block, + 1, + 2
+        fs = enumerate_set(40, 2)  # 118,548 points, more than seven blocks
+        nums, dens = fs.numerators[:n], fs.denominators()[:n]
+        assert strictly_increasing(nums, dens) is self.full_array(nums, dens) is True
+        for pos in {0, n // 2, rationals._CERTIFY_BLOCK - 1, n - 2} & set(range(n - 1)):
+            swapped_nums, swapped_dens = nums.copy(), dens.copy()
+            swapped_nums[[pos, pos + 1]] = nums[[pos + 1, pos]]
+            swapped_dens[[pos, pos + 1]] = dens[[pos + 1, pos]]
+            got = strictly_increasing(swapped_nums, swapped_dens)
+            assert got is self.full_array(swapped_nums, swapped_dens) is False
+
+    def test_pair_across_a_block_seam(self):
+        # the pair (B - 1, B) straddles the first two blocks; a tie there fails
+        fs = enumerate_set(40, 2)
+        b = rationals._CERTIFY_BLOCK
+        nums, bases = fs.numerators[: 2 * b].copy(), fs.bases[: 2 * b].copy()
+        nums[b], bases[b] = nums[b - 1], bases[b - 1]
+        assert not strictly_increasing(nums, bases, 2)
+        assert not self.full_array(nums, bases ** 2)
+        assert strictly_increasing(fs.numerators, fs.bases, 2)
+
+    def test_powers_the_bases_block_by_block(self):
+        # k raises the bases per block: the same answer as a full q**k column
+        fs = enumerate_set(30, 2)
+        assert strictly_increasing(fs.numerators, fs.bases, 2)
+        assert strictly_increasing(fs.numerators, fs.denominators())
+        assert not strictly_increasing(fs.numerators[::-1], fs.bases[::-1], 2)
+
+
 class TestPowerFraction:
     def test_invariants_enforced(self):
         with pytest.raises(ValueError):
@@ -101,6 +143,19 @@ class TestPowerFraction:
             PowerFraction(0, 3, 2)
         with pytest.raises(ValueError):
             PowerFraction(1, 3, 1)
+
+    def test_huge_power_refused_before_it_is_formed(self):
+        # 1000**300000 has about 3 million bits; the bit-length bound refuses it
+        start = time.process_time()
+        with pytest.raises(OverflowError, match=r"1000\*\*300000 has about 2989735 bits"):
+            PowerFraction(1, 1000, 300000)
+        assert time.process_time() - start < 0.05
+
+    def test_largest_denominator_inside_the_budget(self):
+        # q**k = (2**32 - 1)**2 < 2**64 is accepted, 2**64 is refused
+        assert PowerFraction(1, 2 ** 32 - 1, 2).denominator < 2 ** 64
+        with pytest.raises(OverflowError, match="more than 64"):
+            PowerFraction(1, 2 ** 32, 2)
 
     def test_value_in_unit_interval(self):
         p = PowerFraction(7, 4, 2)
@@ -148,9 +203,10 @@ class TestTorusDistance:
         assert 0 <= 2 * d.num <= d.den
 
     def test_overflow_guard(self):
-        big = PowerFraction(3, 2 ** 33, 2)  # q**k = 2**66 busts the budget
+        # q**k = 2**66 busts the budget: the pair is refused at construction,
+        # so torus_distance never meets it
         with pytest.raises(OverflowError, match=r"q\*\*k"):
-            torus_distance(big, PowerFraction(1, 2, 2))
+            torus_distance(PowerFraction(3, 2 ** 33, 2), PowerFraction(1, 2, 2))
 
     def test_invalid_distance_rejected(self):
         with pytest.raises(ValueError):

@@ -349,6 +349,14 @@ class TestBoundCatalog:
         with pytest.raises(ValueError):
             bound_catalog(1, 1, 2, -0.5)
 
+    @pytest.mark.parametrize("Q,k_max", [(1, 1023), (2, 511), (1000, 51)])
+    def test_width_refused_from_bit_lengths(self, Q, k_max):
+        # the largest converted int, Q**(2k) (2**k at Q = 1), must stay under
+        # 2**1024; one step of k past the edge is refused with Q, k and bits
+        assert all(math.isfinite(v) for _, v, _ in bound_catalog(Q, 1, k_max))
+        with pytest.raises(OverflowError, match=rf"bits, more than 1024: .* Q={Q}, k={k_max + 1}"):
+            bound_catalog(Q, 1, k_max + 1)
+
 
 class TestRatioExperiment:
     def test_smallest_instance(self):

@@ -89,6 +89,10 @@ class TestOracleEquivalence:
         brute_rows = neighbor_counts_bruteforce(
             fs.numerators, fs.denominators(), [1] * 4, [2 * N for N in Ns]
         )
+        fast_rows = neighbor_counts_sorted(
+            fs.numerators, fs.denominators(), [1] * 4, [2 * N for N in Ns]
+        )
+        assert np.array_equal(fast_rows, brute_rows)  # one sweep each, point by point
         for N, brute_counts in zip(Ns, brute_rows):
             fast = spacing_count_fast(SpacingQuery(Q, k, N), fs)
             assert fast.count == brute_counts.max()
@@ -169,8 +173,12 @@ class TestEngineProperty:
     @given(
         case=seam_point_sets(),
         t_free=st.fractions(min_value=Fraction(1, 200), max_value=1, max_denominator=200),
+        t_seq=st.lists(
+            st.fractions(min_value=Fraction(1, 200), max_value=1, max_denominator=200),
+            max_size=4,
+        ),
     )
-    def test_sorted_equals_bruteforce_per_point(self, case, t_free):
+    def test_sorted_equals_bruteforce_per_point(self, case, t_free, t_seq):
         pts, tie = case
         nums, dens = fraction_columns(pts)
         # t = 1/2 is the largest threshold the cover count handles; at t = tie
@@ -179,6 +187,11 @@ class TestEngineProperty:
             fast = neighbor_counts_sorted(nums, dens, t.numerator, t.denominator)
             brute = neighbor_counts_bruteforce(nums, dens, t.numerator, t.denominator)
             assert fast.tolist() == brute.tolist()
+        # a drawn threshold sequence: one sorted call against one oracle sweep
+        seq = [tie, *t_seq]
+        t_nums, t_dens = [t.numerator for t in seq], [t.denominator for t in seq]
+        fast_rows = neighbor_counts_sorted(nums, dens, t_nums, t_dens)
+        assert fast_rows.tolist() == neighbor_counts_bruteforce(nums, dens, t_nums, t_dens).tolist()
 
 
 def wide_denominator_case():
@@ -290,6 +303,81 @@ class TestOracleBroadcast:
         for t_num, t_den in [([1, 1], [10]), ([1], [10, 20]), (1, [10]), ([1], 10)]:
             with pytest.raises(ValueError, match="one length"):
                 neighbor_counts_bruteforce(nums, dens, t_num, t_den)
+
+
+class TestSortedBroadcast:
+    """The sorted engine's threshold sequence gives the rows of its scalar
+    calls and of one oracle sweep."""
+
+    @staticmethod
+    def check_rows(nums, dens, thresholds):
+        t_nums = [t.numerator for t in thresholds]
+        t_dens = [t.denominator for t in thresholds]
+        rows = neighbor_counts_sorted(nums, dens, t_nums, t_dens)
+        assert rows.shape == (len(thresholds), len(nums))
+        for row, t_num, t_den in zip(rows, t_nums, t_dens):
+            single = neighbor_counts_sorted(nums, dens, t_num, t_den)
+            assert single.shape == (len(nums),)
+            assert row.tolist() == single.tolist()
+        assert rows.tolist() == neighbor_counts_bruteforce(nums, dens, t_nums, t_dens).tolist()
+        return rows
+
+    def test_rows_equal_scalar_calls_at_int64_width(self):
+        fs = enumerate_set(5, 2)
+        nums, dens = fs.numerators, fs.denominators()
+        thresholds = [Fraction(1, 2 * N) for N in (10, 125, 625, 1250)]
+        thresholds += [Fraction(2, 3), Fraction(1, 2), Fraction(3, 5), Fraction(3, 1000)]
+        assert spacing._engine_columns(nums, dens, 2, 1250)[0].dtype == np.int64
+        rows = self.check_rows(nums, dens, thresholds)
+        assert rows[4].tolist() == rows[6].tolist() == [len(fs) - 1] * len(fs)
+
+    @pytest.mark.parametrize("case", [wide_denominator_case, wide_threshold_case])
+    def test_rows_equal_scalar_calls_at_object_width(self, case):
+        pts, thresholds = case()
+        thresholds = [Fraction(5, 7), *thresholds, Fraction(1, 1)]  # two above 1/2
+        nums, dens = fraction_columns(pts)
+        t_den = max(t.denominator for t in thresholds)
+        assert spacing._engine_columns(nums, dens, t_den, t_den)[0].dtype == object
+        rows = self.check_rows(nums, dens, thresholds)
+        assert rows.tolist() == [fraction_counts(pts, t) for t in thresholds]
+
+    @pytest.mark.parametrize("n", [0, 1])
+    @pytest.mark.parametrize("dtype", [np.int64, object])
+    def test_empty_and_single_point(self, n, dtype):
+        nums = np.array([1][:n], dtype=dtype)
+        dens = np.array([3][:n], dtype=dtype)
+        rows = self.check_rows(nums, dens, [Fraction(1, 2), Fraction(3, 4), Fraction(1, 10)])
+        assert rows.tolist() == [[0] * n] * 3
+        assert neighbor_counts_sorted(nums, dens, 1, 2).tolist() == [0] * n
+
+    @pytest.mark.parametrize("pts", [
+        # t near 1/2 holds about half the points below t, the longest
+        # extension past the seam, and the arcs of the top half wrap it
+        sorted({Fraction(a, 997) for a in random.Random(7).sample(range(997), 80)}
+               | {Fraction(0), Fraction(1, 2), Fraction(996, 997)}),
+        # every point below t = 1/2: the extension is all n points and the
+        # arcs stop at the cap i + n - 1 or before
+        [Fraction(i, 100) for i in range(45)],
+    ])
+    def test_seam_wrapping_arcs_near_half(self, pts):
+        thresholds = [Fraction(1, 2), Fraction(498, 997), Fraction(499, 997),
+                      Fraction(1, 2) - Fraction(1, 10 ** 6), Fraction(49, 100), Fraction(1, 3)]
+        rows = self.check_rows(*fraction_columns(pts), thresholds)
+        assert rows.tolist() == [fraction_counts(pts, t) for t in thresholds]
+
+    def test_unsorted_input_refused_for_every_threshold_below_half(self):
+        nums = np.array([3, 1], dtype=object)
+        dens = np.array([7, 7], dtype=object)
+        with pytest.raises(ValueError, match="strictly increasing"):
+            neighbor_counts_sorted(nums, dens, [2, 1], [3, 10])
+        assert neighbor_counts_sorted(nums, dens, [2], [3]).tolist() == [[1, 1]]
+
+    def test_threshold_lengths_must_match(self):
+        fs = enumerate_set(2, 2)
+        nums, dens = fs.numerators, fs.denominators()
+        for t_num, t_den in [([1, 1], [10]), ([1], [10, 20]), (1, [10]), ([1], 10)]:
+            with pytest.raises(ValueError, match="one length"):
+                neighbor_counts_sorted(nums, dens, t_num, t_den)
 
 
 class TestOracleMemory:

@@ -12,8 +12,6 @@ from .characters import (
     additive_lhs,
     build_character_table,
     gauss_sum,
-    invert_to_character,
-    is_primitive,
     mult_transfer_check,
     multiplicative_lhs,
 )
@@ -24,18 +22,14 @@ from .expsum import (
     fejer_phi_hat,
     poisson_identity_check,
     v_kernel,
-    v_kernel_partial_sum,
     v_kernel_series,
     weyl_bound,
 )
 from .rationals import (
     FractionSet,
     PowerFraction,
-    TorusDistance,
-    compare_distance_to_threshold,
     enumerate_set,
     expected_cardinality,
-    torus_distance,
 )
 from .sieve import (
     BoundFormula,
@@ -59,7 +53,6 @@ from .spacing import (
     conjecture_scan,
     neighbor_counts_bruteforce,
     neighbor_counts_sorted,
-    spacing_bound_ratio,
     spacing_count_bruteforce,
     spacing_count_fast,
     table1_statistic,

@@ -59,8 +59,7 @@ class CharacterTable:
     """All phi(m) Dirichlet characters to modulus m = q**k.
 
     ``label(j)`` is the exponent tuple c of character j against the stored
-    generators, in C order over the grid (the export key for cross-checks
-    with computer-algebra systems); character 0 is the principal one.
+    generators, in C order over the grid; character 0 is the principal one.
     ``residues[t]`` is the unit at grid index t, ``primitive`` flags each
     character and ``gauss`` holds every G(chi).
     """
@@ -139,56 +138,15 @@ class CharacterTable:
         m = self.modulus
         return self.unit_sums(np.exp(2j * np.pi * np.arange(m) / m))
 
-    def principal_index(self) -> int:
-        return 0  # label (0, ..., 0) comes first in C order
-
-    def to_json_dict(self) -> dict:
-        return {
-            "modulus": self.modulus,
-            "q": self.q,
-            "k": self.k,
-            "characters": [
-                {
-                    "index": j,
-                    "label": list(self.label(j)),
-                    "primitive": bool(self.primitive[j]),
-                    "values": [[float(z.real), float(z.imag)] for z in self.chi(j)],
-                }
-                for j in range(len(self))
-            ],
-        }
-
 
 def build_character_table(q: int, k: int) -> CharacterTable:
     """Construct the full table of phi(q**k) = q**(k-1) phi(q) characters."""
     return CharacterTable(q, k)
 
 
-def is_primitive(table: CharacterTable, j: int) -> bool:
-    """Whether character j of the table is primitive (precomputed flag)."""
-    return bool(table.primitive[j])
-
-
 def gauss_sum(table: CharacterTable, j: int) -> GaussSum:
     """G(chi) = sum over a mod m of chi(a) e(a/m), read off the group FFT."""
     return GaussSum(chi_index=j, value=complex(table.gauss[j]))
-
-
-def invert_to_character(table: CharacterTable, j: int, n: int) -> complex:
-    """chi(n) recovered from additive characters: the inversion
-    chi(n) = G(conj chi)**-1 * sum conj(chi)(a) e(an/m),
-    with G(conj chi) = chi(-1) conj(G(chi)).
-
-    Defined only for primitive chi (the Gauss sum of conj(chi) is nonzero
-    exactly then); raises otherwise.
-    """
-    if not is_primitive(table, j):
-        raise ValueError("inversion requires a primitive character")
-    m = table.modulus
-    conj_row = np.conj(table.chi(j))
-    g = conj_row[m - 1] * np.conj(table.gauss[j])
-    s = np.dot(conj_row, np.exp(2j * np.pi * (np.arange(m) * n % m) / m))
-    return complex(s / g)
 
 
 def _binned(seq: Sequence[complex], M: int, m: int) -> np.ndarray:

@@ -250,15 +250,3 @@ def v_kernel_series(y: float, N: int) -> float:
     cp = _cos_series_quadratic(y + 1.0 / (2 * N))
     cm = _cos_series_quadratic(y - 1.0 / (2 * N))
     return fejer_phi(0.0) + N ** 2 * (c0 - 0.5 * (cp + cm))
-
-
-def v_kernel_partial_sum(y: float, N: int, terms: int) -> float:
-    """Raw symmetric partial sum of the V(y) series, for tail-bound tests.
-
-    The dropped tail is at most 2 N**2 / terms in absolute value.
-    """
-    n = np.arange(1, terms + 1, dtype=np.float64)
-    val = fejer_phi(0.0) + 2.0 * fsum(
-        fejer_phi(n / (2.0 * N)) * np.cos(2 * math.pi * n * y)
-    )
-    return float(val)

@@ -11,11 +11,6 @@ columnar and exact: numerators and denominator bases are stored as integer
 arrays sorted ascending by value, where the sort order is certified by exact
 cross-multiplication, never by floating point alone.
 
-Distances are measured on the torus R/Z: ``torus_distance`` returns the
-exact reduced fraction min(d, 1-d) for d = (x - y) mod 1, and
-``compare_distance_to_threshold`` decides the strict comparison
-``dist < 1/(2N)`` purely in integer arithmetic.
-
 Integer columns ``(nums, dens)`` are the one exact form of a point set:
 ``exact_columns`` is the width rule (int64 while every product the caller
 forms stays below 2**62, Python-integer object arrays past it) and
@@ -31,14 +26,14 @@ import os
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, log2
+from math import gcd
 from typing import Iterator
 
 import numpy as np
 
 from .arith import coprime_residues
 
-# q**k must stay below 2**64 so that q**k * q'**k fits the 128-bit budget.
+# PowerFraction refuses a q**k of 2**64 or more, before forming it.
 MAX_DENOMINATOR_BITS = 64
 
 # int64 columns need every product below 2**63; one safety bit is kept.
@@ -53,11 +48,12 @@ _CACHE_HEADER = struct.Struct("<QQQ")
 
 def _checked_power(q: int, k: int, bits: int, why: str) -> int:
     """q**k, raising OverflowError that names its size in bits when it has
-    more than ``bits`` bits.  q**k has more than k*(b-1) bits, b the bit
+    more than ``bits`` bits.  q**k has at least k*(b-1)+1 bits, b the bit
     length of q, so a power that bound refuses is never formed."""
-    qk = q ** k if k * (q.bit_length() - 1) < bits else None
+    least = k * (q.bit_length() - 1) + 1
+    qk = q ** k if least <= bits else None
     if qk is None or qk.bit_length() > bits:
-        size = (f"{q}**{k} has about {k * log2(q):.0f}" if qk is None
+        size = (f"{q}**{k} has at least {least}" if qk is None
                 else f"{qk} (q={q}, k={k}) has {qk.bit_length()}")
         raise OverflowError(f"q**k = {size} bits, more than {bits}: {why}")
     return qk
@@ -109,7 +105,7 @@ class PowerFraction:
         if self.q < 1:
             raise ValueError(f"base q must be >= 1, got {self.q}")
         qk = _checked_power(self.q, self.k, MAX_DENOMINATOR_BITS,
-                            "cross products require q**k < 2**64")
+                            "a PowerFraction needs q**k < 2**64")
         if not 1 <= self.a < qk:
             raise ValueError(f"numerator {self.a} outside [1, {qk})")
         if gcd(self.a, self.q) != 1:
@@ -132,60 +128,13 @@ class PowerFraction:
         return f"{self.a}/{self.q}^{self.k}"
 
 
-@dataclass(frozen=True)
-class TorusDistance:
-    """Exact distance ||x - y|| on R/Z as a reduced fraction in [0, 1/2]."""
-
-    num: int
-    den: int
-
-    def __post_init__(self) -> None:
-        if self.den < 1:
-            raise ValueError("denominator must be positive")
-        if not 0 <= 2 * self.num <= self.den:
-            raise ValueError(f"{self.num}/{self.den} outside [0, 1/2]")
-        if gcd(self.num, self.den) != 1 and self.num != 0:
-            raise ValueError(f"{self.num}/{self.den} is not reduced")
-
-    def as_fraction(self) -> Fraction:
-        return Fraction(self.num, self.den)
-
-    def __float__(self) -> float:
-        return self.num / self.den
-
-
-def torus_distance(x: PowerFraction, y: PowerFraction) -> TorusDistance:
-    """Exact ||x - y||, the distance of x - y to its nearest integer.
-
-    Works by integer cross-multiplication over the common denominator
-    q**k * q'**k and folds the residue into [0, 1/2]; no floating point is
-    involved at any step.
-    """
-    dx, dy = x.denominator, y.denominator  # each below 2**64 by construction
-    m = dx * dy
-    r = (x.a * dy - y.a * dx) % m
-    num = min(r, m - r)
-    if num == 0:
-        return TorusDistance(0, 1)
-    g = gcd(num, m)
-    return TorusDistance(num // g, m // g)
-
-
-def compare_distance_to_threshold(d: TorusDistance, N: int) -> bool:
-    """Strict test ``d < 1/(2N)`` evaluated as 2*N*num < den in integers."""
-    if N < 1:
-        raise ValueError(f"N must be >= 1, got {N}")
-    return 2 * N * d.num < d.den
-
-
 class FractionSet:
     """An enumerated S(Q, k), sorted ascending by value.
 
     Storage is columnar: ``numerators`` and ``bases`` are parallel int64
     arrays, and ``denominators()`` gives the int64 column q**k; every cross
     product of two points fits int64.  Individual elements materialize as
-    :class:`PowerFraction` on demand; ``elements`` builds the whole list,
-    which is only sensible for small sets.
+    :class:`PowerFraction` on demand.
     """
 
     def __init__(self, Q: int, k: int, numerators: np.ndarray, bases: np.ndarray):
@@ -214,10 +163,6 @@ class FractionSet:
 
     def denominators(self) -> np.ndarray:
         return self._q ** self.k
-
-    @property
-    def elements(self) -> list[PowerFraction]:
-        return list(self)
 
     # -- serialization ----------------------------------------------------
 

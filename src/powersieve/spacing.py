@@ -26,7 +26,6 @@ serves every convention.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -65,19 +64,12 @@ class SpacingResult:
     """Outcome of a spacing count.
 
     ``count`` is the maximum neighbor count, ``witness`` a point attaining
-    it.  Per-point counts are kept as an array aligned with the sorted set;
-    ``neighbor_histogram`` materializes (point, count) pairs for audits and
-    should only be expanded for small sets.
+    it, and ``counts`` the per-point counts, aligned with the sorted set.
     """
 
     count: int
     witness: Optional[PowerFraction]
-    fraction_set: FractionSet = field(repr=False)
     counts: np.ndarray = field(repr=False)
-
-    @property
-    def neighbor_histogram(self) -> list[tuple[PowerFraction, int]]:
-        return [(self.fraction_set[i], int(c)) for i, c in enumerate(self.counts)]
 
 
 def _engine_columns(nums, dens, t_num: int, t_den: int):
@@ -205,9 +197,9 @@ def neighbor_counts_sorted(nums, dens, t_num, t_den) -> np.ndarray:
 
 def _result_from_counts(fs: FractionSet, counts: np.ndarray) -> SpacingResult:
     if len(counts) == 0:
-        return SpacingResult(0, None, fs, counts)
+        return SpacingResult(0, None, counts)
     w = int(np.argmax(counts))
-    return SpacingResult(int(counts[w]), fs[w], fs, counts)
+    return SpacingResult(int(counts[w]), fs[w], counts)
 
 
 def spacing_count_bruteforce(
@@ -243,20 +235,6 @@ def table1_statistic(Q: int, fraction_set: FractionSet | None = None) -> int:
     """The quadratic-denominator scan statistic at threshold Q**-3 on twice
     the distance, i.e. the spacing count at N = Q**3 over S(Q, 2)."""
     return spacing_count_fast(SpacingQuery(Q, 2, Q ** 3), fraction_set).count
-
-
-def spacing_bound_ratio(Q: int, N: int, epsilon: float = 0.0) -> float:
-    """Diagnostic ratio of the measured count against its proved majorant.
-
-    Returns M(Q, N) / (Q**3/N + (sqrt(Q) + Q**2/sqrt(N)) * N**epsilon).
-    The majorant carries an unspecified constant, so this is report-only;
-    regression tests freeze observed values rather than asserting a bound.
-    """
-    if Q < 1 or N < 1:
-        raise ValueError("Q and N must be positive")
-    m = spacing_count_fast(SpacingQuery(Q, 2, N)).count
-    denom = Q ** 3 / N + (math.sqrt(Q) + Q ** 2 / math.sqrt(N)) * N ** epsilon
-    return m / denom
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,6 @@
 
 import gc
 import itertools
-import json
 import tracemalloc
 import weakref
 from math import gcd
@@ -17,8 +16,6 @@ from powersieve.characters import (
     additive_lhs,
     build_character_table,
     gauss_sum,
-    invert_to_character,
-    is_primitive,
     mult_transfer_check,
     multiplicative_lhs,
 )
@@ -45,6 +42,22 @@ def brute_characters(m: int) -> list[dict]:
         ):
             found.append(vals)
     return found
+
+
+def reference_inversion(table, j: int, n: int) -> complex:
+    """chi(n) from additive characters, for primitive chi mod m:
+
+        chi(n) = G(conj chi)**-1 * sum over a mod m of conj(chi)(a) e(an/m),
+
+    with G(conj chi) = chi(-1) conj(G(chi)); the paper's route from
+    characters to fractions.  The Gauss sum of conj(chi) vanishes for
+    imprimitive chi, so only primitive j are meaningful here.
+    """
+    m = table.modulus
+    conj_row = np.conj(table.chi(j))
+    g = conj_row[m - 1] * np.conj(table.gauss[j])
+    s = np.dot(conj_row, np.exp(2j * np.pi * (np.arange(m) * n % m) / m))
+    return complex(s / g)
 
 
 class TestTableConstruction:
@@ -119,30 +132,20 @@ class TestTableConstruction:
     @pytest.mark.parametrize("q,k", [(1, 2), (1, 3), (2, 2), (2, 3), (3, 2), (3, 3), (4, 2),
                                      (5, 2), (6, 2), (10, 2), (12, 2), (14, 2), (2, 7)])
     def test_labels_on_demand_are_the_c_order_grid(self, q, k):
-        # labels are read off the grid index; the export keeps the tuples in
-        # C order, [] when there is no generator (m = 1)
+        # labels are read off the grid index: the exponent tuples in C order,
+        # () when there is no generator (m = 1); the principal one comes first
         t = build_character_table(q, k)
-        grid = [list(c) for c in itertools.product(*(range(d) for d in t.orders))]
-        assert [ch["label"] for ch in t.to_json_dict()["characters"]] == grid
-        assert grid[t.principal_index()] == [0] * len(t.orders)
+        grid = list(itertools.product(*(range(d) for d in t.orders)))
+        assert [t.label(j) for j in range(len(t))] == grid
+        assert t.label(0) == (0,) * len(t.orders)
         if q == 1:
-            assert grid == [[]]
-
-    def test_json_export_shape(self):
-        t = build_character_table(3, 2)
-        doc = t.to_json_dict()
-        text = json.dumps(doc)
-        back = json.loads(text)
-        assert back["modulus"] == 9
-        assert len(back["characters"]) == 6
-        assert len(back["characters"][0]["values"]) == 9
-        assert isinstance(back["characters"][0]["primitive"], bool)
+            assert grid == [()]
 
 
 class TestPrimitivity:
     def test_principal_is_imprimitive(self):
         t = build_character_table(3, 2)
-        assert not is_primitive(t, t.principal_index())
+        assert not t.primitive[0]
 
     def test_order_six_character_mod_nine(self):
         t = build_character_table(3, 2)
@@ -156,12 +159,11 @@ class TestPrimitivity:
                     orders.append(d)
                     break
         full = [j for j, d in enumerate(orders) if d == 6]
-        assert full and all(is_primitive(t, j) for j in full)
+        assert full and all(t.primitive[j] for j in full)
 
     def test_nonprincipal_mod_four(self):
         t = build_character_table(2, 2)
-        j = 1 - t.principal_index()
-        assert is_primitive(t, j)
+        assert t.primitive[1]
 
     def test_brute_force_induction_oracle_mod_nine(self):
         # chi mod 9 is induced from modulus 3 iff it is constant on
@@ -170,7 +172,7 @@ class TestPrimitivity:
         kernel = [a for a in range(1, 9) if a % 3 == 1]
         for j in range(len(t)):
             induced = np.allclose(t.values[j][kernel], 1.0, atol=1e-9)
-            assert is_primitive(t, j) == (not induced)
+            assert t.primitive[j] == (not induced)
 
     @pytest.mark.parametrize(
         "q,k", [(2, k) for k in range(2, 12)] + [(q, 2) for q in (6, 10, 12, 30)]
@@ -185,7 +187,7 @@ class TestPrimitivity:
         for j in range(len(t)):
             row = t.chi(j)
             induced = any(np.allclose(row[K], 1.0, atol=1e-9) for K in kernels)
-            assert is_primitive(t, j) == (not induced)
+            assert t.primitive[j] == (not induced)
 
     def test_modulus_one_has_no_primitive_character(self):
         t = build_character_table(1, 2)
@@ -196,15 +198,14 @@ class TestPrimitivity:
 class TestGaussSums:
     def test_nonprincipal_mod_four_is_2i(self):
         t = build_character_table(2, 2)
-        j = 1 - t.principal_index()
-        g = gauss_sum(t, j)
+        g = gauss_sum(t, 1)
         assert g.value == pytest.approx(2j, abs=1e-12)
         assert abs(g) == pytest.approx(2.0)
 
     def test_principal_mod_four_vanishes(self):
         # e(1/4) + e(3/4) = i - i; frozen from direct summation
         t = build_character_table(2, 2)
-        g = gauss_sum(t, t.principal_index())
+        g = gauss_sum(t, 0)
         assert abs(g.value) < 1e-12
 
     def test_primitive_mod_nine_modulus(self):
@@ -276,13 +277,8 @@ class TestInversion:
                     continue
                 for n in units:
                     assert abs(
-                        invert_to_character(t, j, n) - t.values[j][n]
+                        reference_inversion(t, j, n) - t.values[j][n]
                     ) < 1e-9
-
-    def test_rejects_imprimitive(self):
-        t = build_character_table(3, 2)
-        with pytest.raises(ValueError, match="primitive"):
-            invert_to_character(t, t.principal_index(), 2)
 
 
 class TestTransfer:

@@ -2,15 +2,18 @@
 
 import copy
 import csv
+import importlib
 import io
 import json
 import os
+import pathlib
 import shlex
 import sys
 import time
 
 import pytest
 
+from powersieve import cli
 from powersieve.cli import (
     EXIT_ASSERTION,
     EXIT_OK,
@@ -340,14 +343,18 @@ class TestFlagSets:
 class TestWidthGuards:
     @pytest.mark.parametrize("argv,message", [
         (["spacing", "--Q", "1", "--k", "5000", "--N", "1"],
-         "q**k = 2**5000 has about 5000 bits, more than 31: S(1, 5000) is too wide"),
+         "q**k = 2**5000 has at least 5001 bits, more than 31: S(1, 5000) is too wide"),
         (["spacing", "--Q", "1", "--k", "15000", "--N", "1"],
-         "q**k = 2**15000 has about 15000 bits, more than 31: S(1, 15000) is too wide"),
+         "q**k = 2**15000 has at least 15001 bits, more than 31: S(1, 15000) is too wide"),
         (["gauss", "--q", "1000", "--k", "3000000"],
          "modulus 1000**3000000 (about 29897353 bits) exceeds the guard 1000000"),
         (["bounds", "--Q", "1000", "--N", "1", "--k", "300000"],
-         "q**k = 1000000**300000 has about 5979471 bits, more than 1024: "
+         "q**k = 1000000**300000 has at least 5700001 bits, more than 1024: "
          "the bounds at Q=1000, k=300000 need Q**(2k) inside float range"),
+        # 4**512 has exactly 1025 bits, one past the budget it is refused for
+        (["bounds", "--Q", "2", "--N", "1", "--k", "512"],
+         "q**k = 4**512 has at least 1025 bits, more than 1024: "
+         "the bounds at Q=2, k=512 need Q**(2k) inside float range"),
     ])
     def test_refused_before_the_power_is_formed(self, argv, message, capsys):
         start = time.process_time()
@@ -356,3 +363,21 @@ class TestWidthGuards:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(f"powersieve {argv[0]}: {message}")
+
+
+class TestBenchmarkTracing:
+    """The benchmark's tracer (perfbench/spans.py) wraps package names by
+    name, so a rename or deletion of one fails here as well as in the
+    benchmark's own, much slower, self-tests."""
+
+    def test_every_traced_name_is_patched_and_restored(self, monkeypatch):
+        monkeypatch.syspath_prepend(str(pathlib.Path(__file__).parents[1] / "perfbench"))
+        spans = importlib.import_module("spans")
+        before = dict(vars(cli))
+        undo = spans.install(spans.Tracer())
+        spans.uninstall(undo)
+        patched = {attr for owner, attr, _ in undo if owner is cli}
+        assert {"enumerate_set", "conjecture_scan", "gauss_sum"} <= patched
+        assert dict(vars(cli)) == before
+        for owner, attr, original in undo:
+            assert vars(owner)[attr] is original

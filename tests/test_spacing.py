@@ -19,7 +19,6 @@ from powersieve.spacing import (
     conjecture_scan,
     neighbor_counts_bruteforce,
     neighbor_counts_sorted,
-    spacing_bound_ratio,
     spacing_count_bruteforce,
     spacing_count_fast,
     table1_statistic,
@@ -60,18 +59,19 @@ class TestKnownCounts:
         assert table1_statistic(1) == 0
 
     def test_q2_wide_threshold_still_empty(self):
-        # minimal gap 1/144 > 1/2000
-        res = spacing_count_bruteforce(SpacingQuery(2, 2, 1000))
-        assert res.count == 0
-        assert spacing_count_fast(SpacingQuery(2, 2, 1000)).count == 0
+        # the minimal gap of S(2, 2) is exactly 1/144 (7/16 and 4/9): below
+        # 1/142 (N = 71) it counts, below 1/144 (N = 72) it does not, since the
+        # comparison is strict, and 1/2000 (N = 1000) is emptier still
+        for N, M in [(71, 1), (72, 0), (1000, 0)]:
+            query = SpacingQuery(2, 2, N)
+            assert spacing_count_bruteforce(query).count == M
+            assert spacing_count_fast(query).count == M
 
     def test_witness_attains_the_count(self):
         res = spacing_count_fast(SpacingQuery(4, 2, 64))
-        hist = dict(
-            (str(p), c) for p, c in res.neighbor_histogram
-        )
-        assert hist[str(res.witness)] == res.count
-        assert res.count == max(hist.values())
+        points = [(p.a, p.q) for p in enumerate_set(4, 2)]
+        w = points.index((res.witness.a, res.witness.q))
+        assert res.counts[w] == res.count == res.counts.max()
 
     def test_bruteforce_guard(self):
         query = SpacingQuery(13, 3, 10)
@@ -401,7 +401,7 @@ class TestScanStatistic:
         # frozen from this engine after the oracle-equivalence run; guards drift
         with open(data_dir / "table1_computed.csv") as fh:
             frozen = {int(r["Q"]): int(r["M"]) for r in csv.DictReader(fh)}
-        for Q in range(1, 26):
+        for Q in [*range(1, 26), 100]:
             assert table1_statistic(Q) == frozen[Q]
 
     def test_published_reference_diverges_from_the_definition(self, data_dir):
@@ -416,22 +416,6 @@ class TestScanStatistic:
             published = {int(r["Q"]): int(r["M"]) for r in csv.DictReader(fh)}
         assert published[2] == 0
         assert table1_statistic(2) == 1
-
-
-class TestBoundRatio:
-    def test_zero_numerator(self):
-        assert spacing_bound_ratio(1, 1, 0.0) == 0.0
-
-    def test_frozen_regression_values(self):
-        assert spacing_bound_ratio(10, 1000, 0.0) == pytest.approx(
-            0.6826352974790716, rel=1e-12
-        )
-        assert spacing_bound_ratio(100, 10 ** 6, 0.0) == pytest.approx(
-            0.8571428571428571, rel=1e-12
-        )
-
-    def test_epsilon_only_shrinks(self):
-        assert spacing_bound_ratio(10, 1000, 0.5) < spacing_bound_ratio(10, 1000, 0.0)
 
 
 class TestConjectureScan:

@@ -121,9 +121,6 @@ class PowerFraction:
     def __float__(self) -> float:
         return self.a / self.denominator
 
-    def __lt__(self, other: "PowerFraction") -> bool:
-        return self.a * other.denominator < other.a * self.denominator
-
     def __str__(self) -> str:
         return f"{self.a}/{self.q}^{self.k}"
 

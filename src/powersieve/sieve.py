@@ -9,10 +9,12 @@ in
 is exactly the largest eigenvalue of the positive semidefinite Gram form,
 computable on either side (T*T over frequencies, TT* over points); equality
 of the two spectral norms is the operator-norm duality that the test suite
-asserts numerically.  lambda_max comes from one dense Hermitian eigensolve
+asserts numerically.  lambda_max comes from one dense eigensolve
 (numpy.linalg.eigh) of the side's Gram matrix.  The two sides are built
 independently: TT* from the sieve matrix, and T*T, which depends only on
-m - n, as a Toeplitz matrix over the symbol c[h] = sum_j e(x_j h).
+m - n, as a Toeplitz matrix over the symbol c[h] = sum_j e(x_j h).  For the
+full S(Q, k) the symbol is a sum of Ramanujan sums, an integer vector, and
+T*T is solved as a real symmetric matrix; other point sets stay complex.
 
 Two kinds of upper bounds are tracked:
 
@@ -35,8 +37,9 @@ from typing import Callable, Literal, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .arith import factorize
 from .rationals import (FractionSet, PowerFraction, _checked_power, exact_columns,
-                        strictly_increasing)
+                        expected_cardinality, strictly_increasing)
 
 # cell guard for gram experiments: K*N for T and d*d for the Gram matrix solved
 GRAM_CELL_GUARD = 10 ** 7
@@ -102,6 +105,14 @@ def _point_columns(points: Sequence):
     return [p.numerator for p in pts], [p.denominator for p in pts], None
 
 
+def _is_full_set(fs: FractionSet, nums: np.ndarray, dens: np.ndarray) -> bool:
+    """Whether certified-increasing columns are exactly S(fs.Q, fs.k): the
+    right count of distinct points, each a reduced a/q**k with Q < q <= 2Q."""
+    q = fs.bases
+    return len(fs) == expected_cardinality(fs.Q, fs.k) and bool(np.all(
+        (fs.Q < q) & (q <= 2 * fs.Q) & (1 <= nums) & (nums < dens) & (np.gcd(nums, q) == 1)))
+
+
 class SieveInstance:
     """A finite torus point set plus the frequency window (M, M+N].
 
@@ -110,15 +121,19 @@ class SieveInstance:
     They are held ascending in [0, 1): rational ones as reduced integer
     columns ``nums``, ``dens`` at the ``exact_columns`` width of dens**2,
     float ones (one float makes them all float) as a float ``values`` array.
+    ``full_set`` is (Q, k) when the points are exactly S(Q, k), else None.
     """
 
     def __init__(self, points: FractionSet | Sequence, M: int, N: int):
         if N < 1:
             raise ValueError(f"N must be >= 1, got {N}")
+        self.full_set = None
         if isinstance(points, FractionSet):
             nums, dens, values = points.numerators, points.denominators(), None
             if not strictly_increasing(nums, dens):
                 raise ValueError("fraction set is not strictly increasing")
+            if _is_full_set(points, nums, dens):
+                self.full_set = (points.Q, points.k)
         else:
             nums, dens, values = _point_columns(points)
         if len(nums if values is None else values) == 0:
@@ -160,24 +175,40 @@ class SieveInstance:
         return T
 
     def gram_symbol(self) -> np.ndarray:
-        """c[h] = sum_j e(x_j h) for h = 0..N-1, summed over row blocks.
+        """c[h] = sum_j e(x_j h) for h = 0..N-1; (T*T)[n, m] = c[m - n] for any M.
 
-        (T*T)[n, m] = c[m - n] whatever the window offset M.
+        For the full S(Q, k) it is exact int64, the sum over q of the Ramanujan
+        sums c_{q**k}(h): mu(s) d for each d = q**k/s dividing h, s | rad(q)
+        squarefree (so c[0] = K).  Otherwise it is summed over row blocks.
         """
-        h = np.arange(self.N, dtype=np.int64)
-        return sum(e.sum(axis=0) for _, e in self._row_blocks(h))
+        if self.full_set is None:
+            h = np.arange(self.N, dtype=np.int64)
+            return sum(e.sum(axis=0) for _, e in self._row_blocks(h))
+        Q, k = self.full_set
+        c = np.zeros(self.N, dtype=np.int64)
+        for q in range(Q + 1, 2 * Q + 1):
+            squarefree = [(1, 1)]  # (s, mu(s)) over the divisors s of rad(q)
+            for p, _ in factorize(q):
+                squarefree += [(s * p, -mu) for s, mu in squarefree]
+            for s, mu in squarefree:
+                d = q ** k // s
+                c[::d] += mu * d
+        return c
 
 
 def _gram(instance: SieveInstance, side: str) -> np.ndarray:
     """The Gram matrix of one side: TT* (K x K) or the Toeplitz T*T (N x N).
 
     (T*T)[n, m] = c[m - n] with c[-h] = conj(c[h]), so the frequencies side
-    is a strided view over the 2N - 1 symbol values and never holds T.
+    is a strided view over the 2N - 1 symbol values and never holds T.  An
+    integer symbol is real and even, and gives a real symmetric float64 view.
     """
     if side == "points":
         T = instance.matrix()
         return T @ T.conj().T
     c = instance.gram_symbol()
+    if c.dtype.kind == "i":
+        c = c.astype(np.float64)  # exact: |c[h]| <= K
     return sliding_window_view(np.concatenate((np.conj(c[:0:-1]), c)), instance.N)[::-1]
 
 
@@ -189,7 +220,8 @@ def gram_lambda_max(
 
     This value is exactly the best sieve constant for the instance: the
     quadratic form attains it and no smaller constant works.  One dense
-    Hermitian eigensolve; the top eigenpair is checked by its residual.
+    eigensolve, real symmetric for a full set's frequencies side and
+    Hermitian otherwise; the top eigenpair is checked by its residual.
     """
     if side not in ("points", "frequencies"):
         raise ValueError(f"unknown side {side!r}")

@@ -1,6 +1,5 @@
 """CLI integration: exit codes, formats, determinism, caching."""
 
-import copy
 import csv
 import importlib
 import io

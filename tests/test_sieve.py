@@ -1,5 +1,6 @@
 """Gram spectra, duality, exact ceilings, and the bound catalog."""
 
+import json
 import math
 import random
 from fractions import Fraction
@@ -10,10 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from powersieve import sieve as sv
-from powersieve.rationals import enumerate_set, strictly_increasing
+from powersieve.rationals import FractionSet, enumerate_set, strictly_increasing
 from powersieve.sieve import (
     ConvergenceError,
-    SieveBoundViolation,
     SieveInstance,
     bound_catalog,
     cohen_selberg_ceiling,
@@ -198,6 +198,116 @@ class TestDuality:
         inst = SieveInstance.from_fraction_set(enumerate_set(1, 2), 4)
         lhs, rhs = duality_check(inst)
         assert abs(lhs - rhs) <= 1e-8 * max(lhs, rhs)
+
+
+def float_symbol(nums, dens, N):
+    """sum_j e(a_j h / d_j) for h = 0..N-1, phases reduced in integers."""
+    a, d = np.asarray(nums)[:, None], np.asarray(dens)[:, None]
+    return np.exp(2j * np.pi * ((a * np.arange(N) % d) / d)).sum(axis=0)
+
+
+def point_list(fs):
+    """The points of a fraction set as a plain list: the float-symbol route."""
+    return [p.as_fraction() for p in fs]
+
+
+def with_record(fs, i, a, q):
+    """A copy of ``fs`` whose record i is replaced by a/q**k."""
+    nums, bases = fs.numerators.copy(), fs.bases.copy()
+    nums[i], bases[i] = a, q
+    return FractionSet(fs.Q, fs.k, nums, bases)
+
+
+def non_reduced_record(fs):
+    """(i, a): the first non-reduced a/q_i**k strictly between records i-1
+    and i+1, with q_i the base of record i."""
+    nums, dens = fs.numerators, fs.denominators()
+    for i in range(1, len(fs) - 1):
+        q, d = int(fs.bases[i]), int(dens[i])
+        for a in range(1, d):
+            if (math.gcd(a, q) > 1 and nums[i - 1] * d < a * dens[i - 1]
+                    and a * dens[i + 1] < nums[i + 1] * d):
+                return i, a
+    raise AssertionError("no order-keeping non-reduced record")
+
+
+class TestIntegerSymbol:
+    """A full S(Q, k) takes the strided Ramanujan-sum symbol and a real
+    symmetric solve; every other point set keeps the complex symbol."""
+
+    @pytest.mark.parametrize(
+        "Q, k, N", [(4, 2, 64), (8, 2, 512), (6, 2, 216), (12, 2, 1728), (3, 3, 81), (4, 3, 256)]
+    )
+    def test_strided_symbol_matches_float_symbol(self, Q, k, N):
+        fs = enumerate_set(Q, k)
+        inst = SieveInstance.from_fraction_set(fs, N)
+        c = inst.gram_symbol()
+        assert inst.full_set == (Q, k)
+        assert np.issubdtype(c.dtype, np.integer) and c[0] == inst.K == len(fs)
+        reference = SieveInstance(point_list(fs), 0, N).gram_symbol()
+        assert np.iscomplexobj(reference)
+        assert np.allclose(c, reference, rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize("Q, k, N, M", [(3, 2, 27, 0), (4, 2, 50, 7), (2, 3, 16, -3)])
+    def test_full_set_gram_matches_dense(self, Q, k, N, M):
+        inst = SieveInstance.from_fraction_set(enumerate_set(Q, k), N, M)
+        T = inst.matrix()
+        G = sv._gram(inst, "frequencies")
+        assert G.dtype == np.float64
+        assert np.allclose(G, T.conj().T @ T, rtol=0, atol=1e-12 * inst.K)
+
+    def test_real_solve_matches_complex_solve_on_baselines(self, data_dir):
+        with open(data_dir / "sieve_baselines.json") as fh:
+            baselines = json.load(fh)
+        assert len(baselines) == 12
+        for base in baselines:
+            fs = enumerate_set(base["Q"], base["k"])
+            real = gram_lambda_max(SieveInstance.from_fraction_set(fs, base["N"]), "frequencies")
+            cplx = gram_lambda_max(SieveInstance(point_list(fs), 0, base["N"]), "frequencies")
+            assert real.lambda_max == pytest.approx(cplx.lambda_max, rel=1e-12, abs=0)
+
+    def test_eigh_sees_real_matrix_only_for_full_set(self, monkeypatch):
+        seen = []
+        eigh = np.linalg.eigh
+
+        def spy(G):
+            seen.append(G.dtype)
+            return eigh(G)
+
+        monkeypatch.setattr(np.linalg, "eigh", spy)
+        fs = enumerate_set(3, 2)
+        gram_lambda_max(SieveInstance.from_fraction_set(fs, 27), "frequencies")
+        gram_lambda_max(SieveInstance(point_list(fs), 0, 27), "frequencies")
+        assert seen == [np.float64, np.complex128]
+
+    def test_cached_set_with_non_reduced_record_keeps_float_symbol(self, tmp_path):
+        fs = enumerate_set(3, 2)
+        i, a = non_reduced_record(fs)
+        path = tmp_path / "tampered.bin"
+        with_record(fs, i, a, int(fs.bases[i])).write_cache(path)
+        tampered = FractionSet.read_cache(path)  # count and order both pass
+        assert len(tampered) == len(fs) and math.gcd(a, int(tampered.bases[i])) > 1
+        inst = SieveInstance.from_fraction_set(tampered, 27)
+        assert inst.full_set is None
+        c = inst.gram_symbol()
+        assert np.iscomplexobj(c)
+        reference = float_symbol(tampered.numerators, tampered.denominators(), 27)
+        assert np.allclose(c, reference, rtol=0, atol=1e-9)
+        assert not np.allclose(c, SieveInstance.from_fraction_set(fs, 27).gram_symbol())
+
+    @pytest.mark.parametrize("case", ["base_outside_window", "numerator_past_one", "partial"])
+    def test_other_non_members_keep_float_symbol(self, case):
+        fs = enumerate_set(3, 2)  # bases 4, 5, 6
+        if case == "base_outside_window":  # 1/49 sits below the least point 1/36
+            fs = with_record(fs, 0, 1, 7)
+        elif case == "numerator_past_one":  # 37/36 is past the largest point 35/36
+            fs = with_record(fs, len(fs) - 1, 37, 6)
+        else:
+            fs = FractionSet(3, 2, fs.numerators[1:], fs.bases[1:])
+        inst = SieveInstance.from_fraction_set(fs, 27)
+        assert inst.full_set is None
+        reference = float_symbol(fs.numerators, fs.denominators(), 27)
+        assert np.allclose(inst.gram_symbol(), reference, rtol=0, atol=1e-9)
 
 
 class TestSpectralProperties:

@@ -48,14 +48,12 @@ from .sieve import (
 from .spacing import (
     ScanReport,
     ScanRow,
-    SpacingQuery,
     SpacingResult,
     conjecture_scan,
     neighbor_counts_bruteforce,
     neighbor_counts_sorted,
     spacing_count_bruteforce,
     spacing_count_fast,
-    table1_statistic,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

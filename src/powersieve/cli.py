@@ -8,6 +8,10 @@ accepted and ignored.  JSON is the canonical format; CSV is provided for
 table diffing.  Exit codes: 0 success, 1 usage, guard or file-system error,
 2 an assertable invariant was violated by the computation.
 
+``table1`` is the quadratic scan statistic: the spacing count over S(Q, 2)
+at N = Q**3, that is 2 * ||x - x'|| < Q**-3.  Handlers pass each set to the
+spacing, scan and sieve entry points, which read Q and k off it.
+
 Fraction sets are cached per (Q, k) in a cache directory (flag
 ``--cache-dir`` or environment variable POWERSIEVE_CACHE_DIR, on the
 subcommands that take the flag) using the compact binary format, so range
@@ -31,16 +35,11 @@ import numpy as np
 
 from . import __version__
 from .characters import build_character_table, gauss_sum, mult_transfer_check
-from .expsum import PolynomialPhase, exp_sum, poisson_identity_check, weyl_bound
+from .expsum import (PolynomialPhase, exp_sum, poisson_identity_check, weyl_bound,
+                     weyl_kappa)
 from .rationals import FractionSet, enumerate_set, expected_cardinality
 from .sieve import SieveBoundViolation, bound_catalog, sieve_ratio_experiment
-from .spacing import (
-    SpacingQuery,
-    conjecture_scan,
-    spacing_count_bruteforce,
-    spacing_count_fast,
-    table1_statistic,
-)
+from .spacing import conjecture_scan, spacing_count_bruteforce, spacing_count_fast
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -114,18 +113,14 @@ def _cmd_table1(args: argparse.Namespace) -> tuple[dict, int]:
     rows = []
     for Q in range(1, args.q_max + 1):
         fs = _cached_set(Q, 2, args.cache_dir)
-        rows.append({"Q": Q, "M": table1_statistic(Q, fs)})
+        rows.append({"Q": Q, "M": spacing_count_fast(fs, Q ** 3).count})
     return {"rows": rows}, EXIT_OK
 
 
 def _cmd_spacing(args: argparse.Namespace) -> tuple[dict, int]:
     fs = _cached_set(args.Q, args.k, args.cache_dir)
-    query = SpacingQuery(args.Q, args.k, args.N)
-    res = (
-        spacing_count_bruteforce(query, fs)
-        if args.engine == "brute"
-        else spacing_count_fast(query, fs)
-    )
+    engine = spacing_count_bruteforce if args.engine == "brute" else spacing_count_fast
+    res = engine(fs, args.N)
     payload = {
         "rows": [
             {
@@ -143,11 +138,11 @@ def _cmd_spacing(args: argparse.Namespace) -> tuple[dict, int]:
 
 
 def _cmd_conjecture(args: argparse.Namespace) -> tuple[dict, int]:
+    if args.q_min < 1 or args.q_max < args.q_min:
+        raise ValueError(f"bad scan range [{args.q_min}, {args.q_max}]")
     report = conjecture_scan(
-        args.q_min,
-        args.q_max,
-        args.k,
-        cache=lambda Q: _cached_set(Q, args.k, args.cache_dir),
+        _cached_set(Q, args.k, args.cache_dir)
+        for Q in range(args.q_min, args.q_max + 1)
     )
     rows = [
         {
@@ -171,13 +166,7 @@ def _cmd_conjecture(args: argparse.Namespace) -> tuple[dict, int]:
 def _cmd_sieve_ratio(args: argparse.Namespace) -> tuple[dict, int]:
     fs = _cached_set(args.Q, args.k, args.cache_dir)
     try:
-        rec = sieve_ratio_experiment(
-            args.Q,
-            args.N,
-            args.k,
-            epsilon=args.epsilon,
-            fraction_set=fs,
-        )
+        rec = sieve_ratio_experiment(fs, args.N, epsilon=args.epsilon)
     except SieveBoundViolation as exc:
         return {"error": str(exc)}, EXIT_ASSERTION
     return rec, EXIT_OK
@@ -197,8 +186,8 @@ def _cmd_weyl(args: argparse.Namespace) -> tuple[dict, int]:
     n_min = args.N if args.n_min is None else args.n_min
     if not 1 <= n_min <= args.N:
         raise ValueError(f"need 1 <= --n-min <= --N = {args.N}, got --n-min {n_min}")
+    kappa = weyl_kappa(args.k)  # before the phase's k coefficients are formed
     phase = PolynomialPhase.monomial(Fraction(args.alpha), args.k)
-    kappa = 2 ** (args.k - 1)
     rows = []
     violations = 0
     for N in range(n_min, args.N + 1):

@@ -50,6 +50,9 @@ from .rationals import exact_columns
 # that changes a term only when N > 10**9 (else min(N, 1/dist) is N anyway).
 ZERO_GUARD = 1e-9
 
+# the majorant's leading 2**(2 kappa) is a float only while 2 kappa < 1024
+MAX_WEYL_DEGREE = 9
+
 Interval = tuple[int, int]  # (start, length): the integers start..start+length-1
 
 
@@ -130,15 +133,26 @@ def exp_sum(phase: PolynomialPhase, interval: Interval) -> complex:
     return complex(re, im)
 
 
+def weyl_kappa(k: int) -> int:
+    """kappa = 2**(k-1) for a degree k the differencing bound holds in a float:
+    ValueError below 2, OverflowError past ``MAX_WEYL_DEGREE``, decided from k."""
+    if k < 2:
+        raise ValueError("the differencing bound needs degree >= 2")
+    if k > MAX_WEYL_DEGREE:
+        raise OverflowError(
+            f"k = {k}: the differencing bound's 2**(2*kappa), kappa = 2**(k-1), "
+            f"leaves float range (2**1024) past k = {MAX_WEYL_DEGREE}"
+        )
+    return 2 ** (k - 1)
+
+
 def weyl_bound(phase: PolynomialPhase, interval: Interval) -> float:
     """Explicit majorant for |S|**kappa from k-1 rounds of differencing.
 
     For N = 1 the r-sum is empty and the bound degenerates to 2**(2 kappa).
     """
     k = phase.degree
-    if k < 2:
-        raise ValueError("the differencing bound needs degree >= 2")
-    kappa = 2 ** (k - 1)
+    kappa = weyl_kappa(k)
     _, N = interval
     if N < 1:
         raise ValueError("interval length must be >= 1")

@@ -15,9 +15,10 @@ Integer columns ``(nums, dens)`` are the one exact form of a point set:
 ``exact_columns`` is the width rule (int64 while every product the caller
 forms stays below 2**62, Python-integer object arrays past it) and
 ``strictly_increasing`` the order certificate.  A ``FractionSet`` is always
-int64: S(Q, k) is refused once (2Q)**(2k) reaches 2**62, far past what
-memory holds (S(3, 12), the smallest such set, has 929,295,220 points).
-Single ``PowerFraction`` pairs use Python integers with q**k below 2**64.
+int64: S(Q, k) is refused once (2Q)**(2k) reaches 2**62 (S(3, 12), the
+smallest such set, has 929,295,220 points), and enumeration refuses a set of
+more than ``MAX_SET_POINTS`` points from its closed-form count.  Single
+``PowerFraction`` pairs use Python integers with q**k below 2**64.
 """
 
 from __future__ import annotations
@@ -31,13 +32,17 @@ from typing import Iterator
 
 import numpy as np
 
-from .arith import coprime_residues
+from .arith import coprime_residues, totient
 
 # PowerFraction refuses a q**k of 2**64 or more, before forming it.
 MAX_DENOMINATOR_BITS = 64
 
 # int64 columns need every product below 2**63; one safety bit is kept.
 _INT64_PRODUCT_BITS = 62
+
+# enumerate_set refuses larger sets: S(150, 2) has 4,796,786 points and
+# peaks near 270 MB to enumerate, 510 MB through the sorted spacing engine
+MAX_SET_POINTS = 10 ** 7
 
 # adjacent pairs per block of the order certificate's cross products
 _CERTIFY_BLOCK = 2 ** 14
@@ -216,9 +221,15 @@ def enumerate_set(Q: int, k: int) -> FractionSet:
     increase of adjacent pairs by exact cross-multiplication; if the floats
     cannot resolve the order (adjacent values may differ by less than a
     float64 step) it falls back to a full exact sort.  Sets whose cross
-    products would not fit int64 are refused before anything is allocated.
+    products would not fit int64, or of more than ``MAX_SET_POINTS`` points,
+    are refused before anything is allocated.
     """
     _check_window(Q, k)  # loud failure naming the largest q**k and its bits
+    count = expected_cardinality(Q, k)
+    if count > MAX_SET_POINTS:
+        raise ValueError(
+            f"S({Q}, {k}) has {count} points, more than the budget {MAX_SET_POINTS}"
+        )
 
     a_parts, q_parts = [], []
     for q in range(Q + 1, 2 * Q + 1):
@@ -247,7 +258,4 @@ def enumerate_set(Q: int, k: int) -> FractionSet:
 
 def expected_cardinality(Q: int, k: int) -> int:
     """The closed-form count: sum of q**(k-1) * phi(q) over Q < q <= 2Q."""
-    total = 0
-    for q in range(Q + 1, 2 * Q + 1):
-        total += q ** (k - 1) * len(coprime_residues(q))
-    return total
+    return sum(q ** (k - 1) * totient(q) for q in range(Q + 1, 2 * Q + 1))

@@ -25,6 +25,10 @@ Two kinds of upper bounds are tracked:
   constant (the coarse Q**2k + N and Q(Q**k + N) forms, the dyadic
   differencing bound with its log factor, the half-power form, and the
   conjectured optimum).  These are never asserted, only emitted as ratios.
+
+``sieve_ratio_experiment`` takes a ``FractionSet`` and N and reads Q and k
+off the set, so the ceiling and the catalog are always those of the points
+whose lambda_max they are compared with.
 """
 
 from __future__ import annotations
@@ -340,21 +344,14 @@ def bound_catalog(Q: int, N: int, k: int = 2, epsilon: float = 0.0):
     return entries
 
 
-def sieve_ratio_experiment(
-    Q: int,
-    N: int,
-    k: int = 2,
-    epsilon: float = 0.0,
-    fraction_set: FractionSet | None = None,
-) -> dict:
-    """lambda_max over the full S(Q, k) against every cataloged bound.
+def sieve_ratio_experiment(fs: FractionSet, N: int, epsilon: float = 0.0) -> dict:
+    """lambda_max over the set S(Q, k) ``fs`` against every cataloged bound.
 
-    Asserts only the explicit-constant per-q aggregate; everything else is
-    reported as a ratio.  The returned record is JSON-ready.
+    Q and k are read off ``fs``.  Asserts only the explicit-constant per-q
+    aggregate; everything else is reported as a ratio.  The returned record
+    is JSON-ready.
     """
-    from .rationals import enumerate_set
-
-    fs = fraction_set if fraction_set is not None else enumerate_set(Q, k)
+    Q, k = fs.Q, fs.k
     _check_gram_guard(len(fs), N)  # before the instance is built
     inst = SieveInstance.from_fraction_set(fs, N)
     side = "points" if inst.K <= inst.N else "frequencies"

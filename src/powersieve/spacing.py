@@ -17,46 +17,33 @@ Each answers any number of thresholds in one call and decides
 positions only to propose arc ends; every end is settled exactly at p and
 p + 1, so the two engines agree bit for bit, the suite's primary oracle.
 
+Thresholds are positive fractions ``t_num/t_den``; both engines refuse any
+other.  The counts over a whole set, ``spacing_count_fast`` and
+``spacing_count_bruteforce``, take the ``FractionSet`` and N, and the range
+scan ``conjecture_scan`` takes the sets themselves: each reads Q and k off
+its set, so no second copy of them can disagree with the points.
+
 Threshold conventions.  The scan statistic published for quadratic
 denominators counts ``2 * ||x - x'|| < Q**-3``, which equals the
-``1/(2N)`` form at N = Q**3; the conjectured generalization counts against
-``Q**-(k+1)``.  One engine parameterized by an exact rational threshold
-serves every convention.
+``1/(2N)`` form at N = Q**3 over S(Q, 2) (the CLI's ``table1``); the
+conjectured generalization counts against ``Q**-(k+1)``.  One engine
+parameterized by an exact rational threshold serves every convention.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
-from .rationals import (
-    FractionSet,
-    PowerFraction,
-    enumerate_set,
-    exact_columns,
-    strictly_increasing,
-)
+from .rationals import FractionSet, PowerFraction, exact_columns, strictly_increasing
 
 # Hard guard for the quadratic oracle.
 BRUTEFORCE_MAX_POINTS = 50_000
 
 _BLOCK_ROWS = 16
-
-
-@dataclass(frozen=True)
-class SpacingQuery:
-    """Parameters for a spacing count over S(Q, k) at threshold 1/(2N)."""
-
-    Q: int
-    k: int
-    N: int
-
-    def __post_init__(self) -> None:
-        if self.Q < 1 or self.k < 2 or self.N < 1:
-            raise ValueError(f"invalid query Q={self.Q}, k={self.k}, N={self.N}")
 
 
 @dataclass(eq=False)
@@ -84,6 +71,9 @@ def _thresholds(t_num, t_den, n: int):
     if np.ndim(t_num) != np.ndim(t_den) or np.size(t_num) != np.size(t_den):
         raise ValueError("t_num and t_den must be scalars or sequences of one length")
     pairs = [(int(u), int(v)) for u, v in zip(np.ravel(t_num), np.ravel(t_den))]
+    for u, v in pairs:
+        if u <= 0 or v <= 0:
+            raise ValueError(f"thresholds must be positive fractions, got t = {u}/{v}")
     counts = np.full((len(pairs), n), n - 1, dtype=np.int64)
     return counts, [(r, u, v) for r, (u, v) in enumerate(pairs) if 2 * u <= v]
 
@@ -202,39 +192,30 @@ def _result_from_counts(fs: FractionSet, counts: np.ndarray) -> SpacingResult:
     return SpacingResult(int(counts[w]), fs[w], counts)
 
 
-def spacing_count_bruteforce(
-    query: SpacingQuery, fraction_set: FractionSet | None = None
-) -> SpacingResult:
+def _spacing_count(fs: FractionSet, N: int, engine) -> SpacingResult:
+    """The count at t = 1/(2N) over ``fs`` by ``engine``."""
+    if N < 1:
+        raise ValueError(f"N must be >= 1, got {N}")
+    return _result_from_counts(fs, engine(fs.numerators, fs.denominators(), 1, 2 * N))
+
+
+def spacing_count_bruteforce(fs: FractionSet, N: int) -> SpacingResult:
     """Quadratic-oracle spacing count; guarded to small sets.
 
-    Counts, for each x in S(Q, k), the x' != x with ||x - x'|| < 1/(2N)
+    Counts, for each x in ``fs``, the x' != x with ||x - x'|| < 1/(2N)
     exactly, and returns the maximum with a witness.
     """
-    fs = fraction_set if fraction_set is not None else enumerate_set(query.Q, query.k)
     if len(fs) > BRUTEFORCE_MAX_POINTS:
         raise ValueError(
             f"|S| = {len(fs)} exceeds the brute-force guard "
             f"({BRUTEFORCE_MAX_POINTS}); use spacing_count_fast"
         )
-    counts = neighbor_counts_bruteforce(
-        fs.numerators, fs.denominators(), 1, 2 * query.N
-    )
-    return _result_from_counts(fs, counts)
+    return _spacing_count(fs, N, neighbor_counts_bruteforce)
 
 
-def spacing_count_fast(
-    query: SpacingQuery, fraction_set: FractionSet | None = None
-) -> SpacingResult:
+def spacing_count_fast(fs: FractionSet, N: int) -> SpacingResult:
     """Sorted sliding-window spacing count; same contract as the oracle."""
-    fs = fraction_set if fraction_set is not None else enumerate_set(query.Q, query.k)
-    counts = neighbor_counts_sorted(fs.numerators, fs.denominators(), 1, 2 * query.N)
-    return _result_from_counts(fs, counts)
-
-
-def table1_statistic(Q: int, fraction_set: FractionSet | None = None) -> int:
-    """The quadratic-denominator scan statistic at threshold Q**-3 on twice
-    the distance, i.e. the spacing count at N = Q**3 over S(Q, 2)."""
-    return spacing_count_fast(SpacingQuery(Q, 2, Q ** 3), fraction_set).count
+    return _spacing_count(fs, N, neighbor_counts_sorted)
 
 
 @dataclass(frozen=True)
@@ -249,34 +230,26 @@ class ScanRow:
 
 @dataclass(frozen=True)
 class ScanReport:
-    k: int
     rows: list[ScanRow]
     running_max: int
     fit_intercept: float  # least-squares fit count ~ intercept + slope*log(Q)
     fit_slope: float
 
 
-def conjecture_scan(
-    q_min: int,
-    q_max: int,
-    k: int = 2,
-    cache=None,
-) -> ScanReport:
-    """Scan Q in [q_min, q_max], counting at both threshold conventions.
+def conjecture_scan(sets: Iterable[FractionSet]) -> ScanReport:
+    """One row per set S(Q, k), counting at both threshold conventions.
 
-    For each Q the set S(Q, k) is enumerated (or fetched from ``cache``, a
-    callable Q -> FractionSet) and the spacing count is taken at
+    Each row reads Q and k off its set and takes the spacing count at
     t = 1/(2 Q**(k+1)) (the convention behind the published quadratic table)
-    and at the open-question variant t = 1/Q**(k+1).  The report carries the
-    running maximum of the primary count and a least-squares fit of count
-    against log Q, for eyeballing the conjectured Q**epsilon growth.
+    and at the open-question variant t = 1/Q**(k+1).  ``sets`` is consumed
+    one set at a time, so a generator never holds the whole range.  The report
+    carries the running maximum of the primary count and a least-squares fit
+    of count against log Q, for eyeballing the conjectured Q**epsilon growth.
     """
-    if q_min < 1 or q_max < q_min:
-        raise ValueError(f"bad scan range [{q_min}, {q_max}]")
     rows: list[ScanRow] = []
     running = 0
-    for Q in range(q_min, q_max + 1):
-        fs = cache(Q) if cache is not None else enumerate_set(Q, k)
+    for fs in sets:
+        Q, k = fs.Q, fs.k
         N = Q ** (k + 1)
         counts, open_counts = neighbor_counts_sorted(
             fs.numerators, fs.denominators(), [1, 1], [2 * N, N]
@@ -304,7 +277,6 @@ def conjecture_scan(
     else:
         slope, intercept = 0.0, float(ms[0]) if len(rows) else 0.0
     return ScanReport(
-        k=k,
         rows=rows,
         running_max=running,
         fit_intercept=float(intercept),

@@ -50,7 +50,6 @@ from powersieve.sieve import (
     sieve_ratio_experiment,
 )
 from powersieve.spacing import (
-    SpacingQuery,
     conjecture_scan,
     neighbor_counts_bruteforce,
     spacing_count_fast,
@@ -116,7 +115,7 @@ def test_criterion_2_oracle_equivalence():
                 fs.numerators, fs.denominators(), [1] * len(Ns), [2 * N for N in Ns]
             )
             for N, brute_counts in zip(Ns, brute_rows):
-                fast = spacing_count_fast(SpacingQuery(Q, k, N), fs)
+                fast = spacing_count_fast(fs, N)
                 brute = int(brute_counts.max())
                 assert fast.count == brute, (Q, k, N, fast.count, brute)
                 assert np.array_equal(fast.counts, brute_counts), (Q, k, N)
@@ -239,7 +238,7 @@ def test_criterion_9_report_only_ratios(data_dir):
         baselines = json.load(fh)
     print("  Q   N  k    lambda_max      ratios (report-only)")
     for base in baselines:
-        rec = sieve_ratio_experiment(base["Q"], base["N"], base["k"])
+        rec = sieve_ratio_experiment(enumerate_set(base["Q"], base["k"]), base["N"])
         assert rec["lambda_max"] == pytest.approx(base["lambda_max"], rel=1e-6)
         for b in rec["bounds"]:
             assert b["ratio"] == pytest.approx(
@@ -252,7 +251,7 @@ def test_criterion_9_report_only_ratios(data_dir):
         print(
             f"  {base['Q']:>2} {base['N']:>4} {base['k']}  {rec['lambda_max']:>12.4f}  {shown}"
         )
-    scan = conjecture_scan(101, 102, 2)
+    scan = conjecture_scan(enumerate_set(Q, 2) for Q in (101, 102))
     for row in scan.rows:
         print(
             f"  exploratory scan Q={row.Q}: count={row.count} open={row.count_open} ratio={row.ratio:.4f}"

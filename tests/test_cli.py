@@ -43,6 +43,11 @@ class TestExitCodes:
 
     def test_usage_error_bad_value(self, capsys):
         assert main(["table1", "--q-max", "0"]) == EXIT_USAGE
+        capsys.readouterr()
+        assert main(["conjecture", "--q-min", "5", "--q-max", "4"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "powersieve conjecture: bad scan range [5, 4]\n"
 
     def test_usage_error_unknown_flag(self):
         with pytest.raises(SystemExit) as err:
@@ -354,6 +359,13 @@ class TestWidthGuards:
         (["bounds", "--Q", "2", "--N", "1", "--k", "512"],
          "q**k = 4**512 has at least 1025 bits, more than 1024: "
          "the bounds at Q=2, k=512 need Q**(2k) inside float range"),
+        # refused from k alone, before a phase of 10**7 coefficients is formed
+        (["weyl", "--alpha", "1/7", "--k", "10000000", "--N", "5"],
+         "k = 10000000: the differencing bound's 2**(2*kappa), kappa = 2**(k-1), "
+         "leaves float range (2**1024) past k = 9"),
+        # inside the int64 width rule, refused from its closed-form count
+        (["spacing", "--Q", "5000", "--N", "1"],
+         "S(5000, 2) has 177316520402 points, more than the budget 10000000"),
     ])
     def test_refused_before_the_power_is_formed(self, argv, message, capsys):
         start = time.process_time()
@@ -376,7 +388,8 @@ class TestBenchmarkTracing:
         undo = spans.install(spans.Tracer())
         spans.uninstall(undo)
         patched = {attr for owner, attr, _ in undo if owner is cli}
-        assert {"enumerate_set", "conjecture_scan", "gauss_sum"} <= patched
+        assert {"enumerate_set", "conjecture_scan", "gauss_sum", "spacing_count_fast",
+                "spacing_count_bruteforce", "sieve_ratio_experiment"} <= patched
         assert dict(vars(cli)) == before
         for owner, attr, original in undo:
             assert vars(owner)[attr] is original

@@ -174,6 +174,12 @@ class TestWeylBound:
         with pytest.raises(ValueError):
             weyl_bound(PolynomialPhase((0, Fraction(1, 2))), (1, 5))
 
+    def test_degree_past_float_range_refused(self):
+        # 2**(2 kappa) is 2**512 at k = 9 and 2**1024, past float64, at k = 10
+        assert weyl_bound(PolynomialPhase.monomial(Fraction(1, 7), 9), (1, 1)) == 2.0 ** 512
+        with pytest.raises(OverflowError, match=r"k = 10: .* leaves float range"):
+            weyl_bound(PolynomialPhase.monomial(Fraction(1, 7), 10), (1, 1))
+
     @pytest.mark.parametrize("k", [2, 3])
     def test_bound_validity_random_rational_phases(self, k):
         rng = random.Random(k * 1001)

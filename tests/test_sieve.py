@@ -470,14 +470,14 @@ class TestBoundCatalog:
 
 class TestRatioExperiment:
     def test_smallest_instance(self):
-        rec = sieve_ratio_experiment(1, 4, 2)
+        rec = sieve_ratio_experiment(enumerate_set(1, 2), 4)
         assert rec["lambda_max"] == pytest.approx(4.0, rel=1e-9)
         assert rec["lambda_max"] <= cohen_selberg_ceiling(
             SieveInstance.from_fraction_set(enumerate_set(1, 2), 4)
         )
 
     def test_cubic_window_regression(self):
-        rec = sieve_ratio_experiment(4, 64, 2)
+        rec = sieve_ratio_experiment(enumerate_set(4, 2), 64)
         names = {b["name"] for b in rec["bounds"]}
         assert {"per_q_exact", "weyl_dyadic", "conjectured_optimal"} <= names
         for b in rec["bounds"]:
@@ -485,13 +485,23 @@ class TestRatioExperiment:
                 assert rec["lambda_max"] <= b["value"] + 1e-6
 
     def test_power_three_window(self):
-        rec = sieve_ratio_experiment(2, 8, 3)
+        rec = sieve_ratio_experiment(enumerate_set(2, 3), 8)
         assert rec["lambda_max"] <= per_q_exact_ceiling(2, 8, 3) + 1e-6
         assert rec["k"] == 3
 
+    def test_reports_the_q_and_k_of_its_set(self):
+        # Q and k come from the set alone: S(4, 2) at N = 27 is labelled Q = 4
+        # and ratioed against the Q = 4 ceiling
+        rec = sieve_ratio_experiment(enumerate_set(4, 2), 27)
+        assert (rec["Q"], rec["N"], rec["k"]) == (4, 27, 2)
+        ceiling = {b["name"]: b["value"] for b in rec["bounds"]}["per_q_exact"]
+        assert ceiling == per_q_exact_ceiling(4, 27, 2)
+        inst = SieveInstance.from_fraction_set(enumerate_set(4, 2), 27)
+        assert rec["lambda_max"] == gram_lambda_max(inst, "frequencies").lambda_max
+
     def test_guard_rejects_oversized(self):
         with pytest.raises(ValueError, match="guard"):
-            sieve_ratio_experiment(40, 10 ** 6, 2)
+            sieve_ratio_experiment(enumerate_set(40, 2), 10 ** 6)
 
     def test_fraction_set_instance_builds_no_fraction(self, monkeypatch):
         fs = enumerate_set(6, 2)
@@ -513,4 +523,4 @@ class TestRatioExperiment:
 
         monkeypatch.setattr(SieveInstance, "__init__", refuse)
         with pytest.raises(ValueError, match=r"K\*N = 92278000000 exceeds the gram guard"):
-            sieve_ratio_experiment(40, 10 ** 6, fraction_set=fs)
+            sieve_ratio_experiment(fs, 10 ** 6)

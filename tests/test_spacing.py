@@ -15,13 +15,11 @@ from powersieve.rationals import enumerate_set
 from powersieve.spacing import (
     BRUTEFORCE_MAX_POINTS,
     ScanReport,
-    SpacingQuery,
     conjecture_scan,
     neighbor_counts_bruteforce,
     neighbor_counts_sorted,
     spacing_count_bruteforce,
     spacing_count_fast,
-    table1_statistic,
 )
 
 
@@ -30,6 +28,15 @@ def fraction_columns(points):
     nums = np.array([p.numerator for p in pts], dtype=object)
     dens = np.array([p.denominator for p in pts], dtype=object)
     return nums, dens
+
+
+def table1_count(Q):
+    """The quadratic scan statistic of the ``table1`` report: N = Q**3 over S(Q, 2)."""
+    return spacing_count_fast(enumerate_set(Q, 2), Q ** 3).count
+
+
+def scan_sets(q_min, q_max, k):
+    return (enumerate_set(Q, k) for Q in range(q_min, q_max + 1))
 
 
 def fraction_counts(points, t):
@@ -41,43 +48,43 @@ def fraction_counts(points, t):
     return out
 
 
-class TestQueryValidation:
-    def test_rejects_bad_parameters(self):
-        for bad in [(0, 2, 1), (1, 1, 1), (1, 2, 0)]:
-            with pytest.raises(ValueError):
-                SpacingQuery(*bad)
-
-
 class TestKnownCounts:
     def test_singleton_window_boundary(self):
         # S(1,2) = {1/4, 3/4}: the only gap is exactly 1/2, strict < fails
-        res = spacing_count_bruteforce(SpacingQuery(1, 2, 1))
+        res = spacing_count_bruteforce(enumerate_set(1, 2), 1)
         assert res.count == 0
 
     def test_self_exclusion_forced_by_singleton(self):
         # with the self pair included this would be 1, never 0
-        assert table1_statistic(1) == 0
+        assert table1_count(1) == 0
 
     def test_q2_wide_threshold_still_empty(self):
         # the minimal gap of S(2, 2) is exactly 1/144 (7/16 and 4/9): below
         # 1/142 (N = 71) it counts, below 1/144 (N = 72) it does not, since the
         # comparison is strict, and 1/2000 (N = 1000) is emptier still
+        # N = 0 has no threshold 1/(2N) and is refused by both
+        fs = enumerate_set(2, 2)
         for N, M in [(71, 1), (72, 0), (1000, 0)]:
-            query = SpacingQuery(2, 2, N)
-            assert spacing_count_bruteforce(query).count == M
-            assert spacing_count_fast(query).count == M
+            assert spacing_count_bruteforce(fs, N).count == M
+            assert spacing_count_fast(fs, N).count == M
+        for count in (spacing_count_bruteforce, spacing_count_fast):
+            with pytest.raises(ValueError, match="N must be >= 1, got 0"):
+                count(fs, 0)
 
     def test_witness_attains_the_count(self):
-        res = spacing_count_fast(SpacingQuery(4, 2, 64))
+        res = spacing_count_fast(enumerate_set(4, 2), 64)
         points = [(p.a, p.q) for p in enumerate_set(4, 2)]
         w = points.index((res.witness.a, res.witness.q))
         assert res.counts[w] == res.count == res.counts.max()
+        # the witness is a point of the set given, with its k
+        cubic = spacing_count_fast(enumerate_set(2, 3), 64).witness
+        assert cubic.k == 3 and 2 < cubic.q <= 4
 
     def test_bruteforce_guard(self):
-        query = SpacingQuery(13, 3, 10)
+        fs = enumerate_set(13, 3)
         with pytest.raises(ValueError, match="spacing_count_fast"):
-            spacing_count_bruteforce(query)
-        assert len(enumerate_set(13, 3)) > BRUTEFORCE_MAX_POINTS
+            spacing_count_bruteforce(fs, 10)
+        assert len(fs) > BRUTEFORCE_MAX_POINTS
 
 
 class TestOracleEquivalence:
@@ -94,7 +101,7 @@ class TestOracleEquivalence:
         )
         assert np.array_equal(fast_rows, brute_rows)  # one sweep each, point by point
         for N, brute_counts in zip(Ns, brute_rows):
-            fast = spacing_count_fast(SpacingQuery(Q, k, N), fs)
+            fast = spacing_count_fast(fs, N)
             assert fast.count == brute_counts.max()
             assert np.array_equal(fast.counts, brute_counts)
 
@@ -106,6 +113,19 @@ class TestOracleEquivalence:
             cf = neighbor_counts_sorted(nums, dens, t_num, t_den)
             assert np.array_equal(cb, cf)
 
+    @pytest.mark.parametrize("engine", [neighbor_counts_bruteforce, neighbor_counts_sorted])
+    @pytest.mark.parametrize("t_num,t_den", [(0, 1), (-1, 2), (1, 0), (1, -2)])
+    def test_non_positive_threshold_refused(self, engine, t_num, t_den):
+        # t = 0/1 once gave -1 per point from the oracle and 0 from the sorted
+        # engine, and t = 1/-2 counted every other point in both
+        fs = enumerate_set(3, 2)
+        nums, dens = fs.numerators, fs.denominators()
+        message = f"thresholds must be positive fractions, got t = {t_num}/{t_den}"
+        with pytest.raises(ValueError, match=message):
+            engine(nums, dens, t_num, t_den)
+        with pytest.raises(ValueError, match=message):
+            engine(nums, dens, [1, t_num], [2, t_den])
+
 
 class TestMonotonicity:
     @pytest.mark.parametrize("Q,k", [(3, 2), (5, 2), (2, 3)])
@@ -113,7 +133,7 @@ class TestMonotonicity:
         fs = enumerate_set(Q, k)
         prev = None
         for N in sorted({1, 2, 5, 10, 50, Q ** 3, 2 * Q ** 3, 10 * Q ** 3}):
-            m = spacing_count_fast(SpacingQuery(Q, k, N), fs).count
+            m = spacing_count_fast(fs, N).count
             if prev is not None:
                 assert m <= prev
             prev = m
@@ -402,7 +422,7 @@ class TestScanStatistic:
         with open(data_dir / "table1_computed.csv") as fh:
             frozen = {int(r["Q"]): int(r["M"]) for r in csv.DictReader(fh)}
         for Q in [*range(1, 26), 100]:
-            assert table1_statistic(Q) == frozen[Q]
+            assert table1_count(Q) == frozen[Q]
 
     def test_published_reference_diverges_from_the_definition(self, data_dir):
         """The published reference pairs are not the computed statistic.
@@ -415,12 +435,12 @@ class TestScanStatistic:
         with open(data_dir / "table1_expected.csv") as fh:
             published = {int(r["Q"]): int(r["M"]) for r in csv.DictReader(fh)}
         assert published[2] == 0
-        assert table1_statistic(2) == 1
+        assert table1_count(2) == 1
 
 
 class TestConjectureScan:
     def test_singleton_cubic_window(self):
-        report = conjecture_scan(1, 1, 3)
+        report = conjecture_scan([enumerate_set(1, 3)])
         # S(1,3) = {1/8, 3/8, 5/8, 7/8}; at threshold 1/2 each point sees the
         # two neighbors at distance 1/4 but not the antipode at exactly 1/2;
         # the open threshold is 1 > 1/2, so every other point counts
@@ -428,21 +448,28 @@ class TestConjectureScan:
         assert report.rows[0].count_open == 3
 
     def test_running_max_prefix(self):
-        report = conjecture_scan(1, 10, 2)
+        report = conjecture_scan(scan_sets(1, 10, 2))
         counts = [r.count for r in report.rows]
-        assert counts == [table1_statistic(Q) for Q in range(1, 11)]
+        assert counts == [table1_count(Q) for Q in range(1, 11)]
         assert report.running_max == max(counts)
 
     def test_open_threshold_counts_at_least_as_many(self):
         # the open convention threshold 1/Q**(k+1) is twice as wide
-        for row in conjecture_scan(2, 8, 2).rows:
+        for row in conjecture_scan(scan_sets(2, 8, 2)).rows:
             assert row.count_open >= row.count
 
     def test_fit_shape(self):
-        report = conjecture_scan(1, 12, 2)
+        report = conjecture_scan(scan_sets(1, 12, 2))
         assert isinstance(report, ScanReport)
         assert report.fit_slope > 0  # counts grow with Q in this range
 
-    def test_rejects_bad_range(self):
-        with pytest.raises(ValueError):
-            conjecture_scan(5, 4, 2)
+    def test_rows_report_the_q_and_k_of_their_sets(self):
+        # each row's Q, threshold and ratio come from its own set: S(4, 2)
+        # is counted at N = 4**3 whichever sets come before or after it
+        sets = [enumerate_set(4, 2), enumerate_set(2, 3), enumerate_set(4, 2)]
+        rows = conjecture_scan(sets).rows
+        assert [r.Q for r in rows] == [4, 2, 4]
+        assert rows[0] == rows[2]
+        assert rows[0].count == table1_count(4)
+        assert rows[1] == conjecture_scan([enumerate_set(2, 3)]).rows[0]
+        assert rows[1].count == spacing_count_fast(enumerate_set(2, 3), 2 ** 4).count

@@ -37,7 +37,7 @@ from . import __version__
 from .characters import build_character_table, gauss_sum, mult_transfer_check
 from .expsum import (PolynomialPhase, exp_sum, poisson_identity_check, weyl_bound,
                      weyl_kappa)
-from .rationals import FractionSet, enumerate_set, expected_cardinality
+from .rationals import FractionSet, enumerate_set
 from .sieve import SieveBoundViolation, bound_catalog, sieve_ratio_experiment
 from .spacing import conjecture_scan, spacing_count_bruteforce, spacing_count_fast
 
@@ -63,13 +63,9 @@ def _cached_set(Q: int, k: int, cache_dir: Optional[str]) -> FractionSet:
     os.makedirs(cache_dir, exist_ok=True)
     path = os.path.join(cache_dir, f"fracset_Q{Q}_k{k}.bin")
     if os.path.exists(path):
-        fs = FractionSet.read_cache(path)
-        expected = expected_cardinality(Q, k)
-        if (fs.Q, fs.k) != (Q, k) or len(fs) != expected:
-            raise ValueError(
-                f"{path}: cache holds {len(fs)} points of S({fs.Q}, {fs.k}), "
-                f"not the {expected} of S({Q}, {k})"
-            )
+        fs = FractionSet.read_cache(path)  # certified to be S(fs.Q, fs.k)
+        if (fs.Q, fs.k) != (Q, k):
+            raise ValueError(f"{path}: cache holds S({fs.Q}, {fs.k}), not S({Q}, {k})")
         return fs
     fs = enumerate_set(Q, k)
     fs.write_cache(path)
@@ -128,8 +124,8 @@ def _cmd_spacing(args: argparse.Namespace) -> tuple[dict, int]:
                 "k": args.k,
                 "N": args.N,
                 "M": res.count,
-                "witness_a": res.witness.a if res.witness else None,
-                "witness_q": res.witness.q if res.witness else None,
+                "witness_a": res.witness.a,
+                "witness_q": res.witness.q,
                 "set_size": len(fs),
             }
         ]
@@ -186,7 +182,7 @@ def _cmd_weyl(args: argparse.Namespace) -> tuple[dict, int]:
     n_min = args.N if args.n_min is None else args.n_min
     if not 1 <= n_min <= args.N:
         raise ValueError(f"need 1 <= --n-min <= --N = {args.N}, got --n-min {n_min}")
-    kappa = weyl_kappa(args.k)  # before the phase's k coefficients are formed
+    kappa = weyl_kappa(args.k, args.N)  # at the largest N, before the phase is formed
     phase = PolynomialPhase.monomial(Fraction(args.alpha), args.k)
     rows = []
     violations = 0

@@ -44,7 +44,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .rationals import exact_columns
+from .rationals import _checked_power, exact_columns
 
 # Distances below this are treated as exact zeros on the float-alpha path;
 # that changes a term only when N > 10**9 (else min(N, 1/dist) is N anyway).
@@ -52,6 +52,9 @@ ZERO_GUARD = 1e-9
 
 # the majorant's leading 2**(2 kappa) is a float only while 2 kappa < 1024
 MAX_WEYL_DEGREE = 9
+
+# cells of one differencing round's product column, np.multiply.outer(prods, r)
+WEYL_CELL_GUARD = 10 ** 7
 
 Interval = tuple[int, int]  # (start, length): the integers start..start+length-1
 
@@ -133,9 +136,10 @@ def exp_sum(phase: PolynomialPhase, interval: Interval) -> complex:
     return complex(re, im)
 
 
-def weyl_kappa(k: int) -> int:
-    """kappa = 2**(k-1) for a degree k the differencing bound holds in a float:
-    ValueError below 2, OverflowError past ``MAX_WEYL_DEGREE``, decided from k."""
+def weyl_kappa(k: int, N: int) -> int:
+    """kappa = 2**(k-1) where the differencing bound holds in floats: ValueError
+    below degree 2, OverflowError past ``MAX_WEYL_DEGREE`` or, from bit lengths,
+    when (4N)**kappa, which bounds |S|**kappa and the majorant, passes 2**1024."""
     if k < 2:
         raise ValueError("the differencing bound needs degree >= 2")
     if k > MAX_WEYL_DEGREE:
@@ -143,7 +147,10 @@ def weyl_kappa(k: int) -> int:
             f"k = {k}: the differencing bound's 2**(2*kappa), kappa = 2**(k-1), "
             f"leaves float range (2**1024) past k = {MAX_WEYL_DEGREE}"
         )
-    return 2 ** (k - 1)
+    kappa = 2 ** (k - 1)
+    _checked_power(4 * N, kappa, 1024, f"at k={k}, N={N} the differencing bound needs "
+                   f"(4N)**kappa, kappa = 2**(k-1), inside float range")
+    return kappa
 
 
 def weyl_bound(phase: PolynomialPhase, interval: Interval) -> float:
@@ -152,10 +159,10 @@ def weyl_bound(phase: PolynomialPhase, interval: Interval) -> float:
     For N = 1 the r-sum is empty and the bound degenerates to 2**(2 kappa).
     """
     k = phase.degree
-    kappa = weyl_kappa(k)
     _, N = interval
     if N < 1:
         raise ValueError("interval length must be >= 1")
+    kappa = weyl_kappa(k, N)
     alpha = phase.leading
     fact = math.factorial(k)
     exact = isinstance(alpha, (int, Fraction))
@@ -167,6 +174,9 @@ def weyl_bound(phase: PolynomialPhase, interval: Interval) -> float:
     prods, r = exact_columns([1], np.arange(1, N), bound=bound)
     mult = np.ones(1)
     for _ in range(k - 1):
+        if len(prods) * len(r) > WEYL_CELL_GUARD:
+            raise ValueError(f"at k={k}, N={N} a differencing round forms {len(prods) * len(r)} "
+                             f"product cells, over the guard {WEYL_CELL_GUARD}; reduce k or N")
         prods, inv = np.unique(np.multiply.outer(prods, r).ravel(), return_inverse=True)
         mult = np.bincount(inv, weights=np.repeat(mult, len(r)))
 

@@ -15,10 +15,10 @@ Integer columns ``(nums, dens)`` are the one exact form of a point set:
 ``exact_columns`` is the width rule (int64 while every product the caller
 forms stays below 2**62, Python-integer object arrays past it) and
 ``strictly_increasing`` the order certificate.  A ``FractionSet`` is always
-int64: S(Q, k) is refused once (2Q)**(2k) reaches 2**62 (S(3, 12), the
-smallest such set, has 929,295,220 points), and enumeration refuses a set of
-more than ``MAX_SET_POINTS`` points from its closed-form count.  Single
-``PowerFraction`` pairs use Python integers with q**k below 2**64.
+exactly S(Q, k), int64: S(Q, k) is refused once (2Q)**(2k) reaches 2**62
+(S(3, 12), the smallest such set, has 929,295,220 points) or its closed-form
+count passes ``MAX_SET_POINTS``.  Single ``PowerFraction`` pairs use Python
+integers with q**k below 2**64.
 """
 
 from __future__ import annotations
@@ -64,15 +64,20 @@ def _checked_power(q: int, k: int, bits: int, why: str) -> int:
     return qk
 
 
-def _check_window(Q: int, k: int) -> None:
-    """Refuse S(Q, k) unless Q >= 1, k >= 2 and its cross products
-    (2Q)**(2k) fit int64 columns, that is (2Q)**k < 2**31."""
+def _checked_size(Q: int, k: int) -> int:
+    """|S(Q, k)|, refusing the set unless Q >= 1, k >= 2, its cross products
+    (2Q)**(2k) fit int64 columns ((2Q)**k < 2**31) and it has at most
+    ``MAX_SET_POINTS`` points, so (2Q)**(2k) <= 2**48 (see ``enumerate_set``)."""
     if Q < 1:
         raise ValueError(f"Q must be >= 1, got {Q}")
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
     _checked_power(2 * Q, k, _INT64_PRODUCT_BITS // 2,
                    f"S({Q}, {k}) is too wide for int64 columns, its cross products reach 2**62")
+    count = expected_cardinality(Q, k)
+    if count > MAX_SET_POINTS:
+        raise ValueError(f"S({Q}, {k}) has {count} points, more than the budget {MAX_SET_POINTS}")
+    return count
 
 
 def exact_columns(*cols, bound: int) -> tuple[np.ndarray, ...]:
@@ -131,7 +136,10 @@ class PowerFraction:
 
 
 class FractionSet:
-    """An enumerated S(Q, k), sorted ascending by value.
+    """Exactly S(Q, k), sorted ascending by value: an invariant this module
+    establishes where a set is made, by construction in ``enumerate_set`` and
+    by certifying every record in ``read_cache``, so consumers trust it.  The
+    constructor refuses (Q, k) that ``enumerate_set`` would and any other count.
 
     Storage is columnar: ``numerators`` and ``bases`` are parallel int64
     arrays, and ``denominators()`` gives the int64 column q**k; every cross
@@ -140,10 +148,12 @@ class FractionSet:
     """
 
     def __init__(self, Q: int, k: int, numerators: np.ndarray, bases: np.ndarray):
-        self.Q = int(Q)
-        self.k = int(k)
-        self._a = numerators
-        self._q = bases
+        self.Q, self.k = int(Q), int(k)
+        count = _checked_size(self.Q, self.k)
+        if not len(numerators) == len(bases) == count:
+            raise ValueError(f"S({Q}, {k}) has {count} points, not {len(numerators)} "
+                             f"numerators and {len(bases)} bases")
+        self._a, self._q = numerators, bases
 
     def __len__(self) -> int:
         return len(self._a)
@@ -189,25 +199,49 @@ class FractionSet:
 
     @classmethod
     def read_cache(cls, path) -> "FractionSet":
-        with open(path, "rb") as fh:
-            magic = fh.read(len(_CACHE_MAGIC))
-            if magic != _CACHE_MAGIC:
-                raise ValueError(f"{path}: not a fraction-set cache")
-            head = fh.read(_CACHE_HEADER.size)
-            if len(head) != _CACHE_HEADER.size:
-                raise ValueError(f"{path}: truncated cache header")
-            Q, k, count = _CACHE_HEADER.unpack(head)
-            try:
-                _check_window(Q, k)  # the header enumerate_set would refuse
-            except (ValueError, OverflowError) as exc:
-                raise type(exc)(f"{path}: {exc}") from None
-            rec = np.fromfile(fh, dtype="<u8", count=2 * count)
-        if rec.size != 2 * count:
-            raise ValueError(f"{path}: truncated cache (expected {count} records)")
-        a, q = rec[0::2].astype(np.int64), rec[1::2].astype(np.int64)
-        if not strictly_increasing(a, q, k):
-            raise ValueError(f"{path}: cache records are not strictly increasing")
-        return cls(Q, k, a, q)
+        """The S(Q, k) a cache file holds: the header's (Q, k) and count and
+        the file size are checked before anything is allocated, then every
+        record by ``_certify``."""
+        try:
+            with open(path, "rb") as fh:
+                if fh.read(len(_CACHE_MAGIC)) != _CACHE_MAGIC:
+                    raise ValueError("not a fraction-set cache")
+                head = fh.read(_CACHE_HEADER.size)
+                if len(head) != _CACHE_HEADER.size:
+                    raise ValueError("truncated cache header")
+                Q, k, count = _CACHE_HEADER.unpack(head)
+                expected = _checked_size(Q, k)  # the header enumerate_set would refuse
+                if count != expected:
+                    raise ValueError(f"header counts {count} points, S({Q}, {k}) has {expected}")
+                size = os.fstat(fh.fileno()).st_size - fh.tell()
+                if size != 16 * count:  # (a, q) u64 pairs
+                    raise ValueError(f"truncated or overlong cache: {size} bytes "
+                                     f"of records, expected {16 * count}")
+                rec = np.fromfile(fh, dtype="<u8", count=2 * count)
+            fs = cls(Q, k, rec[0::2].astype(np.int64), rec[1::2].astype(np.int64))
+            _certify(fs)
+        except (ValueError, OverflowError) as exc:
+            raise type(exc)(f"{path}: {exc}") from None
+        return fs
+
+
+def _certify(fs: FractionSet) -> None:
+    """ValueError unless every record of ``fs``, a block at a time, has its
+    base in (Q, 2Q], 1 <= a < q**k, a unit mod q (a lookup of a % q) and
+    exceeds its predecessor: distinct members, |S(Q, k)| of them, are S(Q, k)."""
+    Q, k, a, q = fs.Q, fs.k, fs.numerators, fs.bases
+    unit = (np.gcd.outer(np.arange(Q + 1, 2 * Q + 1), np.arange(2 * Q)) == 1).ravel()
+    for lo in range(0, len(a), _CERTIFY_BLOCK):
+        aa, qq = a[lo:lo + _CERTIFY_BLOCK + 1], q[lo:lo + _CERTIFY_BLOCK + 1]
+        member = (Q < qq) & (qq <= 2 * Q)
+        if member.all():
+            d = qq ** k
+            member = (1 <= aa) & (aa < d) & unit[(qq - (Q + 1)) * (2 * Q) + aa % qq]
+        if not member.all():
+            i = lo + int(np.argmin(member))
+            raise ValueError(f"cache record {i}, {a[i]}/{q[i]}**{k}, is not in S({Q}, {k})")
+        if not np.all(aa[:-1] * d[1:] < aa[1:] * d[:-1]):
+            raise ValueError("cache records are not strictly increasing")
 
 
 def enumerate_set(Q: int, k: int) -> FractionSet:
@@ -217,19 +251,14 @@ def enumerate_set(Q: int, k: int) -> FractionSet:
     are exactly a = m*q + r with 0 <= m < q**(k-1) and r a reduced residue,
     since gcd(a, q) depends on a mod q alone.
 
-    Sorting uses a float64 argsort as a hint and then certifies strict
-    increase of adjacent pairs by exact cross-multiplication; if the floats
-    cannot resolve the order (adjacent values may differ by less than a
-    float64 step) it falls back to a full exact sort.  Sets whose cross
-    products would not fit int64, or of more than ``MAX_SET_POINTS`` points,
-    are refused before anything is allocated.
+    Sorting is a float64 argsort, then certified by exact cross products.
+    The floats cannot tie or swap: distinct points differ by at least
+    (2Q)**(-2k) >= 2**-48 in every set ``_checked_size`` admits, and each
+    float is within 2**-54 of its point.  Sets whose cross products would not
+    fit int64, or of more than ``MAX_SET_POINTS`` points, are refused before
+    anything is allocated.
     """
-    _check_window(Q, k)  # loud failure naming the largest q**k and its bits
-    count = expected_cardinality(Q, k)
-    if count > MAX_SET_POINTS:
-        raise ValueError(
-            f"S({Q}, {k}) has {count} points, more than the budget {MAX_SET_POINTS}"
-        )
+    _checked_size(Q, k)  # loud failure naming the largest q**k and its bits
 
     a_parts, q_parts = [], []
     for q in range(Q + 1, 2 * Q + 1):
@@ -246,13 +275,7 @@ def enumerate_set(Q: int, k: int) -> FractionSet:
     bases = bases[order]
 
     if not strictly_increasing(nums, bases, k):
-        # float hint failed; do it the slow exact way
-        keys = [Fraction(int(a), int(q) ** k) for a, q in zip(nums, bases)]
-        order = sorted(range(len(keys)), key=keys.__getitem__)
-        nums = nums[order]
-        bases = bases[order]
-        if not strictly_increasing(nums, bases, k):
-            raise AssertionError("duplicate values in fraction set")  # impossible
+        raise AssertionError(f"the float order of S({Q}, {k}) failed its certificate")
     return FractionSet(Q, k, nums, bases)
 
 

@@ -12,9 +12,9 @@ of the two spectral norms is the operator-norm duality that the test suite
 asserts numerically.  lambda_max comes from one dense eigensolve
 (numpy.linalg.eigh) of the side's Gram matrix.  The two sides are built
 independently: TT* from the sieve matrix, and T*T, which depends only on
-m - n, as a Toeplitz matrix over the symbol c[h] = sum_j e(x_j h).  For the
-full S(Q, k) the symbol is a sum of Ramanujan sums, an integer vector, and
-T*T is solved as a real symmetric matrix; other point sets stay complex.
+m - n, as a Toeplitz matrix over the symbol c[h] = sum_j e(x_j h).  For a
+FractionSet, always the full S(Q, k), the symbol is a sum of Ramanujan sums,
+an integer vector, and T*T is real symmetric; point sequences stay complex.
 
 Two kinds of upper bounds are tracked:
 
@@ -42,8 +42,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .arith import factorize
-from .rationals import (FractionSet, PowerFraction, _checked_power, exact_columns,
-                        expected_cardinality, strictly_increasing)
+from .rationals import FractionSet, PowerFraction, _checked_power, exact_columns
 
 # cell guard for gram experiments: K*N for T and d*d for the Gram matrix solved
 GRAM_CELL_GUARD = 10 ** 7
@@ -109,23 +108,15 @@ def _point_columns(points: Sequence):
     return [p.numerator for p in pts], [p.denominator for p in pts], None
 
 
-def _is_full_set(fs: FractionSet, nums: np.ndarray, dens: np.ndarray) -> bool:
-    """Whether certified-increasing columns are exactly S(fs.Q, fs.k): the
-    right count of distinct points, each a reduced a/q**k with Q < q <= 2Q."""
-    q = fs.bases
-    return len(fs) == expected_cardinality(fs.Q, fs.k) and bool(np.all(
-        (fs.Q < q) & (q <= 2 * fs.Q) & (1 <= nums) & (nums < dens) & (np.gcd(nums, q) == 1)))
-
-
 class SieveInstance:
     """A finite torus point set plus the frequency window (M, M+N].
 
-    Points are a FractionSet, whose columns are taken as they are, or a
-    sequence of PowerFractions, Fractions, ints and floats, distinct mod 1.
-    They are held ascending in [0, 1): rational ones as reduced integer
-    columns ``nums``, ``dens`` at the ``exact_columns`` width of dens**2,
-    float ones (one float makes them all float) as a float ``values`` array.
-    ``full_set`` is (Q, k) when the points are exactly S(Q, k), else None.
+    Points are a FractionSet, exactly S(Q, k) ascending, whose columns are
+    taken as they are, or a sequence of PowerFractions, Fractions, ints and
+    floats, distinct mod 1.  They are held ascending in [0, 1): rational ones
+    as reduced integer columns ``nums``, ``dens`` at the ``exact_columns``
+    width of dens**2, float ones (one float makes them all float) as a float
+    ``values`` array.  ``full_set`` is (Q, k) for a FractionSet, else None.
     """
 
     def __init__(self, points: FractionSet | Sequence, M: int, N: int):
@@ -134,10 +125,7 @@ class SieveInstance:
         self.full_set = None
         if isinstance(points, FractionSet):
             nums, dens, values = points.numerators, points.denominators(), None
-            if not strictly_increasing(nums, dens):
-                raise ValueError("fraction set is not strictly increasing")
-            if _is_full_set(points, nums, dens):
-                self.full_set = (points.Q, points.k)
+            self.full_set = (points.Q, points.k)
         else:
             nums, dens, values = _point_columns(points)
         if len(nums if values is None else values) == 0:
@@ -354,7 +342,8 @@ def sieve_ratio_experiment(fs: FractionSet, N: int, epsilon: float = 0.0) -> dic
     Q, k = fs.Q, fs.k
     _check_gram_guard(len(fs), N)  # before the instance is built
     inst = SieveInstance.from_fraction_set(fs, N)
-    side = "points" if inst.K <= inst.N else "frequencies"
+    # the complex K x K points solve costs the real N x N one's time at N = 2K
+    side = "points" if 2 * inst.K <= inst.N else "frequencies"
     spec = gram_lambda_max(inst, side)
     ceiling = per_q_exact_ceiling(Q, N, k)
     if spec.lambda_max > ceiling + 1e-6 * max(1.0, ceiling):

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Iterable
 
 import numpy as np
 
@@ -55,7 +55,7 @@ class SpacingResult:
     """
 
     count: int
-    witness: Optional[PowerFraction]
+    witness: PowerFraction
     counts: np.ndarray = field(repr=False)
 
 
@@ -186,9 +186,7 @@ def neighbor_counts_sorted(nums, dens, t_num, t_den) -> np.ndarray:
 
 
 def _result_from_counts(fs: FractionSet, counts: np.ndarray) -> SpacingResult:
-    if len(counts) == 0:
-        return SpacingResult(0, None, counts)
-    w = int(np.argmax(counts))
+    w = int(np.argmax(counts))  # S(Q, k) is never empty
     return SpacingResult(int(counts[w]), fs[w], counts)
 
 

@@ -7,9 +7,11 @@ import json
 import os
 import pathlib
 import shlex
+import struct
 import sys
 import time
 
+import numpy as np
 import pytest
 
 from powersieve import cli
@@ -281,6 +283,51 @@ class TestCache:
         assert captured.out == ""
         assert f"{path}: cache records are not strictly increasing" in captured.err
 
+    @pytest.mark.parametrize("argv", [["spacing", "--Q", "3", "--N", "27"],
+                                      ["conjecture", "--q-min", "3", "--q-max", "3"],
+                                      ["sieve-ratio", "--Q", "3", "--N", "27"]])
+    @pytest.mark.parametrize("i, a, q", [(8, 8, 6), (0, 1, 7), (39, 37, 6)])
+    def test_cache_with_non_member_record_refused(self, tmp_path, capsys, argv, i, a, q):
+        # each record keeps the order: non-reduced 8/6**2, base 7 outside
+        # (3, 6], numerator 37 past 6**2
+        cache = tmp_path / "cache"
+        argv = [*argv, "--cache-dir", str(cache)]
+        assert main(argv) == EXIT_OK
+        path = cache / "fracset_Q3_k2.bin"
+        data = bytearray(path.read_bytes())
+        at = len(data) - 16 * (expected_cardinality(3, 2) - i)  # (a, q) u64 pairs
+        data[at:at + 16] = struct.pack("<QQ", a, q)
+        path.write_bytes(bytes(data))
+        capsys.readouterr()
+        assert main(argv) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"powersieve {argv[0]}: {path}: cache record {i}, "
+                                f"{a}/{q}**2, is not in S(3, 2)\n")
+
+    def test_huge_header_count_refused_before_records_are_read(self, tmp_path, capsys,
+                                                                monkeypatch):
+        cache = tmp_path / "cache"
+        argv = ["spacing", "--Q", "3", "--N", "27", "--cache-dir", str(cache)]
+        assert main(argv) == EXIT_OK
+        path = cache / "fracset_Q3_k2.bin"
+        data = bytearray(path.read_bytes())
+        data[8:32] = struct.pack("<QQQ", 3, 2, 10 ** 12)  # after the 8-byte magic
+        path.write_bytes(bytes(data))
+        reads = []
+        fromfile = np.fromfile
+
+        def spy(*args, **kwargs):
+            reads.append(kwargs.get("count"))
+            return fromfile(*args, **kwargs)
+
+        monkeypatch.setattr(np, "fromfile", spy)
+        capsys.readouterr()
+        assert main(argv) == EXIT_USAGE
+        assert reads == []
+        assert capsys.readouterr().err == (f"powersieve spacing: {path}: header counts "
+                                           f"1000000000000 points, S(3, 2) has 40\n")
+
     def test_cache_write_leaves_no_temporary(self, tmp_path, capsys):
         cache = tmp_path / "cache"
         assert main(["spacing", "--Q", "2", "--N", "8", "--cache-dir", str(cache)]) == EXIT_OK
@@ -366,6 +413,14 @@ class TestWidthGuards:
         # inside the int64 width rule, refused from its closed-form count
         (["spacing", "--Q", "5000", "--N", "1"],
          "S(5000, 2) has 177316520402 points, more than the budget 10000000"),
+        # the rows' |S|**kappa and majorant need (4N)**kappa inside float range
+        (["weyl", "--alpha", "1/7", "--k", "9", "--N", "20", "--n-min", "20"],
+         "q**k = 80**256 has at least 1537 bits, more than 1024: at k=9, N=20 the "
+         "differencing bound needs (4N)**kappa, kappa = 2**(k-1), inside float range"),
+        # the second differencing round would hold 3999 x 3999 product cells
+        (["weyl", "--alpha", "1/7", "--k", "4", "--N", "4000", "--n-min", "4000"],
+         "at k=4, N=4000 a differencing round forms 15992001 product cells, "
+         "over the guard 10000000; reduce k or N"),
     ])
     def test_refused_before_the_power_is_formed(self, argv, message, capsys):
         start = time.process_time()

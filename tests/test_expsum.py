@@ -180,6 +180,26 @@ class TestWeylBound:
         with pytest.raises(OverflowError, match=r"k = 10: .* leaves float range"):
             weyl_bound(PolynomialPhase.monomial(Fraction(1, 7), 10), (1, 1))
 
+    def test_length_past_float_range_refused(self):
+        # (4N)**kappa bounds |S|**kappa and the majorant: at k = 9 it is
+        # 12**256 < 2**918 for N = 3 and 16**256 = 2**1024 for N = 4
+        phase = PolynomialPhase.monomial(Fraction(1, 7), 9)
+        assert math.isfinite(weyl_bound(phase, (1, 3)))
+        with pytest.raises(OverflowError, match=r"at k=9, N=4 the differencing bound needs "
+                                                r"\(4N\)\*\*kappa"):
+            weyl_bound(phase, (1, 4))
+
+    def test_cell_guard_refuses_a_round_before_it_is_formed(self, monkeypatch):
+        # k = 3, N = 40: the second round would form 39 distinct products x 39
+        phase = PolynomialPhase.monomial(Fraction(1, 7), 3)
+        bound = weyl_bound(phase, (1, 40))
+        monkeypatch.setattr(expsum, "WEYL_CELL_GUARD", 39 * 39)
+        assert weyl_bound(phase, (1, 40)) == bound
+        monkeypatch.setattr(expsum, "WEYL_CELL_GUARD", 39 * 39 - 1)
+        with pytest.raises(ValueError, match="at k=3, N=40 a differencing round forms 1521 "
+                                             "product cells, over the guard 1520"):
+            weyl_bound(phase, (1, 40))
+
     @pytest.mark.parametrize("k", [2, 3])
     def test_bound_validity_random_rational_phases(self, k):
         rng = random.Random(k * 1001)

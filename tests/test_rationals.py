@@ -89,6 +89,22 @@ class TestEnumeration:
             assert peak < 2 ** 20
         assert expected_cardinality(3, 12) == 929_295_220
 
+    def test_admitted_points_are_at_least_2_to_the_minus_48_apart(self):
+        # enumerate_set's float argsort is exact because distinct points of an
+        # admitted S(Q, k) differ by (2Q)**(-2k), far above the 2**-54 rounding
+        # of each float; the widest admitted sets, S(2, 12) and S(1, 24), reach
+        # 2**-48
+        widest = []
+        for k in range(2, 32):
+            for Q in range(1, 200):
+                try:
+                    rationals._checked_size(Q, k)
+                except (ValueError, OverflowError):
+                    break
+                widest.append(((2 * Q) ** (2 * k), Q, k))
+        assert max(widest)[0] == 2 ** 48
+        assert sorted(w[1:] for w in widest if w[0] == 2 ** 48) == [(1, 24), (2, 12)]
+
 
 class TestOrderCertificate:
     """The blocked certificate equals the one-shot cross-product expression."""
@@ -219,4 +235,73 @@ class TestSerialization:
         data = path.read_bytes()
         path.write_bytes(data[:-8])
         with pytest.raises(ValueError, match="truncated"):
+            FractionSet.read_cache(path)
+
+
+# records of S(3, 2) replaced by a non-member a/q**2 that keeps the order:
+# the order certificate alone passes each of them
+NON_MEMBERS = {
+    "non_reduced": (8, 8, 6),            # 3/16 < 8/36 < 6/25, gcd(8, 6) = 2
+    "base_outside_window": (0, 1, 7),    # 1/49 below the least point 1/36
+    "base_below_window": (4, 1, 3),      # 2/25 < 1/9 < 5/36
+    "numerator_past_one": (39, 37, 6),   # 37/36 past the largest point 35/36
+}
+
+
+def with_record(fs, i, a, q):
+    """A copy of ``fs`` whose record i is a/q**k; the constructor checks only
+    (Q, k) and the count, so the copy can be written as a cache file."""
+    nums, bases = fs.numerators.copy(), fs.bases.copy()
+    nums[i], bases[i] = a, q
+    return FractionSet(fs.Q, fs.k, nums, bases)
+
+
+class TestCacheCertificate:
+    """read_cache returns a set only when its records are exactly S(Q, k)."""
+
+    @pytest.mark.parametrize("case", sorted(NON_MEMBERS))
+    def test_read_cache_refuses_non_member(self, tmp_path, case):
+        i, a, q = NON_MEMBERS[case]
+        tampered = with_record(enumerate_set(3, 2), i, a, q)
+        assert strictly_increasing(tampered.numerators, tampered.bases, 2)
+        path = tmp_path / "s32.bin"
+        tampered.write_cache(path)
+        message = f"{path}: cache record {i}, {a}/{q}**2, is not in S(3, 2)"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            FractionSet.read_cache(path)
+
+    @pytest.mark.parametrize("i", [0, rationals._CERTIFY_BLOCK - 1, rationals._CERTIFY_BLOCK,
+                                   2 * rationals._CERTIFY_BLOCK + 5, 38_629])
+    def test_non_member_named_in_any_block(self, tmp_path, i):
+        # S(30, 2) has 38,630 points, three blocks; a base of 61 is outside (30, 60]
+        fs = enumerate_set(30, 2)
+        path = tmp_path / "s302.bin"
+        with_record(fs, i, 1, 61).write_cache(path)
+        with pytest.raises(ValueError, match=re.escape(f"cache record {i}, 1/61**2, is not")):
+            FractionSet.read_cache(path)
+
+    def test_constructor_refuses_partial_and_inadmissible_sets(self):
+        fs = enumerate_set(3, 2)
+        with pytest.raises(ValueError, match=r"S\(3, 2\) has 40 points, not 39 numerators"):
+            FractionSet(3, 2, fs.numerators[1:], fs.bases[1:])
+        with pytest.raises(ValueError, match="Q must be >= 1, got 0"):
+            FractionSet(0, 2, fs.numerators[:0], fs.bases[:0])  # the empty S(0, 2)
+
+    @pytest.mark.parametrize("count", [39, 41, 10 ** 12])
+    def test_header_count_refused_before_records_are_read(self, tmp_path, monkeypatch, count):
+        def refuse(*args, **kwargs):
+            raise AssertionError("records read under a wrong count")
+
+        monkeypatch.setattr(np, "fromfile", refuse)
+        path = tmp_path / "s32.bin"
+        path.write_bytes(b"PWFRSET1" + struct.pack("<QQQ", 3, 2, count) + bytes(16 * 39))
+        message = f"{path}: header counts {count} points, S(3, 2) has 40"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            FractionSet.read_cache(path)
+
+    def test_overlong_file_refused(self, tmp_path):
+        path = tmp_path / "s22.bin"
+        enumerate_set(2, 2).write_cache(path)
+        path.write_bytes(path.read_bytes() + bytes(16))
+        with pytest.raises(ValueError, match="overlong cache: 240 bytes of records, expected 224"):
             FractionSet.read_cache(path)

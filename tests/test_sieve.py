@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from powersieve import sieve as sv
-from powersieve.rationals import FractionSet, enumerate_set, strictly_increasing
+from powersieve.rationals import enumerate_set, strictly_increasing
 from powersieve.sieve import (
     ConvergenceError,
     SieveInstance,
@@ -200,40 +200,14 @@ class TestDuality:
         assert abs(lhs - rhs) <= 1e-8 * max(lhs, rhs)
 
 
-def float_symbol(nums, dens, N):
-    """sum_j e(a_j h / d_j) for h = 0..N-1, phases reduced in integers."""
-    a, d = np.asarray(nums)[:, None], np.asarray(dens)[:, None]
-    return np.exp(2j * np.pi * ((a * np.arange(N) % d) / d)).sum(axis=0)
-
-
 def point_list(fs):
     """The points of a fraction set as a plain list: the float-symbol route."""
     return [p.as_fraction() for p in fs]
 
 
-def with_record(fs, i, a, q):
-    """A copy of ``fs`` whose record i is replaced by a/q**k."""
-    nums, bases = fs.numerators.copy(), fs.bases.copy()
-    nums[i], bases[i] = a, q
-    return FractionSet(fs.Q, fs.k, nums, bases)
-
-
-def non_reduced_record(fs):
-    """(i, a): the first non-reduced a/q_i**k strictly between records i-1
-    and i+1, with q_i the base of record i."""
-    nums, dens = fs.numerators, fs.denominators()
-    for i in range(1, len(fs) - 1):
-        q, d = int(fs.bases[i]), int(dens[i])
-        for a in range(1, d):
-            if (math.gcd(a, q) > 1 and nums[i - 1] * d < a * dens[i - 1]
-                    and a * dens[i + 1] < nums[i + 1] * d):
-                return i, a
-    raise AssertionError("no order-keeping non-reduced record")
-
-
 class TestIntegerSymbol:
-    """A full S(Q, k) takes the strided Ramanujan-sum symbol and a real
-    symmetric solve; every other point set keeps the complex symbol."""
+    """A FractionSet, always the full S(Q, k), takes the strided Ramanujan-sum
+    symbol and a real symmetric solve; point sequences keep the complex symbol."""
 
     @pytest.mark.parametrize(
         "Q, k, N", [(4, 2, 64), (8, 2, 512), (6, 2, 216), (12, 2, 1728), (3, 3, 81), (4, 3, 256)]
@@ -279,35 +253,6 @@ class TestIntegerSymbol:
         gram_lambda_max(SieveInstance.from_fraction_set(fs, 27), "frequencies")
         gram_lambda_max(SieveInstance(point_list(fs), 0, 27), "frequencies")
         assert seen == [np.float64, np.complex128]
-
-    def test_cached_set_with_non_reduced_record_keeps_float_symbol(self, tmp_path):
-        fs = enumerate_set(3, 2)
-        i, a = non_reduced_record(fs)
-        path = tmp_path / "tampered.bin"
-        with_record(fs, i, a, int(fs.bases[i])).write_cache(path)
-        tampered = FractionSet.read_cache(path)  # count and order both pass
-        assert len(tampered) == len(fs) and math.gcd(a, int(tampered.bases[i])) > 1
-        inst = SieveInstance.from_fraction_set(tampered, 27)
-        assert inst.full_set is None
-        c = inst.gram_symbol()
-        assert np.iscomplexobj(c)
-        reference = float_symbol(tampered.numerators, tampered.denominators(), 27)
-        assert np.allclose(c, reference, rtol=0, atol=1e-9)
-        assert not np.allclose(c, SieveInstance.from_fraction_set(fs, 27).gram_symbol())
-
-    @pytest.mark.parametrize("case", ["base_outside_window", "numerator_past_one", "partial"])
-    def test_other_non_members_keep_float_symbol(self, case):
-        fs = enumerate_set(3, 2)  # bases 4, 5, 6
-        if case == "base_outside_window":  # 1/49 sits below the least point 1/36
-            fs = with_record(fs, 0, 1, 7)
-        elif case == "numerator_past_one":  # 37/36 is past the largest point 35/36
-            fs = with_record(fs, len(fs) - 1, 37, 6)
-        else:
-            fs = FractionSet(3, 2, fs.numerators[1:], fs.bases[1:])
-        inst = SieveInstance.from_fraction_set(fs, 27)
-        assert inst.full_set is None
-        reference = float_symbol(fs.numerators, fs.denominators(), 27)
-        assert np.allclose(inst.gram_symbol(), reference, rtol=0, atol=1e-9)
 
 
 class TestSpectralProperties:
@@ -498,6 +443,25 @@ class TestRatioExperiment:
         assert ceiling == per_q_exact_ceiling(4, 27, 2)
         inst = SieveInstance.from_fraction_set(enumerate_set(4, 2), 27)
         assert rec["lambda_max"] == gram_lambda_max(inst, "frequencies").lambda_max
+
+    @pytest.mark.parametrize("N, dtype", [(79, np.float64), (80, np.complex128)])
+    def test_points_side_only_from_twice_the_set_size(self, monkeypatch, N, dtype):
+        # |S(3, 2)| = 40: the real frequencies solve serves N < 2K = 80, the
+        # complex points solve N >= 80
+        seen = []
+        eigh = np.linalg.eigh
+
+        def spy(G):
+            seen.append((G.dtype, len(G)))
+            return eigh(G)
+
+        monkeypatch.setattr(np.linalg, "eigh", spy)
+        rec = sieve_ratio_experiment(enumerate_set(3, 2), N)
+        assert seen == [(dtype, N if dtype == np.float64 else 40)]
+        inst = SieveInstance.from_fraction_set(enumerate_set(3, 2), N)
+        other = "points" if dtype == np.float64 else "frequencies"
+        assert rec["lambda_max"] == pytest.approx(gram_lambda_max(inst, other).lambda_max,
+                                                  rel=1e-12, abs=0)
 
     def test_guard_rejects_oversized(self):
         with pytest.raises(ValueError, match="guard"):

@@ -168,17 +168,17 @@ def weyl_bound(phase: PolynomialPhase, interval: Interval) -> float:
     exact = isinstance(alpha, (int, Fraction))
     u, v = Fraction(alpha).as_integer_ratio() if exact else (0, 1)
 
-    # distinct products r_1 * ... * r_{k-1} with multiplicities; the bound
-    # covers k! P on the float path and v*v, N*v on the rational one
-    bound = max(fact * (N - 1) ** (k - 1), v * v, N * v)
-    prods, r = exact_columns([1], np.arange(1, N), bound=bound)
-    mult = np.ones(1)
-    for _ in range(k - 1):
-        if len(prods) * len(r) > WEYL_CELL_GUARD:
-            raise ValueError(f"at k={k}, N={N} a differencing round forms {len(prods) * len(r)} "
+    # distinct products r_1 * ... * r_j with multiplicities, round j at the width of
+    # (N-1)**j; the last width covers k! P (float path) and v*v, N*v (rational)
+    prods, mult = [1], np.ones(1)
+    for j in range(1, k):
+        if len(prods) * (N - 1) > WEYL_CELL_GUARD:
+            raise ValueError(f"at k={k}, N={N} a differencing round forms {len(prods) * (N - 1)} "
                              f"product cells, over the guard {WEYL_CELL_GUARD}; reduce k or N")
+        prods, r = exact_columns(prods, np.arange(1, N), bound=(N - 1) ** j)
         prods, inv = np.unique(np.multiply.outer(prods, r).ravel(), return_inverse=True)
         mult = np.bincount(inv, weights=np.repeat(mult, len(r)))
+    (prods,) = exact_columns(prods, bound=max(fact * (N - 1) ** (k - 1), v * v, N * v))
 
     # min(N, 1/||alpha k! P||) per distinct product
     if exact:

@@ -26,6 +26,7 @@ from __future__ import annotations
 import os
 import struct
 from dataclasses import dataclass
+from functools import cache
 from fractions import Fraction
 from math import gcd
 from typing import Iterator
@@ -64,6 +65,7 @@ def _checked_power(q: int, k: int, bits: int, why: str) -> int:
     return qk
 
 
+@cache  # a caller's check and the FractionSet it then builds count a set once
 def _checked_size(Q: int, k: int) -> int:
     """|S(Q, k)|, refusing the set unless Q >= 1, k >= 2, its cross products
     (2Q)**(2k) fit int64 columns ((2Q)**k < 2**31) and it has at most

@@ -6,8 +6,8 @@ The central quantity is, for a point set S on R/Z and a threshold t,
 
 with t = 1/(2N) in the standard parameterization.  Two engines compute it:
 
-* a brute-force oracle that decides every pair in one blocked O(n^2) sweep
-  with no sortedness assumptions, and
+* a brute-force oracle that decides every pair in one blocked O(n^2) sweep,
+  rows of one denominator at a time, with no sortedness assumptions, and
 * a fast path over a sorted set that finds each point's forward arc on the
   circle (wrapping the seam at 0/1) and reads the backward neighbors off
   those same arcs.
@@ -43,7 +43,8 @@ from .rationals import FractionSet, PowerFraction, exact_columns, strictly_incre
 # Hard guard for the quadratic oracle.
 BRUTEFORCE_MAX_POINTS = 50_000
 
-_BLOCK_ROWS = 16
+# cells in one block of the oracle's sweep
+_BLOCK_CELLS = 2 ** 17
 
 
 @dataclass(eq=False)
@@ -60,9 +61,8 @@ class SpacingResult:
 
 
 def _engine_columns(nums, dens, t_num: int, t_den: int):
-    """Both engines' columns; their largest product is 2 dmax**2 max(t_num, t_den)."""
-    dmax = int(np.max(dens))
-    return exact_columns(nums, dens, bound=2 * dmax * dmax * max(t_num, t_den))
+    """The sorted engine's columns; its largest product is 2 dmax**2 max(t_num, t_den)."""
+    return exact_columns(nums, dens, bound=2 * int(np.max(dens)) ** 2 * max(t_num, t_den))
 
 
 def _thresholds(t_num, t_den, n: int):
@@ -78,44 +78,57 @@ def _thresholds(t_num, t_den, n: int):
     return counts, [(r, u, v) for r, (u, v) in enumerate(pairs) if 2 * u <= v]
 
 
+def _oracle_columns(nums, dens, u_max: int):
+    """The oracle's columns: int32 while its cells and u p stay below 2**31."""
+    bound = int(np.max(dens)) ** 2 * u_max
+    if bound < 2 ** 31:
+        return np.asarray(nums, dtype=np.int32), np.asarray(dens, dtype=np.int32)
+    return exact_columns(nums, dens, bound=bound)
+
+
 def neighbor_counts_bruteforce(nums, dens, t_num, t_den) -> np.ndarray:
     """Per-point neighbor counts by exhaustive pairwise comparison.
 
-    For the pair (i, j) let a = |a_i d_j - a_j d_i| < p = d_i d_j.  The torus
-    distance is min(a, p - a)/p, so ||x_i - x_j|| < t = t_num/t_den exactly
-    when min(a, p - a) * t_den < t_num * p, in integers.  a and p are
-    symmetric in (i, j), so a block of rows meets only the columns from its
-    first row on, and a hit counts for its row and, past the block, for its
-    column.  The self pair is a hit and is subtracted.  The block buffers
-    are allocated once and every product is formed in place.
+    For a row a/d and a column b/d' let x = a d' - d b and p = d d' > |x|:
+    ||a/d - b/d'|| < t = u/v exactly when min(|x|, p - |x|) <= (u p - 1) // v.
+    Rows go a class of one denominator d at a time (a stable integer argsort
+    of ``dens``), so p, d b and h = (u p - 1) // v, formed at a width that
+    holds u p and v, are column vectors made once per class, and a cell costs
+    one multiply a d'.  |x| and p are symmetric, so a block of rows meets the
+    columns from its first row on, and a hit counts for its row and, past
+    the block, for its column; the self pair is a hit and is subtracted.
+    Blocks of up to ``_BLOCK_CELLS`` cells fill buffers allocated once.
 
     Scalar ``t_num, t_den`` give an ``(n,)`` array; equal-length sequences
-    give ``(T, n)``, every threshold compared against the same a and p, so
-    one sweep answers them all.  Above t = 1/2 every other point counts.
+    give ``(T, n)`` from one sweep.  Above t = 1/2 every other point counts.
     """
     n = len(nums)
     counts, rows = _thresholds(t_num, t_den, n)
     counts[[r for r, _, _ in rows]] = -1  # the self pair is a hit below
     if n and rows:
-        _, t_nums, t_dens = zip(*rows)
-        nums, dens = _engine_columns(nums, dens, max(t_nums), max(t_dens))
-        bufs = [np.empty((_BLOCK_ROWS, n), dtype=t) for t in [nums.dtype] * 4 + [bool]]
-        for lo in range(0, n, _BLOCK_ROWS):
-            b = min(_BLOCK_ROWS, n - lo)
-            prod, a, lhs, rhs, hit = (x[:b, : n - lo] for x in bufs)
-            di = dens[lo : lo + b, None]
-            np.multiply(di, dens[lo:], out=prod)
-            np.multiply(nums[lo : lo + b, None], dens[lo:], out=a)
-            np.multiply(di, nums[lo:], out=lhs)
-            np.subtract(a, lhs, out=a)
-            np.abs(a, out=a)
-            np.subtract(prod, a, out=lhs)
-            np.minimum(a, lhs, out=a)
-            for r, u, v in rows:
-                np.multiply(a, v, out=lhs)
-                np.less(lhs, prod if u == 1 else np.multiply(prod, u, out=rhs), out=hit)
-                counts[r, lo : lo + b] += np.count_nonzero(hit, axis=1)
-                counts[r, lo + b :] += np.count_nonzero(hit[:, b:], axis=0)
+        order = np.argsort(dens, kind="stable")
+        nums, dens = (c[order] for c in _oracle_columns(nums, dens, max(u for _, u, _ in rows)))
+        cells, other = np.empty((2, max(_BLOCK_CELLS, n)), dtype=nums.dtype)
+        hits = np.empty(len(cells), dtype=bool)
+        ends = [*np.flatnonzero(dens[1:] != dens[:-1]) + 1, n]
+        for c, end in zip([0, *ends], ends):  # the class of rows [c, end)
+            p, db = dens[c] * dens[c:], dens[c] * nums[c:]
+            hs = [((exact_columns(u * p, bound=max(u * int(dens[-1]) ** 2, v))[0] - 1) // v)
+                  .astype(p.dtype) for _, u, v in rows]  # h < p/2 fits the cells
+            step = max(1, _BLOCK_CELLS // (n - c))
+            for lo in range(c, end, step):
+                b, m, s = min(step, end - lo), n - lo, slice(lo - c, None)
+                x, y, hit = (buf[: b * m].reshape(b, m) for buf in (cells, other, hits))
+                np.multiply.outer(nums[lo : lo + b], dens[lo:], out=x)
+                np.subtract(x, db[s], out=x)
+                np.abs(x, out=x)
+                np.subtract(p[s], x, out=y)
+                np.minimum(x, y, out=x)
+                for (r, _, _), h in zip(rows, hs):
+                    np.less_equal(x, h[s], out=hit)
+                    counts[r, lo : lo + b] += np.count_nonzero(hit, axis=1)
+                    counts[r, lo + b :] += np.count_nonzero(hit[:, b:], axis=0)
+        counts[:, order] = counts.copy()  # back from class order
     return counts if np.ndim(t_num) else counts[0]
 
 

@@ -84,6 +84,17 @@ class TestExitCodes:
         }
         assert "per_q_exact" in [r["name"] for r in doc["rows"]]
 
+    def test_brute_engine_at_a_threshold_denominator_past_int32(self, capsys):
+        # the oracle's int32 cells meet t_den = 2 * 10**10 only through its
+        # threshold vector, formed at a width that holds t_den
+        rows = {}
+        for engine in ("brute", "fast"):
+            argv = ["spacing", "--Q", "2", "--k", "2", "--N", "10000000000", "--engine", engine]
+            code, out = run_cli(argv, capsys)
+            assert code == EXIT_OK
+            rows[engine] = json.loads(out)["rows"][0]["M"]
+        assert rows["brute"] == rows["fast"] == 0
+
     def test_table1_refuses_k_other_than_2(self, capsys):
         # table1 is the k = 2 statistic and takes no --k at all
         for k in ("2", "3", "4"):

@@ -265,7 +265,26 @@ class TestWeylReference:
         monkeypatch.setattr(expsum, "exact_columns", spy)
         phase = PolynomialPhase.monomial(Fraction(3_000_000_019, 2 ** 40 + 15), k)
         assert weyl_bound(phase, (1, N)) == reference_weyl_bound(phase, (1, N))
-        assert dtypes and all(dt == object for dt in dtypes)
+        # the rounds' products fit int64; the residues against v*v do not
+        assert dtypes == [np.dtype(np.int64)] * 2 * (k - 1) + [np.dtype(object)]
+
+    def test_each_round_takes_its_own_width(self, monkeypatch):
+        # at k = 6, N = 2000 the last round's bound 720 * 1999**5 needs Python
+        # integers, but round 2's products stay below 1999**2: that round runs
+        # in int64, and the guard refuses round 3 (1,917,606,717 cells)
+        widths = []
+        width_rule = expsum.exact_columns
+
+        def spy(*cols, bound):
+            out = width_rule(*cols, bound=bound)
+            widths.append(out[0].dtype)
+            return out
+
+        monkeypatch.setattr(expsum, "exact_columns", spy)
+        phase = PolynomialPhase.monomial(Fraction(1, 7), 6)
+        with pytest.raises(ValueError, match="at k=6, N=2000 a differencing round forms"):
+            weyl_bound(phase, (1, 2000))
+        assert widths == [np.dtype(np.int64)] * 2
 
 
 class TestFejerKernel:

@@ -89,6 +89,21 @@ class TestEnumeration:
             assert peak < 2 ** 20
         assert expected_cardinality(3, 12) == 929_295_220
 
+    def test_one_count_per_set(self, monkeypatch, tmp_path):
+        # enumerate_set and read_cache check (Q, k) before allocating, and the
+        # FractionSet they build checks it again: the closed form runs once
+        calls = []
+        count = rationals.expected_cardinality
+        monkeypatch.setattr(rationals, "expected_cardinality",
+                            lambda Q, k: calls.append((Q, k)) or count(Q, k))
+        rationals._checked_size.cache_clear()
+        enumerate_set(7, 2).write_cache(tmp_path / "s.bin")
+        assert calls == [(7, 2)]
+        rationals._checked_size.cache_clear()
+        FractionSet.read_cache(tmp_path / "s.bin")
+        assert calls == [(7, 2)] * 2
+        rationals._checked_size.cache_clear()  # drop counts taken through the spy
+
     def test_admitted_points_are_at_least_2_to_the_minus_48_apart(self):
         # enumerate_set's float argsort is exact because distinct points of an
         # admitted S(Q, k) differ by (2Q)**(-2k), far above the 2**-54 rounding

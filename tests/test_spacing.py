@@ -4,6 +4,7 @@ import csv
 import random
 import tracemalloc
 from fractions import Fraction
+from math import gcd
 
 import numpy as np
 import pytest
@@ -400,20 +401,138 @@ class TestSortedBroadcast:
                 neighbor_counts_sorted(nums, dens, t_num, t_den)
 
 
-class TestOracleMemory:
-    def test_block_buffers_bound_the_peak(self):
-        # four int64 block buffers and a bool mask are 33 bytes a cell; 40
-        # leaves room for the row and column sums, while forming the
-        # products as fresh temporaries per block takes about 49
-        fs = enumerate_set(6, 3)
+def random_points(rng, dens):
+    """One point a/d per denominator in ``dens``, a drawn uniformly in [1, d);
+    a tie between two points would fail the sorted engine's order check."""
+    dens = np.asarray(dens, dtype=np.int64)
+    return rng.integers(1, dens), dens
+
+
+class TestOracleClasses:
+    """The oracle sweeps rows a class of one denominator at a time, on int32,
+    int64 or object columns, and answers for any input order."""
+
+    @staticmethod
+    def check_sorted(nums, dens, thresholds, dtype):
+        t_nums = [t.numerator for t in thresholds]
+        t_dens = [t.denominator for t in thresholds]
+        assert spacing._oracle_columns(nums, dens, max(t_nums))[0].dtype == dtype
+        order = np.argsort(nums / dens)  # a float order the sorted engine certifies exactly
+        brute = neighbor_counts_bruteforce(nums, dens, t_nums, t_dens)
+        fast = neighbor_counts_sorted(nums[order], dens[order], t_nums, t_dens)
+        assert np.array_equal(brute[:, order], fast)
+        return brute
+
+    def test_int32_on_fraction_sets(self):
+        for Q, k in [(6, 2), (4, 3)]:
+            fs = enumerate_set(Q, k)
+            N = Q ** (k + 1)
+            thresholds = [Fraction(1, 2 * N), Fraction(1, N), Fraction(3, 1000), Fraction(5, 11)]
+            rows = self.check_sorted(fs.numerators, fs.denominators(), thresholds, np.int32)
+            assert rows[0].max() > 0
+
+    def test_int64_past_2_31_cells(self):
+        # denominators near 10**5: dmax**2 >= 2**31 takes int64 at t_num = 1
+        rng = np.random.default_rng(5)
+        nums, dens = random_points(rng, rng.choice(np.arange(99_000, 100_000), 400, replace=False))
+        assert int(dens.max()) ** 2 >= 2 ** 31
+        rows = self.check_sorted(nums, dens, [Fraction(1, 200), Fraction(1, 2000)], np.int64)
+        assert rows[0].max() > 0
+
+    def test_threshold_numerators_raise_the_width(self):
+        # dmax**2 < 2**31 <= 3 dmax**2: t = 1/100 stays int32, t = 3/1000 and
+        # t = 5/11 form u p past 2**31 and take int64
+        rng = np.random.default_rng(7)
+        nums, dens = random_points(rng, rng.choice(np.arange(30_000, 31_000), 300, replace=False))
+        assert int(dens.max()) ** 2 < 2 ** 31 <= 3 * int(dens.max()) ** 2
+        self.check_sorted(nums, dens, [Fraction(1, 100)], np.int32)
+        rows = self.check_sorted(nums, dens, [Fraction(3, 1000), Fraction(5, 11)], np.int64)
+        assert 0 < rows[0].max() and rows[1].min() < len(nums) - 1
+
+    def test_object_width(self):
+        pts, thresholds = wide_denominator_case()
+        nums, dens = fraction_columns(pts)
+        assert spacing._oracle_columns(nums, dens, 1)[0].dtype == object
+        rows = neighbor_counts_bruteforce(
+            nums, dens, [t.numerator for t in thresholds], [t.denominator for t in thresholds])
+        assert rows.tolist() == [fraction_counts(pts, t) for t in thresholds]
+
+    def test_pair_at_distance_exactly_t_does_not_count(self):
+        # 0, 3/1000 and 1/2: the first pair is exactly t = 3/1000 apart
+        pts = [Fraction(0), Fraction(3, 1000), Fraction(1, 2)]
+        nums, dens = fraction_columns(pts)
+        for t, expected in [(Fraction(3, 1000), [0, 0, 0]), (Fraction(3001, 10 ** 6), [1, 1, 0])]:
+            assert fraction_counts(pts, t) == expected
+            assert neighbor_counts_bruteforce(nums, dens, t.numerator, t.denominator).tolist() == expected
+
+    def test_one_class(self):
+        pts = [Fraction(a, 97) for a in range(97)]
+        random.Random(3).shuffle(pts)
+        nums = np.array([p.numerator * 97 // p.denominator for p in pts])
+        dens = np.full(97, 97)
+        for t in (Fraction(1, 40), Fraction(3, 97), Fraction(1, 97)):
+            counts = neighbor_counts_bruteforce(nums, dens, t.numerator, t.denominator)
+            assert counts.tolist() == fraction_counts(pts, t)
+
+    def test_every_point_its_own_class(self):
+        # one reduced a/d per d, so the points are distinct
+        rng = random.Random(11)
+        dens = np.array(rng.sample(range(2, 180), 178))
+        nums = np.array([rng.choice([a for a in range(1, d) if gcd(a, d) == 1]) for d in dens])
+        pts = [Fraction(int(a), int(d)) for a, d in zip(nums, dens)]
+        for t in (Fraction(1, 60), Fraction(2, 301)):
+            counts = neighbor_counts_bruteforce(nums, dens, t.numerator, t.denominator)
+            assert counts.tolist() == fraction_counts(pts, t)
+
+    @pytest.mark.parametrize("Q, k", [(4, 2), (3, 3)])
+    def test_shuffled_set_gives_permuted_counts(self, Q, k):
+        fs = enumerate_set(Q, k)
         nums, dens = fs.numerators, fs.denominators()
+        N = Q ** (k + 1)
+        t_nums, t_dens = [1, 1, 3], [2 * N, N, 1000]
+        rows = neighbor_counts_bruteforce(nums, dens, t_nums, t_dens)
+        assert np.array_equal(rows, neighbor_counts_sorted(nums, dens, t_nums, t_dens))
+        perm = np.random.default_rng(Q * k).permutation(len(fs))
+        shuffled = neighbor_counts_bruteforce(nums[perm], dens[perm], t_nums, t_dens)
+        assert np.array_equal(shuffled, rows[:, perm])
+
+    @pytest.mark.parametrize("t_den", [2 * 10 ** 10, 2 ** 70])
+    def test_threshold_denominator_past_the_cell_width(self, t_den):
+        # h = (p - 1) // t_den is formed at a width that holds t_den, then
+        # narrowed to the int32 cells
+        fs = enumerate_set(2, 2)
+        nums, dens = fs.numerators, fs.denominators()
+        assert spacing._oracle_columns(nums, dens, 1)[0].dtype == np.int32
+        counts = neighbor_counts_bruteforce(nums, dens, 1, t_den)
+        assert counts.tolist() == neighbor_counts_sorted(nums, dens, 1, t_den).tolist()
+        assert counts.tolist() == [0] * len(fs)
+
+
+class TestOracleMemory:
+    @staticmethod
+    def traced_peak(Q, k):
+        fs = enumerate_set(Q, k)
         tracemalloc.start()
         try:
-            counts = neighbor_counts_bruteforce(nums, dens, 1, 2 * 6 ** 4)
+            counts = neighbor_counts_bruteforce(fs.numerators, fs.denominators(), 1, 2 * Q ** 4)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < spacing._BLOCK_ROWS * len(nums) * 40 + counts.nbytes
+        return peak, len(fs), counts.nbytes
+
+    def test_block_buffers_bound_the_peak(self):
+        # two int32 cell buffers and a bool mask are 9 bytes a cell, 10 with
+        # room for the row and column sums; the columns in class order, the
+        # class vectors and the counts take under 80 bytes a point
+        def bound(n, counts_bytes):
+            return spacing._BLOCK_CELLS * 10 + 80 * n + counts_bytes
+
+        peak, n, counts_bytes = self.traced_peak(6, 3)
+        # the bound of 16-row blocks of four int64 products and a mask
+        assert peak < bound(n, counts_bytes) <= 16 * n * 40 + counts_bytes
+        # three times the points: the 16 * n * 40 bound grows, the peak barely does
+        peak, n, counts_bytes = self.traced_peak(8, 3)
+        assert peak < bound(n, counts_bytes) < (16 * n * 40 + counts_bytes) / 2
 
 
 class TestScanStatistic:

@@ -37,7 +37,7 @@ from . import __version__
 from .characters import build_character_table, gauss_sum, mult_transfer_check
 from .expsum import (PolynomialPhase, exp_sum, poisson_identity_check, weyl_bound,
                      weyl_kappa)
-from .rationals import FractionSet, enumerate_set
+from .rationals import FractionSet, _checked_size, enumerate_set
 from .sieve import SieveBoundViolation, bound_catalog, sieve_ratio_experiment
 from .spacing import conjecture_scan, spacing_count_bruteforce, spacing_count_fast
 
@@ -72,6 +72,15 @@ def _cached_set(Q: int, k: int, cache_dir: Optional[str]) -> FractionSet:
     return fs
 
 
+def _cached_sets(q_min: int, q_max: int, k: int, cache_dir: Optional[str]):
+    """S(Q, k) for Q = q_min..q_max, one at a time, the range refused before
+    the first set: size and width grow with Q, so S(q_max, k) is refused first."""
+    if q_min < 1 or q_max < q_min:
+        raise ValueError(f"bad scan range [{q_min}, {q_max}]")
+    _checked_size(q_max, k)
+    return (_cached_set(Q, k, cache_dir) for Q in range(q_min, q_max + 1))
+
+
 def _emit(args: argparse.Namespace, payload: dict, wall: float) -> None:
     header = {
         "tool": "powersieve",
@@ -104,12 +113,8 @@ def _emit(args: argparse.Namespace, payload: dict, wall: float) -> None:
 
 
 def _cmd_table1(args: argparse.Namespace) -> tuple[dict, int]:
-    if args.q_max < 1:
-        raise ValueError(f"--q-max must be >= 1, got {args.q_max}")
-    rows = []
-    for Q in range(1, args.q_max + 1):
-        fs = _cached_set(Q, 2, args.cache_dir)
-        rows.append({"Q": Q, "M": spacing_count_fast(fs, Q ** 3).count})
+    rows = [{"Q": fs.Q, "M": spacing_count_fast(fs, fs.Q ** 3).count}
+            for fs in _cached_sets(1, args.q_max, 2, args.cache_dir)]
     return {"rows": rows}, EXIT_OK
 
 
@@ -134,12 +139,7 @@ def _cmd_spacing(args: argparse.Namespace) -> tuple[dict, int]:
 
 
 def _cmd_conjecture(args: argparse.Namespace) -> tuple[dict, int]:
-    if args.q_min < 1 or args.q_max < args.q_min:
-        raise ValueError(f"bad scan range [{args.q_min}, {args.q_max}]")
-    report = conjecture_scan(
-        _cached_set(Q, args.k, args.cache_dir)
-        for Q in range(args.q_min, args.q_max + 1)
-    )
+    report = conjecture_scan(_cached_sets(args.q_min, args.q_max, args.k, args.cache_dir))
     rows = [
         {
             "Q": r.Q,
@@ -183,7 +183,11 @@ def _cmd_weyl(args: argparse.Namespace) -> tuple[dict, int]:
     if not 1 <= n_min <= args.N:
         raise ValueError(f"need 1 <= --n-min <= --N = {args.N}, got --n-min {n_min}")
     kappa = weyl_kappa(args.k, args.N)  # at the largest N, before the phase is formed
-    phase = PolynomialPhase.monomial(Fraction(args.alpha), args.k)
+    try:
+        alpha = Fraction(args.alpha)
+    except ZeroDivisionError:
+        raise ValueError(f"--alpha {args.alpha} has a zero denominator") from None
+    phase = PolynomialPhase.monomial(alpha, args.k)
     rows = []
     violations = 0
     for N in range(n_min, args.N + 1):

@@ -13,9 +13,10 @@ with t = 1/(2N) in the standard parameterization.  Two engines compute it:
   those same arcs.
 
 Each answers any number of thresholds in one call and decides
-``||x - x'|| < t`` by exact integer comparison.  The fast path uses float64
-positions only to propose arc ends; every end is settled exactly at p and
-p + 1, so the two engines agree bit for bit, the suite's primary oracle.
+``||x - x'|| < t = u/v`` by its own integer test against the floor
+(u p - 1) // v, at int64 or narrower on every S(Q, k).  Float64 positions
+only propose the fast path's arc ends, each settled exactly, so the engines
+agree bit for bit.
 
 Thresholds are positive fractions ``t_num/t_den``; both engines refuse any
 other.  The counts over a whole set, ``spacing_count_fast`` and
@@ -61,8 +62,8 @@ class SpacingResult:
 
 
 def _engine_columns(nums, dens, t_num: int, t_den: int):
-    """The sorted engine's columns; its largest product is 2 dmax**2 max(t_num, t_den)."""
-    return exact_columns(nums, dens, bound=2 * int(np.max(dens)) ** 2 * max(t_num, t_den))
+    """The sorted engine's columns; its largest operand is 2 dmax**2 t_num, whatever t_den."""
+    return exact_columns(nums, dens, bound=2 * int(np.max(dens)) ** 2 * t_num)
 
 
 def _thresholds(t_num, t_den, n: int):
@@ -138,14 +139,16 @@ def _forward_ends(nums, dens, vf, wn, wd, wf, t_num: int, t_den: int) -> np.ndar
 
     ``wn/wd`` (floats ``wf``) extend the columns past the seam, w_p =
     v_{p-n} + 1, over the points below the largest threshold and one more,
-    which no arc reaches.  One exact round on adjacent pairs (slices) settles
-    every empty arc; float searchsorted proposes the other ends, and exact
-    rounds testing p and p + 1 together move each until p is in, p + 1 out.
+    which no arc reaches.  In integers w_p - v_i < t reads
+    wn_p d_i - n_i wd_p <= (t_num d_i wd_p - 1) // t_den, and a t_den clamped
+    to t_num dmax**2 + 1 leaves every floor as it is.  One exact round on
+    adjacent pairs settles every empty arc; float searchsorted proposes the
+    other ends, and exact rounds testing p and p + 1 move each to p in, p + 1 out.
     """
     n = len(nums)
 
     def lt(ni, di, wnp, wdp):  # w_p - v_i < t, in integers
-        return (wnp * di - ni * wdp) * t_den < t_num * (di * wdp)
+        return wnp * di - ni * wdp <= (t_num * (di * wdp) - 1) // t_den
 
     ends = np.arange(n)
     i = np.flatnonzero(lt(nums, dens, wn[1 : n + 1], wd[1 : n + 1]))
@@ -176,7 +179,8 @@ def neighbor_counts_sorted(nums, dens, t_num, t_den) -> np.ndarray:
     arcs ending before x, j counts p_j - j + (j - E(j)) + (n - E(j + n)).
 
     Thresholds follow the oracle, ``(n,)`` for a scalar and ``(T, n)`` for
-    sequences, and share one set of columns, order certificate and floats.
+    sequences, and share one order certificate, one set of floats and one of
+    columns, int64 while 2 dmax**2 max(t_num) < 2**62, whatever each t_den.
     """
     n = len(nums)
     counts, rows = _thresholds(t_num, t_den, n)
@@ -186,13 +190,14 @@ def neighbor_counts_sorted(nums, dens, t_num, t_den) -> np.ndarray:
         if not strictly_increasing(nums, dens):
             raise ValueError("sorted engine requires strictly increasing values")
         vf = nums.astype(np.float64) / dens.astype(np.float64)
+        cap = max(t_nums) * int(np.max(dens)) ** 2 + 1  # (u p - 1) // v is 0 for v >= cap
         tu, tv = max(((u, v) for _, u, v in rows), key=lambda t: Fraction(*t))
-        e = min(n, 1 + np.count_nonzero(nums * tv < tu * dens))  # m = #{v < t_max}, + 1
+        e = min(n, 1 + np.count_nonzero(nums <= (tu * dens - 1) // min(tv, cap)))  # #{v < t} + 1
         wn = np.concatenate([nums, nums[:e] + dens[:e]])
         wd = np.concatenate([dens, dens[:e]])
         wf = np.concatenate([vf, vf[:e] + 1.0])
         for r, u, v in rows:
-            ends = _forward_ends(nums, dens, vf, wn, wd, wf, u, v)
+            ends = _forward_ends(nums, dens, vf, wn, wd, wf, u, min(v, cap))
             before = np.cumsum(np.bincount(ends + 1, minlength=2 * n))  # E(x)
             counts[r] = ends + n - before[:n] - before[n:]
     return counts if np.ndim(t_num) else counts[0]

@@ -185,6 +185,12 @@ class TestSubcommands:
             captured.err
         )
 
+    def test_weyl_refuses_a_zero_denominator(self, capsys):
+        assert main(["weyl", "--alpha", "1/0", "--k", "2", "--N", "5"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "powersieve weyl: --alpha 1/0 has a zero denominator\n"
+
     def test_poisson_within_bound(self, capsys):
         code, out = run_cli(["poisson", "--N", "4"], capsys)
         assert code == EXIT_OK
@@ -432,6 +438,11 @@ class TestWidthGuards:
         (["weyl", "--alpha", "1/7", "--k", "4", "--N", "4000", "--n-min", "4000"],
          "at k=4, N=4000 a differencing round forms 15992001 product cells, "
          "over the guard 10000000; reduce k or N"),
+        # a scan range is refused at its last, largest set before the first is made
+        (["conjecture", "--q-min", "45", "--q-max", "46", "--k", "3"],
+         "S(46, 3) has 10385352 points, more than the budget 10000000"),
+        (["table1", "--q-max", "192"],
+         "S(192, 2) has 10080808 points, more than the budget 10000000"),
     ])
     def test_refused_before_the_power_is_formed(self, argv, message, capsys):
         start = time.process_time()

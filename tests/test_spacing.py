@@ -1,6 +1,7 @@
 """Spacing counts: oracle equivalence, conventions, seam handling, scans."""
 
 import csv
+import itertools
 import random
 import tracemalloc
 from fractions import Fraction
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from powersieve import spacing
+from powersieve import rationals, spacing
 from powersieve.rationals import enumerate_set
 from powersieve.spacing import (
     BRUTEFORCE_MAX_POINTS,
@@ -506,6 +507,86 @@ class TestOracleClasses:
         counts = neighbor_counts_bruteforce(nums, dens, 1, t_den)
         assert counts.tolist() == neighbor_counts_sorted(nums, dens, 1, t_den).tolist()
         assert counts.tolist() == [0] * len(fs)
+
+
+class TestFloorWidth:
+    """The sorted engine tests x/p < u/v as x <= (u p - 1) // v with v clamped
+    to u dmax**2 + 1, so its width rests on dmax and t_num alone."""
+
+    def test_cubic_columns_at_a_threshold_denominator_near_2_40(self):
+        # the smallest points of S(6, 3), down to 1/12**3, where a factor
+        # 2**40 in the bound would have reached 2**62
+        fs = enumerate_set(6, 3)
+        nums, dens = fs.numerators[:240], fs.denominators()[:240]
+        pts = [Fraction(int(a), int(d)) for a, d in zip(nums, dens)]
+        assert int(dens.max()) == 12 ** 3 and 2 * 12 ** 6 * 2 ** 40 >= 2 ** 62
+        gap = pts[101] - pts[100]  # points 100 and 101 sit exactly t apart
+        m = 2 ** 40 // gap.denominator
+        tie = (gap.numerator * m, gap.denominator * m)
+        for u, v in (tie, (2 ** 40 // (2 * 6 ** 4), 2 ** 40 + 1)):
+            assert 2 ** 39 < v <= 2 ** 40 + 1
+            assert spacing._engine_columns(nums, dens, u, v)[0].dtype == np.int64
+            counts = neighbor_counts_sorted(nums, dens, u, v)
+            assert counts.tolist() == fraction_counts(pts, Fraction(u, v))
+            assert counts.max() > 0
+        at, above = neighbor_counts_sorted(nums, dens, [tie[0], tie[0] + 1], [tie[1]] * 2)
+        assert (above[100:102] > at[100:102]).all()
+
+    def test_threshold_denominators_at_and_past_the_clamp(self):
+        # t_num dmax**2 is the last t_den left as it is, t_num dmax**2 + 1 the
+        # clamp itself, and 2**70 cannot enter an int64 floor division
+        rng = np.random.default_rng(13)
+        nums, dens = random_points(rng, rng.choice(np.arange(900, 1000), 60, replace=False))
+        order = np.argsort(nums / dens)
+        nums, dens = nums[order], dens[order]
+        u, dmax2 = 3, int(dens.max()) ** 2
+        for v in (u * dmax2, u * dmax2 + 1, 2 ** 70):
+            assert spacing._engine_columns(nums, dens, u, v)[0].dtype == np.int64
+            fast = neighbor_counts_sorted(nums, dens, u, v)
+            assert fast.tolist() == neighbor_counts_bruteforce(nums, dens, u, v).tolist()
+            assert fast.tolist() == [0] * len(nums)
+        # clamped rows beside a row that counts, in one call
+        t_nums, t_dens = [u, 1, 1], [2 ** 70, u * dmax2, 40]
+        rows = neighbor_counts_sorted(nums, dens, t_nums, t_dens)
+        assert rows.tolist() == neighbor_counts_bruteforce(nums, dens, t_nums, t_dens).tolist()
+        assert rows[2].max() > 0
+
+    def test_seam_extension_holds_the_points_below_t_and_one_more(self, monkeypatch):
+        # 1/9 is a point of S(2, 2): at t = 1/9 it is not below t, so the
+        # columns extended past the seam stop one point after the last below t
+        fs = enumerate_set(2, 2)
+        nums, dens = fs.numerators, fs.denominators()
+        below = sum(Fraction(int(a), int(d)) < Fraction(1, 9) for a, d in zip(nums, dens))
+        assert Fraction(1, 9) in {p.as_fraction() for p in fs}
+        extended = []
+        forward_ends = spacing._forward_ends
+
+        def spy(nums, dens, vf, wn, *rest):
+            extended.append(len(wn) - len(nums))
+            return forward_ends(nums, dens, vf, wn, *rest)
+
+        monkeypatch.setattr(spacing, "_forward_ends", spy)
+        neighbor_counts_sorted(nums, dens, [1, 1], [9, 90])
+        assert extended == [below + 1] * 2
+
+    def test_every_admitted_set_takes_int64(self):
+        # S(Q, k) at the largest Q the set rules admit for each k: a column
+        # holding dmax = (2Q)**k stays int64 at the scan's two thresholds
+        def admitted(Q, k):
+            try:
+                rationals._checked_size(Q, k)
+            except (ValueError, OverflowError):
+                return False
+            return True
+
+        for k in itertools.count(2):
+            Qs = list(itertools.takewhile(lambda Q: admitted(Q, k), itertools.count(1)))
+            if not Qs:
+                break
+            nums, dens = np.array([1]), np.array([(2 * Qs[-1]) ** k], dtype=np.int64)
+            for t_den in (2 * Qs[-1] ** (k + 1), Qs[-1] ** (k + 1)):
+                assert spacing._engine_columns(nums, dens, 1, t_den)[0].dtype == np.int64
+        assert k == 25  # S(1, 25), 2**24 points, is the first refused at Q = 1
 
 
 class TestOracleMemory:

@@ -81,6 +81,24 @@ def _cached_sets(q_min: int, q_max: int, k: int, cache_dir: Optional[str]):
     return (_cached_set(Q, k, cache_dir) for Q in range(q_min, q_max + 1))
 
 
+# Rows are flat dicts of scalars.  With indent=2's separator between a row's items,
+# one C-encoder call lays out the whole list; escaped strings hold no newline, so
+# "},<sep>{" occurs only between rows, the one boundary laid out by hand.
+_ROWS_ENCODER = json.JSONEncoder(separators=(",\n      ", ": "))
+
+
+def _json_parts(doc: dict) -> list[str]:
+    """json.dumps(doc, indent=2) + "\n" in pieces, the "rows" list spliced in
+    from ``_ROWS_ENCODER``: the indent=2 encoder is pure Python and costs more
+    than most handlers' computing."""
+    rows = doc.get("rows")
+    if not rows:
+        return [json.dumps(doc, indent=2), "\n"]
+    head, tail = json.dumps({**doc, "rows": []}, indent=2).split('\n  "rows": []')
+    body = _ROWS_ENCODER.encode(rows)[2:-2].replace("},\n      {", "\n    },\n    {\n      ")
+    return [head, '\n  "rows": [\n    {\n      ', body, "\n    }\n  ]", tail, "\n"]
+
+
 def _emit(args: argparse.Namespace, payload: dict, wall: float) -> None:
     header = {
         "tool": "powersieve",
@@ -89,7 +107,7 @@ def _emit(args: argparse.Namespace, payload: dict, wall: float) -> None:
         "wall_time_s": round(wall, 6),
     }
     if args.format == "json":
-        text = json.dumps({"header": header, **payload}, indent=2) + "\n"
+        parts = _json_parts({"header": header, **payload})
     else:
         buf = io.StringIO()
         for key, val in header.items():
@@ -104,12 +122,12 @@ def _emit(args: argparse.Namespace, payload: dict, wall: float) -> None:
         for key, val in payload.items():
             if key != "rows":
                 buf.write(f"# {key}: {json.dumps(val, sort_keys=True)}\n")
-        text = buf.getvalue()
+        parts = [buf.getvalue()]
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(parts)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(parts)
 
 
 def _cmd_table1(args: argparse.Namespace) -> tuple[dict, int]:

@@ -2,9 +2,10 @@
 
 ``exp_sum`` evaluates S = sum over an integer interval of e(f(n)) for a
 polynomial phase f.  When the coefficients are rational the phase is reduced
-mod 1 in exact integer arithmetic before the transcendental call, so the
-per-term argument error is one sin/cos ulp even for large n; naive float
-evaluation of f(n) would lose every significant digit long before that.
+mod 1 in exact integer arithmetic (Horner mod L over one ``exact_columns``
+column) before the transcendental call, so the per-term argument error is
+one sin/cos ulp even for large n; naive float evaluation of f(n) would lose
+every significant digit long before that.
 
 ``weyl_bound`` evaluates the explicit-constant majorant obtained by squaring
 the sum k-1 times (kappa = 2**(k-1)):
@@ -40,7 +41,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import fsum
-from typing import Sequence
 
 import numpy as np
 
@@ -99,21 +99,24 @@ class PolynomialPhase:
         return cls((0,) * k + (alpha,))
 
 
-def _phase_fractions_mod1(phase: PolynomialPhase, ns: Sequence[int]) -> list[float]:
-    """f(n) mod 1 for each n, reduced exactly when the phase is rational."""
+def _phase_fractions_mod1(phase: PolynomialPhase, interval: Interval) -> list[float]:
+    """f(n) mod 1 for each n of the interval, reduced exactly when the phase is rational."""
+    start, length = interval
     if phase.is_rational:
         coeffs = [Fraction(c) for c in phase.coefficients]
         L = math.lcm(*(c.denominator for c in coeffs))
-        ints = [int(c * L) for c in coeffs]  # f = P/L with P integral
-        out = []
-        for n in ns:
-            acc = 0
-            for c in reversed(ints):  # Horner mod L keeps everything small
-                acc = (acc * n + c) % L
-            out.append(acc / L)
-        return out
+        ints = [int(c * L) % L for c in coeffs]  # f = P/L with P integral
+        # Horner mod L over one column: acc, c < L keep acc*n + c below L*(max|n| + 1)
+        (ns,) = exact_columns(np.arange(length), bound=L * (max(-start, start + length - 1) + 1))
+        ns = ns + start
+        acc = 0
+        for c in reversed(ints):
+            acc = (acc * ns + c) % L
+        if L < 2 ** 53:  # acc and L are exact doubles: one IEEE division rounds acc / L
+            return (acc.astype(np.float64) / L).tolist()
+        return [a / L for a in acc.tolist()]
     out = []
-    for n in ns:
+    for n in range(start, start + length):
         acc = 0.0
         for c in reversed(phase.coefficients):
             acc = math.fmod(acc * n + float(c), 1.0)
@@ -129,8 +132,7 @@ def exp_sum(phase: PolynomialPhase, interval: Interval) -> complex:
     start, length = interval
     if length < 1:
         raise ValueError("interval length must be >= 1")
-    ns = range(start, start + length)
-    thetas = _phase_fractions_mod1(phase, ns)
+    thetas = _phase_fractions_mod1(phase, interval)
     re = fsum(math.cos(2 * math.pi * t) for t in thetas)
     im = fsum(math.sin(2 * math.pi * t) for t in thetas)
     return complex(re, im)

@@ -61,7 +61,7 @@ class SpacingResult:
     counts: np.ndarray = field(repr=False)
 
 
-def _engine_columns(nums, dens, t_num: int, t_den: int):
+def _engine_columns(nums, dens, t_num: int):
     """The sorted engine's columns; its largest operand is 2 dmax**2 t_num, whatever t_den."""
     return exact_columns(nums, dens, bound=2 * int(np.max(dens)) ** 2 * t_num)
 
@@ -185,8 +185,8 @@ def neighbor_counts_sorted(nums, dens, t_num, t_den) -> np.ndarray:
     n = len(nums)
     counts, rows = _thresholds(t_num, t_den, n)
     if n and rows:
-        _, t_nums, t_dens = zip(*rows)
-        nums, dens = _engine_columns(nums, dens, max(t_nums), max(t_dens))
+        _, t_nums, _ = zip(*rows)
+        nums, dens = _engine_columns(nums, dens, max(t_nums))
         if not strictly_increasing(nums, dens):
             raise ValueError("sorted engine requires strictly increasing values")
         vf = nums.astype(np.float64) / dens.astype(np.float64)

@@ -1,11 +1,13 @@
 """CLI integration: exit codes, formats, determinism, caching."""
 
+import argparse
 import csv
 import importlib
 import io
 import json
 import os
 import pathlib
+import re
 import shlex
 import struct
 import sys
@@ -14,7 +16,7 @@ import time
 import numpy as np
 import pytest
 
-from powersieve import cli
+from powersieve import __version__, cli
 from powersieve.cli import (
     EXIT_ASSERTION,
     EXIT_OK,
@@ -161,6 +163,85 @@ class TestReports:
         _, out = run_cli(["transfer", "--q", "3", "--N", "5", "--seed", "9"], capsys)
         cfg = json.loads(out)["header"]["config"]
         assert cfg["Q"] == 3 and cfg["N"] == 5 and cfg["seed"] == 9
+
+
+EVERY_SUBCOMMAND = [
+    ["table1", "--q-max", "6"],
+    ["spacing", "--Q", "3", "--k", "3", "--N", "81", "--engine", "brute"],
+    ["conjecture", "--q-min", "2", "--q-max", "5"],
+    ["sieve-ratio", "--Q", "2", "--N", "8"],
+    ["bounds", "--Q", "3", "--N", "20", "--k", "3"],
+    ["weyl", "--alpha=-3/97", "--k", "3", "--N", "30", "--n-min", "20", "--start", "-4"],
+    ["poisson", "--N", "12"],
+    ["gauss", "--q", "9", "--k", "3"],
+    ["transfer", "--q", "5", "--N", "20", "--seed", "1"],
+]
+
+
+def indent2(doc: dict) -> str:
+    return json.dumps(doc, indent=2) + "\n"
+
+
+class TestJsonLayout:
+    """JSON reports are json.dumps(doc, indent=2) byte for byte, their rows
+    spliced in from one C-encoder call."""
+
+    def test_every_subcommand_is_listed(self):
+        assert {argv[0] for argv in EVERY_SUBCOMMAND} == set(cli._COMMANDS)
+
+    @pytest.mark.parametrize("argv", EVERY_SUBCOMMAND, ids=lambda argv: argv[0])
+    def test_stdout_and_out_file_are_indent2(self, argv, tmp_path, capsys):
+        code, out = run_cli(argv, capsys)
+        assert code == EXIT_OK
+        assert out == indent2(json.loads(out))
+        target = tmp_path / "report.json"
+        assert run_cli([*argv, "--out", str(target)], capsys) == (EXIT_OK, "")
+        text = target.read_text(encoding="utf-8")
+        assert text == indent2(json.loads(text))
+        # the same bytes but for the wall time and the echo of --out itself
+        text = text.replace(f',\n      "out": {json.dumps(str(target))}', "")
+        wall = re.compile(r'"wall_time_s": [0-9.e-]+')
+        assert wall.sub("", text) == wall.sub("", out)
+
+    @staticmethod
+    def emitted(payload, tmp_path, capsys, **config):
+        args = argparse.Namespace(subcommand="test", format="json", out=None, **config)
+        cli._emit(args, payload, 0.25)
+        out = capsys.readouterr().out
+        args.out = str(tmp_path / "report.json")
+        cli._emit(args, payload, 0.25)
+        header = {"tool": "powersieve", "version": __version__,
+                  "config": {k: v for k, v in vars(args).items() if v is not None},
+                  "wall_time_s": 0.25}
+        assert (tmp_path / "report.json").read_text(encoding="utf-8") == indent2(
+            {"header": header, **payload})
+        del header["config"]["out"]
+        return out, indent2({"header": header, **payload})
+
+    @pytest.mark.parametrize("payload", [
+        {"rows": [{"text": '},\n      {"a": 1}, {', "quote": '"\\"', "comma": ",",
+                   "brace": "}{", "note": "Gau\u00df \u2211 \U0001d4e0 \u00e9\n\t"},
+                  {"text": "\n    },\n    {\n      ", "quote": "'", "comma": ", ",
+                   "brace": "{}", "note": ""}]},
+        {"rows": [{"x": float("nan"), "y": float("inf"), "z": -float("inf"), "w": -0.0},
+                  {"x": 1e-320, "y": 1.7976931348623157e308, "z": 0.1, "w": -2}],
+         "fit": {"intercept": float("nan"), "slope": 1.5}},
+        {"rows": [{"index": 0, "primitive": False, "gauss_re": 1.0, "label": None}]},
+        {"rows": [{"M": 3}]},
+        {"rows": [{"M": 3}, {"M": 4}, {"Q": 5}], "running_max": [3, 4],
+         "fit": {"rows": [], "slope": 0.5}},
+        {"rows": [], "violations": 0},
+        {"error": "no rows at all"},
+    ], ids=["strings", "nonfinite", "one_row", "one_key_row", "one_key_rows", "empty_rows",
+            "no_rows"])
+    def test_hand_made_payloads(self, payload, tmp_path, capsys):
+        out, expected = self.emitted(payload, tmp_path, capsys)
+        assert out == expected
+
+    def test_config_string_that_spells_the_rows_slot(self, tmp_path, capsys):
+        payload = {"rows": [{"a": 1}, {"a": 2}]}
+        out, expected = self.emitted(payload, tmp_path, capsys, label='\n  "rows": []')
+        assert out == expected
 
 
 class TestSubcommands:

@@ -138,6 +138,79 @@ class TestExpSum:
         assert s == pytest.approx(oracle, rel=1e-9)
 
 
+def per_term_residues(phase, interval):
+    """(L, [P(n) mod L]) for the rational phase f = P/L, by Horner one term
+    at a time in Python integers."""
+    coeffs = [Fraction(c) for c in phase.coefficients]
+    L = math.lcm(*(c.denominator for c in coeffs))
+    ints = [int(c * L) for c in coeffs]
+    start, length = interval
+    residues = []
+    for n in range(start, start + length):
+        acc = 0
+        for c in reversed(ints):
+            acc = (acc * n + c) % L
+        residues.append(acc)
+    return L, residues
+
+
+def per_term_thetas(phase, interval):
+    """The rational path's phases: the correctly rounded acc / L per term."""
+    L, residues = per_term_residues(phase, interval)
+    return [acc / L for acc in residues]
+
+
+def per_term_exp_sum(phase, interval):
+    thetas = per_term_thetas(phase, interval)
+    return complex(math.fsum(math.cos(2 * math.pi * t) for t in thetas),
+                   math.fsum(math.sin(2 * math.pi * t) for t in thetas))
+
+
+P53 = 9007199254740997  # the least prime above 2**53
+
+
+class TestExactPhaseColumn:
+    """The rational phases, Horner mod L over one integer column, equal the
+    per-term Horner bit for bit, at int64 and object width and past 2**53."""
+
+    CASES = {
+        "negative_start": (PolynomialPhase((Fraction(1, 3), Fraction(2, 7), Fraction(5, 11))),
+                           (-40, 90)),
+        "negative_and_fraction_coefficients": (
+            PolynomialPhase((-2, Fraction(-5, 6), 7, Fraction(-1, 13))), (1, 60)),
+        "negative_leading_coefficient": (PolynomialPhase.monomial(Fraction(-3, 97), 3), (-7, 50)),
+        "degree_9": (PolynomialPhase(tuple(Fraction((-1) ** j * j, j + 2) for j in range(10))),
+                     (-15, 40)),
+        "prime_L_past_2_53": (PolynomialPhase.monomial(Fraction(-5, P53), 2), (-30, 70)),
+        "object_width": (PolynomialPhase((0, Fraction(1, 3), Fraction(7, 1099511627791))),
+                         (-(2 ** 30) - 20, 45)),
+        "object_width_and_L_past_2_53": (PolynomialPhase.monomial(Fraction(2, P53), 3),
+                                         (2 ** 20, 30)),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_equals_per_term_horner(self, case):
+        phase, interval = self.CASES[case]
+        assert expsum._phase_fractions_mod1(phase, interval) == per_term_thetas(phase, interval)
+        assert exp_sum(phase, interval) == per_term_exp_sum(phase, interval)
+
+    def test_cases_reach_each_path(self):
+        def L_and_bound(case):
+            phase, (start, length) = self.CASES[case]
+            L, _ = per_term_residues(phase, (start, 1))
+            return L, L * (max(-start, start + length - 1) + 1)
+
+        L, bound = L_and_bound("prime_L_past_2_53")
+        assert L > 2 ** 53 and bound < 2 ** 62
+        L, bound = L_and_bound("object_width")
+        assert L < 2 ** 53 and bound > 2 ** 62
+        L, bound = L_and_bound("object_width_and_L_past_2_53")
+        assert L > 2 ** 53 and bound > 2 ** 62
+        # past 2**53 acc is no exact double, and a float64 division rounds differently
+        L, residues = per_term_residues(*self.CASES["prime_L_past_2_53"])
+        assert any(float(acc) / float(L) != acc / L for acc in residues)
+
+
 class TestWeylBound:
     def test_hand_value_integer_alpha(self):
         # alpha = 1, k = 2, N = 5: every ||2r|| = 0, so each min is N

@@ -245,7 +245,7 @@ class TestObjectWidth:
     @staticmethod
     def check_both_engines(pts, t):
         nums, dens = fraction_columns(pts)
-        wide, _ = spacing._engine_columns(nums, dens, t.numerator, t.denominator)
+        wide, _ = spacing._engine_columns(nums, dens, t.numerator)
         assert wide.dtype == object
         expected = fraction_counts(pts, t)
         fast = neighbor_counts_sorted(nums, dens, t.numerator, t.denominator)
@@ -300,8 +300,7 @@ class TestOracleBroadcast:
         pts, thresholds = case()
         nums, dens = fraction_columns(pts)
         t_num = max(t.numerator for t in thresholds)
-        t_den = max(t.denominator for t in thresholds)
-        assert spacing._engine_columns(nums, dens, t_num, t_den)[0].dtype == object
+        assert spacing._engine_columns(nums, dens, t_num)[0].dtype == object
         rows = self.check_rows(nums, dens, thresholds)
         assert rows.tolist() == [fraction_counts(pts, t) for t in thresholds]
 
@@ -349,7 +348,7 @@ class TestSortedBroadcast:
         nums, dens = fs.numerators, fs.denominators()
         thresholds = [Fraction(1, 2 * N) for N in (10, 125, 625, 1250)]
         thresholds += [Fraction(2, 3), Fraction(1, 2), Fraction(3, 5), Fraction(3, 1000)]
-        assert spacing._engine_columns(nums, dens, 2, 1250)[0].dtype == np.int64
+        assert spacing._engine_columns(nums, dens, 2)[0].dtype == np.int64
         rows = self.check_rows(nums, dens, thresholds)
         assert rows[4].tolist() == rows[6].tolist() == [len(fs) - 1] * len(fs)
 
@@ -358,8 +357,8 @@ class TestSortedBroadcast:
         pts, thresholds = case()
         thresholds = [Fraction(5, 7), *thresholds, Fraction(1, 1)]  # two above 1/2
         nums, dens = fraction_columns(pts)
-        t_den = max(t.denominator for t in thresholds)
-        assert spacing._engine_columns(nums, dens, t_den, t_den)[0].dtype == object
+        t_num = max(t.numerator for t in thresholds)
+        assert spacing._engine_columns(nums, dens, t_num)[0].dtype == object
         rows = self.check_rows(nums, dens, thresholds)
         assert rows.tolist() == [fraction_counts(pts, t) for t in thresholds]
 
@@ -525,7 +524,7 @@ class TestFloorWidth:
         tie = (gap.numerator * m, gap.denominator * m)
         for u, v in (tie, (2 ** 40 // (2 * 6 ** 4), 2 ** 40 + 1)):
             assert 2 ** 39 < v <= 2 ** 40 + 1
-            assert spacing._engine_columns(nums, dens, u, v)[0].dtype == np.int64
+            assert spacing._engine_columns(nums, dens, u)[0].dtype == np.int64
             counts = neighbor_counts_sorted(nums, dens, u, v)
             assert counts.tolist() == fraction_counts(pts, Fraction(u, v))
             assert counts.max() > 0
@@ -541,7 +540,7 @@ class TestFloorWidth:
         nums, dens = nums[order], dens[order]
         u, dmax2 = 3, int(dens.max()) ** 2
         for v in (u * dmax2, u * dmax2 + 1, 2 ** 70):
-            assert spacing._engine_columns(nums, dens, u, v)[0].dtype == np.int64
+            assert spacing._engine_columns(nums, dens, u)[0].dtype == np.int64
             fast = neighbor_counts_sorted(nums, dens, u, v)
             assert fast.tolist() == neighbor_counts_bruteforce(nums, dens, u, v).tolist()
             assert fast.tolist() == [0] * len(nums)
@@ -584,8 +583,8 @@ class TestFloorWidth:
             if not Qs:
                 break
             nums, dens = np.array([1]), np.array([(2 * Qs[-1]) ** k], dtype=np.int64)
-            for t_den in (2 * Qs[-1] ** (k + 1), Qs[-1] ** (k + 1)):
-                assert spacing._engine_columns(nums, dens, 1, t_den)[0].dtype == np.int64
+            # the scan's thresholds 1/(2N) and 1/N both have t_num = 1
+            assert spacing._engine_columns(nums, dens, 1)[0].dtype == np.int64
         assert k == 25  # S(1, 25), 2**24 points, is the first refused at Q = 1
 
 

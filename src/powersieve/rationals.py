@@ -272,7 +272,7 @@ def enumerate_set(Q: int, k: int) -> FractionSet:
     nums = np.concatenate(a_parts)
     bases = np.concatenate(q_parts)
 
-    order = np.argsort(nums / bases.astype(np.float64) ** k, kind="stable")
+    order = np.argsort(nums / bases.astype(np.float64) ** k)
     nums = nums[order]
     bases = bases[order]
 

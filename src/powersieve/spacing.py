@@ -14,9 +14,10 @@ with t = 1/(2N) in the standard parameterization.  Two engines compute it:
 
 Each answers any number of thresholds in one call and decides
 ``||x - x'|| < t = u/v`` by its own integer test against the floor
-(u p - 1) // v, at int64 or narrower on every S(Q, k).  Float64 positions
-only propose the fast path's arc ends, each settled exactly, so the engines
-agree bit for bit.
+(u p - 1) // v, at int64 or narrower on every S(Q, k).  The fast path
+settles short arcs in exact rounds over whole columns; float64 positions
+only propose the ends of the long ones, each settled exactly, so the
+engines agree bit for bit.
 
 Thresholds are positive fractions ``t_num/t_den``; both engines refuse any
 other.  The counts over a whole set, ``spacing_count_fast`` and
@@ -141,19 +142,30 @@ def _forward_ends(nums, dens, vf, wn, wd, wf, t_num: int, t_den: int) -> np.ndar
     v_{p-n} + 1, over the points below the largest threshold and one more,
     which no arc reaches.  In integers w_p - v_i < t reads
     wn_p d_i - n_i wd_p <= (t_num d_i wd_p - 1) // t_den, and a t_den clamped
-    to t_num dmax**2 + 1 leaves every floor as it is.  One exact round on
-    adjacent pairs settles every empty arc; float searchsorted proposes the
-    other ends, and exact rounds testing p and p + 1 move each to p in, p + 1 out.
+    to t_num dmax**2 + 1 leaves every floor as it is.  Exact rounds d = 1, 2, ...
+    test whether arc i holds i + d on whole-column slices, with no gathers (w
+    increases, so an arc holding i + d holds every point before it).  A round
+    costs O(n) and a search O(log n) an arc, so the rounds stop once fewer than
+    n / log2 n arcs are open or the last round closed fewer than that.  Float
+    searchsorted proposes the open arcs' ends, and exact rounds testing p and
+    p + 1 move each to p in, p + 1 out.
     """
     n = len(nums)
 
     def lt(ni, di, wnp, wdp):  # w_p - v_i < t, in integers
         return wnp * di - ni * wdp <= (t_num * (di * wdp) - 1) // t_den
 
-    ends = np.arange(n)
-    i = np.flatnonzero(lt(nums, dens, wn[1 : n + 1], wd[1 : n + 1]))
+    ends, lg, d, left, closed = np.arange(n), n.bit_length(), 0, n, n
+    while left * lg >= n and closed * lg >= n:  # round d: does arc i hold i + d?
+        d += 1
+        m = min(n, len(wn) - d)  # i + d past the extension lies beyond every arc
+        held = lt(nums[:m], dens[:m], wn[d : m + d], wd[d : m + d])  # the open arcs
+        ends[:m] += held
+        closed, left = left, np.count_nonzero(held)
+        closed -= left
+    i = np.flatnonzero(held)
     p = np.searchsorted(wf, vf[i] + t_num / t_den) - 1
-    p = np.clip(p, i + 1, np.minimum(i + n - 1, len(wn) - 2))
+    p = np.clip(p, i + d, np.minimum(i + n - 1, len(wn) - 2))
     while i.size:
         ni, di = nums[i], dens[i]
         inside = lt(ni, di, wn[p], wd[p])
@@ -171,12 +183,14 @@ def neighbor_counts_sorted(nums, dens, t_num, t_den) -> np.ndarray:
 
     One forward pass gives each point i its forward arc, the positions
     (i, p_i] of the doubled index range [0, 2n) whose points lie within
-    (v' - v) mod 1 < t.  The backward neighbors of j are exactly the points
-    whose forward arc covers j or j + n.  For t <= 1/2 the forward and
-    backward relations are disjoint for distinct points ((v' - v) mod 1 and
-    (v - v') mod 1 sum to 1, so at most one is below 1/2), and an arc is
-    shorter than n, so no point covers j twice.  With E(x) the number of
-    arcs ending before x, j counts p_j - j + (j - E(j)) + (n - E(j + n)).
+    (v' - v) mod 1 < t: exact rounds over whole columns end the short arcs
+    and a float search the rest (``_forward_ends``).  The backward neighbors
+    of j are exactly the points whose forward arc covers j or j + n.  For
+    t <= 1/2 the forward and backward relations are disjoint for distinct
+    points ((v' - v) mod 1 and (v - v') mod 1 sum to 1, so at most one is
+    below 1/2), and an arc is shorter than n, so no point covers j twice.
+    With E(x) the number of arcs ending before x, j counts
+    p_j - j + (j - E(j)) + (n - E(j + n)).
 
     Thresholds follow the oracle, ``(n,)`` for a scalar and ``(T, n)`` for
     sequences, and share one order certificate, one set of floats and one of

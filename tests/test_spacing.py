@@ -2,6 +2,7 @@
 
 import csv
 import itertools
+import math
 import random
 import tracemalloc
 from fractions import Fraction
@@ -588,6 +589,132 @@ class TestFloorWidth:
         assert k == 25  # S(1, 25), 2**24 points, is the first refused at Q = 1
 
 
+@pytest.fixture
+def search_keys(monkeypatch):
+    """The number of keys of every ``np.searchsorted`` call while in use."""
+    keys, searchsorted = [], np.searchsorted
+
+    def spy(a, v, *args, **kwargs):
+        keys.append(np.size(v))
+        return searchsorted(a, v, *args, **kwargs)
+
+    monkeypatch.setattr(np, "searchsorted", spy)
+    return keys
+
+
+def clusters(sizes, shift=Fraction(0), step=Fraction(1, 1000)):
+    """Groups of points ``step`` apart, group j starting at j/len(sizes), all
+    moved by ``shift`` mod 1; at t = 1/100 and the default step the r-th
+    point of a group of s has a forward arc of s - 1 - r points."""
+    g = len(sizes)
+    return sorted((Fraction(j, g) + r * step + shift) % 1
+                  for j, s in enumerate(sizes) for r in range(s))
+
+
+def slice_rounds(pts, t):
+    """A model of the sorted engine's stop rule over exact forward arcs: the
+    rounds it runs and the arcs still open after them, which the search sees."""
+    arcs = [sum(0 < (y - x) % 1 < t for y in pts) for x in pts]
+    n = len(pts)
+    lg, d, left, closed = n.bit_length(), 0, n, n
+    while left * lg >= n and closed * lg >= n:
+        d += 1
+        closed, left = left, sum(a >= d for a in arcs)
+        closed -= left
+    return d, left
+
+
+class TestSliceRounds:
+    """Exact rounds d = 1, 2, ... over whole-column slices settle the short
+    arcs; only the arcs still open after them reach the float search."""
+
+    @staticmethod
+    def check(pts, thresholds, keys):
+        nums, dens = fraction_columns(pts)
+        for t in thresholds:
+            keys.clear()
+            counts = neighbor_counts_sorted(nums, dens, t.numerator, t.denominator)
+            assert counts.tolist() == fraction_counts(pts, t)
+            brute = neighbor_counts_bruteforce(nums, dens, t.numerator, t.denominator)
+            assert counts.tolist() == brute.tolist()
+            assert sum(keys) == slice_rounds(pts, t)[1]
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_pairs_exactly_t_apart_at_offset_d(self, d, search_keys):
+        # groups of d + 1 points t/d apart: each round closes a group's
+        # shortest open arc, and round d tests the head's point at offset d,
+        # exactly t away, which stays out; a hair above t it is in
+        pts = clusters([d + 1] * 20, step=Fraction(1, 100 * d))
+        t = Fraction(1, 100)
+        assert slice_rounds(pts, t) == (d, 0)
+        assert slice_rounds(pts, t + Fraction(1, 10 ** 9)) == (d + 1, 0)
+        self.check(pts, [t, t + Fraction(1, 10 ** 9)], search_keys)
+
+    @pytest.mark.parametrize("sizes,rounds,open_arcs", [
+        # 4 of 57 arcs open after round 1: the triple's head ends one past it
+        ([1] * 50 + [2, 2, 3], 1, 4),
+        # 3 of 67 open after round 2: heads of arcs of 2 end at it, of 3 past it
+        ([2] * 30 + [3, 4], 2, 3),
+        # every round closes 12 of 60: the rounds settle every arc
+        ([5] * 12, 5, 0),
+        # round 1 closes only 8 of 64: the rest go to the search at once
+        ([8] * 8, 1, 56),
+    ])
+    @pytest.mark.parametrize("shift", [Fraction(0), Fraction(-2, 1000)])
+    def test_arcs_at_and_past_the_last_round(self, sizes, rounds, open_arcs, shift, search_keys):
+        # shifted, the first group straddles the seam and its top points'
+        # arcs wrap onto the extension
+        pts = clusters(sizes, shift)
+        t = Fraction(1, 100)
+        assert slice_rounds(pts, t) == (rounds, open_arcs)
+        self.check(pts, [t, Fraction(1, 1000), Fraction(3, 1000)], search_keys)
+
+    def test_seam_arcs_past_the_extension_slice(self, search_keys):
+        # three points below t, so the extension holds four and round 5
+        # slices m = n - 1 rows; the point 998/1000 holds 999/1000, 0, 1/1000
+        # and 2/1000 and is closed by that round
+        pts = clusters([5] * 12, Fraction(-2, 1000))
+        t = Fraction(1, 100)
+        e = 1 + sum(p < t for p in pts)
+        assert e == 4 and slice_rounds(pts, t)[0] == 5 > e
+        self.check(pts, [t], search_keys)
+
+    @pytest.mark.parametrize("pts", [
+        [Fraction(0)], [Fraction(1, 3)],
+        [Fraction(0), Fraction(1, 2)], [Fraction(1, 5), Fraction(3, 10)],
+        [Fraction(0), Fraction(1, 3), Fraction(2, 3)],
+        [Fraction(1, 7), Fraction(2, 7), Fraction(6, 7)],
+    ])
+    def test_one_two_and_three_points(self, pts, search_keys):
+        gaps = {min((x - y) % 1, (y - x) % 1) for x in pts for y in pts if x != y}
+        thresholds = {Fraction(1, 2), Fraction(1, 1000)}
+        thresholds |= {g + e for g in gaps for e in (0, Fraction(1, 10 ** 6))}
+        self.check(pts, sorted(t for t in thresholds if t <= Fraction(1, 2)), search_keys)
+
+    def test_object_width_columns(self, search_keys):
+        # the clusters moved by i/2**40 at the i-th point: denominators past
+        # 2**40 make the columns Python integers, the arcs stay as they were
+        pts = [p + Fraction(i, 2 ** 40) for i, p in
+               enumerate(clusters([1] * 20 + [2, 3, 4] * 4, Fraction(-1, 1000)))]
+        nums, dens = fraction_columns(pts)
+        assert spacing._engine_columns(nums, dens, 1)[0].dtype == object
+        self.check(pts, [Fraction(1, 100), Fraction(1, 1000) + Fraction(1, 2 ** 41)], search_keys)
+
+    def test_short_arcs_skip_the_search(self, search_keys):
+        # S(30, 2) at N = Q**3: the search sees fewer than n / log2 n arcs
+        fs = enumerate_set(30, 2)
+        n = len(fs)
+        spacing_count_fast(fs, 30 ** 3)
+        assert 0 < sum(search_keys) < n / math.log2(n)
+
+    def test_long_arcs_go_straight_to_the_search(self, search_keys):
+        # S(12, 2) at N = 10: each arc holds about n/20 points, round 1
+        # closes almost none, and nearly every arc is searched
+        fs = enumerate_set(12, 2)
+        spacing_count_fast(fs, 10)
+        assert sum(search_keys) >= 0.9 * len(fs)
+
+
 class TestOracleMemory:
     @staticmethod
     def traced_peak(Q, k):
@@ -635,6 +762,16 @@ class TestScanStatistic:
             published = {int(r["Q"]): int(r["M"]) for r in csv.DictReader(fh)}
         assert published[2] == 0
         assert table1_count(2) == 1
+
+    def test_matches_frozen_conjecture_rows(self, data_dir):
+        # rows frozen from the engine before its exact slice rounds; each
+        # witness is the first point in value order attaining M
+        with open(data_dir / "conjecture_rows.csv") as fh:
+            frozen = [{key: int(v) for key, v in r.items()} for r in csv.DictReader(fh)]
+        got = [{"k": k, "Q": r.Q, "M": r.count, "M_open": r.count_open,
+                "witness_a": r.witness_a, "witness_q": r.witness_q}
+               for k, q_max in ((2, 60), (3, 20)) for r in conjecture_scan(scan_sets(1, q_max, k)).rows]
+        assert got == frozen
 
 
 class TestConjectureScan:

@@ -1,11 +1,12 @@
 """Exponential sums, the Weyl-differencing bound, and Fejer/Poisson kernels.
 
 ``exp_sum`` evaluates S = sum over an integer interval of e(f(n)) for a
-polynomial phase f.  When the coefficients are rational the phase is reduced
-mod 1 in exact integer arithmetic (Horner mod L over one ``exact_columns``
-column) before the transcendental call, so the per-term argument error is
-one sin/cos ulp even for large n; naive float evaluation of f(n) would lose
-every significant digit long before that.
+polynomial phase f.  The coefficients are exact Fractions: a float is its
+binary value (0.1 has denominator 2**55; one tenth is Fraction("0.1")).  So
+the phase is reduced mod 1 in exact integer arithmetic (Horner mod L over one
+``exact_columns`` column) before the transcendental call, and the per-term
+argument error is one sin/cos ulp even for large n; naive float evaluation
+of f(n) would lose every significant digit long before that.
 
 ``weyl_bound`` evaluates the explicit-constant majorant obtained by squaring
 the sum k-1 times (kappa = 2**(k-1)):
@@ -14,14 +15,11 @@ the sum k-1 times (kappa = 2**(k-1)):
                 + 2**kappa N**(kappa-k) * sum min(N, 1/||alpha k! r_1...r_{k-1}||)
 
 with each r ranging over 1..N-1.  The products r_1...r_{k-1} are one
-integer column of distinct values with their multiplicities.  For rational
+integer column of distinct values with their multiplicities.  For
 alpha = u/v the distance is the residue res = P u k! mod v folded to
 min(res, v - res), so the term is N exactly when that residue vanishes or
 N*num <= v, and v/num otherwise, all in integers at the ``exact_columns``
-width, never by dividing by a float zero.  For irrational (float) alpha the
-distance is computed in double precision with a 1e-9 guard band around zero;
-the band changes a term only when N > 10**9, since below that
-min(N, 1/dist) is already N for every dist < 1e-9.
+width, never by dividing by a float zero.
 
 The kernel half of the module implements phi(x) = (sin(pi x) / (2x))**2,
 its triangular Fourier transform, the truncated Poisson identity
@@ -46,15 +44,14 @@ import numpy as np
 
 from .rationals import _checked_power, exact_columns
 
-# Distances below this are treated as exact zeros on the float-alpha path;
-# that changes a term only when N > 10**9 (else min(N, 1/dist) is N anyway).
-ZERO_GUARD = 1e-9
-
 # the majorant's leading 2**(2 kappa) is a float only while 2 kappa < 1024
 MAX_WEYL_DEGREE = 9
 
 # cells of one differencing round's product column, np.multiply.outer(prods, r)
 WEYL_CELL_GUARD = 10 ** 7
+
+# terms of the truncated Poisson sum, formed as one float64 column
+POISSON_TERMS_GUARD = 10 ** 7
 
 Interval = tuple[int, int]  # (start, length): the integers start..start+length-1
 
@@ -63,16 +60,16 @@ Interval = tuple[int, int]  # (start, length): the integers start..start+length-
 class PolynomialPhase:
     """A polynomial phase f(x) = c_0 + c_1 x + ... + c_k x**k.
 
-    Coefficients are ascending; entries may be Fractions/ints (exact path)
-    or floats.  The leading coefficient must be nonzero and the degree at
-    least 2 for the differencing bound to apply (``exp_sum`` itself accepts
-    any degree >= 1).
+    Coefficients are ascending, stored as Fractions: a float is its exact
+    binary value (0.1 is 3602879701896397/2**55; one tenth is Fraction("0.1")).
+    The leading coefficient must be nonzero and the degree at least 2 for the
+    differencing bound to apply (``exp_sum`` itself accepts any degree >= 1).
     """
 
     coefficients: tuple
 
     def __post_init__(self) -> None:
-        coeffs = tuple(self.coefficients)
+        coeffs = tuple(map(Fraction, self.coefficients))
         object.__setattr__(self, "coefficients", coeffs)
         if len(coeffs) < 2:
             raise ValueError("phase needs degree >= 1")
@@ -87,10 +84,6 @@ class PolynomialPhase:
     def leading(self):
         return self.coefficients[-1]
 
-    @property
-    def is_rational(self) -> bool:
-        return all(isinstance(c, (int, Fraction)) for c in self.coefficients)
-
     @classmethod
     def monomial(cls, alpha, k: int) -> "PolynomialPhase":
         """The pure phase alpha * x**k."""
@@ -100,28 +93,19 @@ class PolynomialPhase:
 
 
 def _phase_fractions_mod1(phase: PolynomialPhase, interval: Interval) -> list[float]:
-    """f(n) mod 1 for each n of the interval, reduced exactly when the phase is rational."""
+    """f(n) mod 1 for each n of the interval, reduced exactly."""
     start, length = interval
-    if phase.is_rational:
-        coeffs = [Fraction(c) for c in phase.coefficients]
-        L = math.lcm(*(c.denominator for c in coeffs))
-        ints = [int(c * L) % L for c in coeffs]  # f = P/L with P integral
-        # Horner mod L over one column: acc, c < L keep acc*n + c below L*(max|n| + 1)
-        (ns,) = exact_columns(np.arange(length), bound=L * (max(-start, start + length - 1) + 1))
-        ns = ns + start
-        acc = 0
-        for c in reversed(ints):
-            acc = (acc * ns + c) % L
-        if L < 2 ** 53:  # acc and L are exact doubles: one IEEE division rounds acc / L
-            return (acc.astype(np.float64) / L).tolist()
-        return [a / L for a in acc.tolist()]
-    out = []
-    for n in range(start, start + length):
-        acc = 0.0
-        for c in reversed(phase.coefficients):
-            acc = math.fmod(acc * n + float(c), 1.0)
-        out.append(acc % 1.0)
-    return out
+    L = math.lcm(*(c.denominator for c in phase.coefficients))
+    ints = [int(c * L) % L for c in phase.coefficients]  # f = P/L with P integral
+    # Horner mod L over one column: acc, c < L keep acc*n + c below L*(max|n| + 1)
+    (ns,) = exact_columns(np.arange(length), bound=L * (max(-start, start + length - 1) + 1))
+    ns = ns + start
+    acc = 0
+    for c in reversed(ints):
+        acc = (acc * ns + c) % L
+    if L < 2 ** 53:  # acc and L are exact doubles: one IEEE division rounds acc / L
+        return (acc.astype(np.float64) / L).tolist()
+    return [a / L for a in acc.tolist()]
 
 
 def exp_sum(phase: PolynomialPhase, interval: Interval) -> complex:
@@ -165,13 +149,10 @@ def weyl_bound(phase: PolynomialPhase, interval: Interval) -> float:
     if N < 1:
         raise ValueError("interval length must be >= 1")
     kappa = weyl_kappa(k, N)
-    alpha = phase.leading
-    fact = math.factorial(k)
-    exact = isinstance(alpha, (int, Fraction))
-    u, v = Fraction(alpha).as_integer_ratio() if exact else (0, 1)
+    u, v = phase.leading.as_integer_ratio()
 
     # distinct products r_1 * ... * r_j with multiplicities, round j at the width of
-    # (N-1)**j; the last width covers k! P (float path) and v*v, N*v (rational)
+    # (N-1)**j; the last width also covers the residue products v*v and N*v
     prods, mult = [1], np.ones(1)
     for j in range(1, k):
         if len(prods) * (N - 1) > WEYL_CELL_GUARD:
@@ -180,19 +161,13 @@ def weyl_bound(phase: PolynomialPhase, interval: Interval) -> float:
         prods, r = exact_columns(prods, np.arange(1, N), bound=(N - 1) ** j)
         prods, inv = np.unique(np.multiply.outer(prods, r).ravel(), return_inverse=True)
         mult = np.bincount(inv, weights=np.repeat(mult, len(r)))
-    (prods,) = exact_columns(prods, bound=max(fact * (N - 1) ** (k - 1), v * v, N * v))
+    (prods,) = exact_columns(prods, bound=max((N - 1) ** (k - 1), v * v, N * v))
 
     # min(N, 1/||alpha k! P||) per distinct product
-    if exact:
-        res = prods % v * (u * fact % v) % v
-        num = np.minimum(res, v - res)
-        capped = (num == 0) | (N * num <= v)
-        terms = np.where(capped, N, v / np.where(capped, 1, num)).astype(np.float64)
-    else:
-        y = (alpha * (fact * prods)).astype(np.float64)
-        dist = np.abs(y - np.round(y))
-        terms = np.where(dist < ZERO_GUARD, N, 1.0 / np.maximum(dist, ZERO_GUARD))
-        terms = np.minimum(N, terms)
+    res = prods % v * (u * math.factorial(k) % v) % v
+    num = np.minimum(res, v - res)
+    capped = (num == 0) | (N * num <= v)
+    terms = np.where(capped, N, v / np.where(capped, 1, num)).astype(np.float64)
     rsum = fsum(mult * terms)
     return float(2 ** (2 * kappa)) * N ** (kappa - 1) + float(2 ** kappa) * N ** (
         kappa - k
@@ -236,8 +211,8 @@ def poisson_identity_check(N: int, tail: int | None = None) -> PoissonCheck:
     if N < 1:
         raise ValueError("N must be >= 1")
     T = max(1000, 100 * N) if tail is None else tail
-    if T < 1000:
-        raise ValueError("tail truncation must keep at least 10**3 terms")
+    if not 1000 <= T <= POISSON_TERMS_GUARD:
+        raise ValueError(f"the truncated sum has T = {T} terms; it needs 10**3 <= T <= 10**7")
     n = np.arange(1, T + 1, dtype=np.float64)
     lhs = fejer_phi(0.0) + 2.0 * fsum(fejer_phi(n / (2.0 * N)))
     rhs = math.pi ** 2 * N / 2.0

@@ -15,6 +15,9 @@ independently: TT* from the sieve matrix, and T*T, which depends only on
 m - n, as a Toeplitz matrix over the symbol c[h] = sum_j e(x_j h).  For a
 FractionSet, always the full S(Q, k), the symbol is a sum of Ramanujan sums,
 an integer vector, and T*T is real symmetric; point sequences stay complex.
+Every point is rational: a float enters as its exact binary value (0.1 has
+denominator 2**55; one tenth is Fraction("0.1")), so the phases x_j n mod 1
+and the minimal gap are reduced in integers for every instance.
 
 Two kinds of upper bounds are tracked:
 
@@ -86,26 +89,27 @@ class BoundFormula:
     evaluate: Callable[[int, int, int, float], float]
 
 
-def _check_gram_guard(K: int, N: int) -> None:
-    if K * N > GRAM_CELL_GUARD:
-        raise ValueError(
-            f"K*N = {K * N} exceeds the gram guard {GRAM_CELL_GUARD}; reduce Q or N"
-        )
+def _check_gram_guard(K: int, N: int, side: str, full_set: bool) -> None:
+    """Refuse a solve past the gram guard before anything is formed: the K*N
+    sieve-matrix cells, evaluated by the points side and by a point list's
+    symbol (a full set's symbol is built from Ramanujan sums), and the d*d
+    cells of the Gram matrix solved, d = K or N."""
+    if (side == "points" or not full_set) and K * N > GRAM_CELL_GUARD:
+        raise ValueError(f"K*N = {K * N} exceeds the gram guard {GRAM_CELL_GUARD}; reduce Q or N")
+    d = K if side == "points" else N
+    if d * d > GRAM_CELL_GUARD:
+        raise ValueError(f"{side} Gram has {d * d} cells, over the gram guard {GRAM_CELL_GUARD}; "
+                         "reduce Q or N")
 
 
-def _point_columns(points: Sequence):
-    """(nums, dens, None) when every point is rational, else (None, None, values)."""
-    pts = [p.as_fraction() if isinstance(p, PowerFraction) else p for p in points]
-    pts = [
-        Fraction(p) % 1 if isinstance(p, (int, Fraction)) else float(p) % 1.0 for p in pts
-    ]
-    exact = all(isinstance(p, Fraction) for p in pts)
-    pts = sorted(pts if exact else map(float, pts))
+def _point_columns(points: Sequence) -> tuple[list, list]:
+    """Reduced numerators and denominators of the points mod 1, ascending."""
+    pts = sorted(
+        (p.as_fraction() if isinstance(p, PowerFraction) else Fraction(p)) % 1 for p in points
+    )
     if len(set(pts)) != len(pts):
         raise ValueError("points must be pairwise distinct mod 1")
-    if not exact:
-        return None, None, np.array(pts, dtype=np.float64)
-    return [p.numerator for p in pts], [p.denominator for p in pts], None
+    return [p.numerator for p in pts], [p.denominator for p in pts]
 
 
 class SieveInstance:
@@ -113,10 +117,11 @@ class SieveInstance:
 
     Points are a FractionSet, exactly S(Q, k) ascending, whose columns are
     taken as they are, or a sequence of PowerFractions, Fractions, ints and
-    floats, distinct mod 1.  They are held ascending in [0, 1): rational ones
-    as reduced integer columns ``nums``, ``dens`` at the ``exact_columns``
-    width of dens**2, float ones (one float makes them all float) as a float
-    ``values`` array.  ``full_set`` is (Q, k) for a FractionSet, else None.
+    floats, distinct mod 1.  A float is its exact binary value: 0.1 is
+    3602879701896397/2**55, and one tenth is Fraction(1, 10) or
+    Fraction("0.1").  Points are held ascending in [0, 1) as reduced integer
+    columns ``nums``, ``dens`` at the ``exact_columns`` width of dens**2.
+    ``full_set`` is (Q, k) for a FractionSet, else None.
     """
 
     def __init__(self, points: FractionSet | Sequence, M: int, N: int):
@@ -124,16 +129,14 @@ class SieveInstance:
             raise ValueError(f"N must be >= 1, got {N}")
         self.full_set = None
         if isinstance(points, FractionSet):
-            nums, dens, values = points.numerators, points.denominators(), None
+            nums, dens = points.numerators, points.denominators()
             self.full_set = (points.Q, points.k)
         else:
-            nums, dens, values = _point_columns(points)
-        if len(nums if values is None else values) == 0:
+            nums, dens = _point_columns(points)
+        if len(nums) == 0:
             raise ValueError("instance needs at least one point")
-        if values is None:
-            dmax = int(np.max(dens))
-            nums, dens = exact_columns(nums, dens, bound=dmax * dmax)
-        self.nums, self.dens, self.values = nums, dens, values
+        dmax = int(np.max(dens))
+        self.nums, self.dens = exact_columns(nums, dens, bound=dmax * dmax)
         self.M, self.N = int(M), int(N)
 
     @classmethod
@@ -142,24 +145,21 @@ class SieveInstance:
 
     @property
     def K(self) -> int:
-        return len(self.values if self.nums is None else self.nums)
+        return len(self.nums)
 
     def _row_blocks(self, n: np.ndarray):
         """(rows, e(x_j n) for j in rows) over row blocks of about _BLOCK_CELLS
-        cells; for exact points x_j n mod 1 is reduced in integers."""
+        cells; x_j n mod 1 is reduced in integers, then divided once."""
         step = max(1, _BLOCK_CELLS // len(n))
         for lo in range(0, self.K, step):
             rows = slice(lo, lo + step)
-            if self.nums is None:
-                phases = (self.values[rows, None] * n) % 1.0
-            else:
-                p, r = self.nums[rows, None], self.dens[rows, None]
-                phases = ((n % r) * p % r).astype(np.float64) / r.astype(np.float64)
+            p, r = self.nums[rows, None], self.dens[rows, None]
+            phases = ((n % r) * p % r / r).astype(np.float64, copy=False)
             yield rows, np.exp(2j * np.pi * phases)
 
     def matrix(self) -> np.ndarray:
-        """The K x N sieve matrix e(x_j n); only for moderate sizes."""
-        _check_gram_guard(self.K, self.N)
+        """The K x N sieve matrix e(x_j n), refused where the points side is."""
+        _check_gram_guard(self.K, self.N, "points", self.full_set is not None)
         n = np.arange(self.M + 1, self.M + self.N + 1, dtype=np.int64)
         T = np.empty((self.K, self.N), dtype=np.complex128)
         for rows, e in self._row_blocks(n):
@@ -217,13 +217,7 @@ def gram_lambda_max(
     """
     if side not in ("points", "frequencies"):
         raise ValueError(f"unknown side {side!r}")
-    _check_gram_guard(instance.K, instance.N)
-    d = instance.N if side == "frequencies" else instance.K
-    if d * d > GRAM_CELL_GUARD:
-        raise ValueError(
-            f"{side} Gram has {d * d} cells, over the gram guard {GRAM_CELL_GUARD}; "
-            "reduce Q or N"
-        )
+    _check_gram_guard(instance.K, instance.N, side, instance.full_set is not None)
     G = _gram(instance, side)
     eigenvalues, eigenvectors = np.linalg.eigh(G)
     lam = float(eigenvalues[-1])
@@ -241,18 +235,14 @@ def duality_check(instance: SieveInstance) -> tuple[float, float]:
     return lhs, rhs
 
 
-def min_torus_gap(instance: SieveInstance) -> Fraction | float:
-    """Exact minimal pairwise torus distance (Fraction when points are rational).
+def min_torus_gap(instance: SieveInstance) -> Fraction:
+    """Exact minimal pairwise torus distance.
 
     The points are ascending, so the minimum over all pairs is attained on
     circularly adjacent ones: K gaps, read off the columns in integers.
     """
     if instance.K < 2:
         raise ValueError("need at least two points for a gap")
-    if instance.nums is None:
-        x = instance.values
-        gaps = (np.roll(x, -1) - x) % 1.0  # the seam gap is 1 - (x[-1] - x[0])
-        return float(np.minimum(gaps, 1.0 - gaps).min())
     # the K exact gaps sum to 1, so the least is at most 1/2 and needs no fold
     a, d = instance.nums, instance.dens
     den = d * np.roll(d, -1)
@@ -340,10 +330,10 @@ def sieve_ratio_experiment(fs: FractionSet, N: int, epsilon: float = 0.0) -> dic
     is JSON-ready.
     """
     Q, k = fs.Q, fs.k
-    _check_gram_guard(len(fs), N)  # before the instance is built
-    inst = SieveInstance.from_fraction_set(fs, N)
     # the complex K x K points solve costs the real N x N one's time at N = 2K
-    side = "points" if 2 * inst.K <= inst.N else "frequencies"
+    side = "points" if 2 * len(fs) <= N else "frequencies"
+    _check_gram_guard(len(fs), N, side, full_set=True)  # before the instance is built
+    inst = SieveInstance.from_fraction_set(fs, N)
     spec = gram_lambda_max(inst, side)
     ceiling = per_q_exact_ceiling(Q, N, k)
     if spec.lambda_max > ceiling + 1e-6 * max(1.0, ceiling):

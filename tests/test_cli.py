@@ -272,6 +272,29 @@ class TestSubcommands:
         assert captured.out == ""
         assert captured.err == "powersieve weyl: --alpha 1/0 has a zero denominator\n"
 
+    def test_weyl_refuses_before_it_sums(self, capsys):
+        # the bound's first round would form 19,999,999 product cells; the
+        # 2*10**7-term exp_sum is never started
+        start = time.process_time()
+        argv = ["weyl", "--alpha", "1/7", "--k", "2", "--N", "20000000", "--n-min", "20000000"]
+        assert main(argv) == EXIT_USAGE
+        assert time.process_time() - start < 1.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("powersieve weyl: at k=2, N=20000000 a differencing round "
+                                "forms 19999999 product cells, over the guard 10000000; "
+                                "reduce k or N\n")
+
+    @pytest.mark.parametrize("argv", [["--N", "10000000"], ["--N", "12", "--tail", "1000000000"]])
+    def test_poisson_refuses_past_its_term_guard(self, capsys, argv):
+        start = time.process_time()
+        assert main(["poisson", *argv]) == EXIT_USAGE
+        assert time.process_time() - start < 1.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("powersieve poisson: the truncated sum has T = 1000000000 "
+                                "terms; it needs 10**3 <= T <= 10**7\n")
+
     def test_poisson_within_bound(self, capsys):
         code, out = run_cli(["poisson", "--N", "4"], capsys)
         assert code == EXIT_OK

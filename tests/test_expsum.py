@@ -10,7 +10,6 @@ import pytest
 
 from powersieve import expsum
 from powersieve.expsum import (
-    ZERO_GUARD,
     PolynomialPhase,
     exp_sum,
     fejer_phi,
@@ -43,7 +42,8 @@ def reference_partial_sum(y, N, terms):
 
 
 def reference_weyl_bound(phase, interval):
-    """The majorant with a dict of products and one Fraction per term."""
+    """The majorant with a dict of products and one Fraction per term; every
+    leading coefficient is a Fraction, a float's exact binary value."""
     k = phase.degree
     kappa = 2 ** (k - 1)
     _, N = interval
@@ -60,16 +60,12 @@ def reference_weyl_bound(phase, interval):
             prods = nxt
 
     def term(multiplier):
-        if isinstance(alpha, (int, Fraction)):
-            x = Fraction(alpha) * multiplier
-            num = x.numerator % x.denominator
-            num = min(num, x.denominator - num)
-            if num == 0:
-                return float(N)
-            return float(min(Fraction(N), Fraction(x.denominator, num)))
-        y = alpha * multiplier
-        dist = abs(y - round(y))
-        return float(N) if dist < ZERO_GUARD else min(float(N), 1.0 / dist)
+        x = alpha * multiplier
+        num = x.numerator % x.denominator
+        num = min(num, x.denominator - num)
+        if num == 0:
+            return float(N)
+        return float(min(Fraction(N), Fraction(x.denominator, num)))
 
     rsum = math.fsum(mult * term(fact * val) for val, mult in prods.items())
     return float(2 ** (2 * kappa)) * N ** (kappa - 1) + float(2 ** kappa) * N ** (
@@ -136,6 +132,15 @@ class TestExpSum:
             for n in range(1, 31)
         )
         assert s == pytest.approx(oracle, rel=1e-9)
+
+    @pytest.mark.parametrize("alpha, start", [(0.1, 10 ** 8), (math.sqrt(2), 10 ** 6)])
+    def test_float_is_its_exact_binary_value_at_large_n(self, alpha, start):
+        # f(n) = alpha n**2 reaches 10**15 and 10**12: a float Horner loses the
+        # phase there, the exact reduction of Fraction(alpha) does not
+        phase = PolynomialPhase.monomial(alpha, 2)
+        assert phase.leading == Fraction(alpha)
+        oracle = direct_exp_sum([0, 0, Fraction(alpha)], start, 5)
+        assert abs(exp_sum(phase, (start, 5)) - oracle) <= 1e-12
 
 
 def per_term_residues(phase, interval):
@@ -305,7 +310,7 @@ class TestWeylReference:
     @pytest.mark.parametrize(
         "alpha, k, N",
         [
-            (0.5 + 1e-12, 2, 10),  # guard band: multiples of 2 alpha land within 1e-9
+            (0.5 + 1e-12, 2, 10),  # 2 alpha P lands within 1e-9 of an integer, not on it
             (0.5 + 1e-12, 3, 25),
             (1 / 3 + 1e-11, 3, 30),
             (math.sqrt(2), 3, 40),
@@ -342,7 +347,7 @@ class TestWeylReference:
         assert dtypes == [np.dtype(np.int64)] * 2 * (k - 1) + [np.dtype(object)]
 
     def test_each_round_takes_its_own_width(self, monkeypatch):
-        # at k = 6, N = 2000 the last round's bound 720 * 1999**5 needs Python
+        # at k = 7, N = 2000 the last round's bound 1999**6 needs Python
         # integers, but round 2's products stay below 1999**2: that round runs
         # in int64, and the guard refuses round 3 (1,917,606,717 cells)
         widths = []
@@ -354,8 +359,8 @@ class TestWeylReference:
             return out
 
         monkeypatch.setattr(expsum, "exact_columns", spy)
-        phase = PolynomialPhase.monomial(Fraction(1, 7), 6)
-        with pytest.raises(ValueError, match="at k=6, N=2000 a differencing round forms"):
+        phase = PolynomialPhase.monomial(Fraction(1, 7), 7)
+        with pytest.raises(ValueError, match="at k=7, N=2000 a differencing round forms"):
             weyl_bound(phase, (1, 2000))
         assert widths == [np.dtype(np.int64)] * 2
 

@@ -35,19 +35,15 @@ def closed_form_2x2_lambda(inst: SieveInstance) -> float:
 
 
 def sorted_gap_reference(points):
-    """Minimal torus gap by sorting every point as a Fraction (or float)."""
-    pts = sorted(
-        Fraction(p) % 1 if isinstance(p, (int, Fraction)) else p % 1.0 for p in points
-    )
+    """Minimal torus gap by sorting every point as a Fraction; a float is its
+    exact binary value."""
+    pts = sorted(Fraction(p) % 1 for p in points)
     gaps = [b - a for a, b in zip(pts, pts[1:])] + [1 - (pts[-1] - pts[0])]
     return min(min(g, 1 - g) for g in gaps)
 
 
 def assert_ascending(inst: SieveInstance) -> None:
-    if inst.nums is None:
-        assert np.all(np.diff(inst.values) > 0)
-    else:
-        assert strictly_increasing(inst.nums, inst.dens)
+    assert strictly_increasing(inst.nums, inst.dens)
 
 
 class TestInstanceValidation:
@@ -323,7 +319,8 @@ class TestMinTorusGap:
         inst = SieveInstance(pts, 0, 4)
         assert min_torus_gap(inst) == Fraction(1, 250) == sorted_gap_reference(pts)
         floats = [2 / 3, 0.999, 1 / 3, 0.001]
-        assert min_torus_gap(SieveInstance(floats, 0, 4)) == sorted_gap_reference(floats)
+        gap = min_torus_gap(SieveInstance(floats, 0, 4))
+        assert gap == Fraction(0.001) + (1 - Fraction(0.999)) == sorted_gap_reference(floats)
 
     @pytest.mark.parametrize(
         "pts, expected",
@@ -331,7 +328,7 @@ class TestMinTorusGap:
             ([Fraction(6, 7), Fraction(1, 7)], Fraction(2, 7)),
             ([Fraction(1, 5), Fraction(3, 10)], Fraction(1, 10)),
             ([Fraction(1, 2), 0], Fraction(1, 2)),
-            ([0.1, 0.0], 1 - (1 - 0.1)),  # the float fold of the seam gap 0.9
+            ([0.1, 0.0], Fraction(0.1)),  # the binary value of 0.1, not one tenth
         ],
     )
     def test_two_point_instance(self, pts, expected):
@@ -358,7 +355,7 @@ class TestMinTorusGap:
             inst = SieveInstance(pts, 0, 3)
             assert_ascending(inst)
             gap = min_torus_gap(inst)
-            assert type(gap) is float and gap == sorted_gap_reference(pts)
+            assert type(gap) is Fraction and gap == sorted_gap_reference(pts)
 
     @pytest.mark.parametrize("Q", [2, 5, 12])
     def test_fraction_set_columns_ascending(self, Q):
@@ -488,3 +485,22 @@ class TestRatioExperiment:
         monkeypatch.setattr(SieveInstance, "__init__", refuse)
         with pytest.raises(ValueError, match=r"K\*N = 92278000000 exceeds the gram guard"):
             sieve_ratio_experiment(fs, 10 ** 6)
+
+    def test_frequencies_side_is_guarded_on_the_cells_it_forms(self, monkeypatch):
+        # |S(3, 2)| = 40 at N = 30 takes the frequencies side: its 30 x 30 Gram
+        # comes from the Ramanujan-sum symbol, and none of the K*N = 1200
+        # sieve-matrix cells is evaluated, so a 1000-cell guard admits it
+        fs = enumerate_set(3, 2)
+        inst = SieveInstance.from_fraction_set(fs, 30)
+        expected = gram_lambda_max(inst, "frequencies").lambda_max
+        monkeypatch.setattr(sv, "GRAM_CELL_GUARD", 1000)
+        assert sieve_ratio_experiment(fs, 30)["lambda_max"] == expected
+        with pytest.raises(ValueError, match=r"K\*N = 1200 exceeds the gram guard 1000"):
+            gram_lambda_max(inst, "points")
+
+    def test_point_list_symbol_is_guarded_on_its_sieve_cells(self, monkeypatch):
+        # the same 40 points as a list sum their symbol over K*N sieve-matrix cells
+        monkeypatch.setattr(sv, "GRAM_CELL_GUARD", 1000)
+        inst = SieveInstance(point_list(enumerate_set(3, 2)), 0, 30)
+        with pytest.raises(ValueError, match=r"K\*N = 1200 exceeds the gram guard 1000"):
+            gram_lambda_max(inst, "frequencies")

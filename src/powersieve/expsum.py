@@ -38,6 +38,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import fsum
 
 import numpy as np
@@ -50,8 +51,9 @@ MAX_WEYL_DEGREE = 9
 # cells of one differencing round's product column, np.multiply.outer(prods, r)
 WEYL_CELL_GUARD = 10 ** 7
 
-# terms of the truncated Poisson sum, formed as one float64 column
+# terms of the truncated Poisson sum; they go to one exact fsum a block at a time
 POISSON_TERMS_GUARD = 10 ** 7
+_POISSON_BLOCK = 2 ** 16
 
 Interval = tuple[int, int]  # (start, length): the integers start..start+length-1
 
@@ -213,8 +215,9 @@ def poisson_identity_check(N: int, tail: int | None = None) -> PoissonCheck:
     T = max(1000, 100 * N) if tail is None else tail
     if not 1000 <= T <= POISSON_TERMS_GUARD:
         raise ValueError(f"the truncated sum has T = {T} terms; it needs 10**3 <= T <= 10**7")
-    n = np.arange(1, T + 1, dtype=np.float64)
-    lhs = fejer_phi(0.0) + 2.0 * fsum(fejer_phi(n / (2.0 * N)))
+    blocks = (fejer_phi(np.arange(lo, min(lo + _POISSON_BLOCK, T + 1)) / (2.0 * N)).tolist()
+              for lo in range(1, T + 1, _POISSON_BLOCK))
+    lhs = fejer_phi(0.0) + 2.0 * fsum(chain.from_iterable(blocks))
     rhs = math.pi ** 2 * N / 2.0
     return PoissonCheck(
         lhs=lhs, rhs=rhs, gap=abs(lhs - rhs), tail_bound=(2 * N) ** 2 / T, terms=T

@@ -42,7 +42,7 @@ MAX_DENOMINATOR_BITS = 64
 _INT64_PRODUCT_BITS = 62
 
 # enumerate_set refuses larger sets: S(150, 2) has 4,796,786 points and
-# peaks near 270 MB to enumerate, 510 MB through the sorted spacing engine
+# peaks near 250 MB to enumerate, 330 MB through the sorted spacing engine
 MAX_SET_POINTS = 10 ** 7
 
 # adjacent pairs per block of the order certificate's cross products

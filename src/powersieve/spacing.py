@@ -14,10 +14,9 @@ with t = 1/(2N) in the standard parameterization.  Two engines compute it:
 
 Each answers any number of thresholds in one call and decides
 ``||x - x'|| < t = u/v`` by its own integer test against the floor
-(u p - 1) // v, at int64 or narrower on every S(Q, k).  The fast path
-settles short arcs in exact rounds over whole columns; float64 positions
-only propose the ends of the long ones, each settled exactly, so the
-engines agree bit for bit.
+(u p - 1) // v, at int64 or narrower on every S(Q, k), so they agree bit for
+bit; the fast path runs it only on the pairs that one subtraction of int64
+keys floor(v 2**s) leaves undecided.
 
 Thresholds are positive fractions ``t_num/t_den``; both engines refuse any
 other.  The counts over a whole set, ``spacing_count_fast`` and
@@ -34,6 +33,7 @@ parameterized by an exact rational threshold serves every convention.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable
@@ -134,42 +134,49 @@ def neighbor_counts_bruteforce(nums, dens, t_num, t_den) -> np.ndarray:
     return counts if np.ndim(t_num) else counts[0]
 
 
-def _forward_ends(nums, dens, vf, wn, wd, wf, t_num: int, t_den: int) -> np.ndarray:
+def _band(inside, delta, hi: int) -> np.ndarray:  # the band lo <= delta <= hi
+    return np.flatnonzero(inside != (delta <= hi))
+
+
+def _forward_ends(nums, dens, wk, s: int, t_num: int, t_den: int) -> np.ndarray:
     """For sorted points, each forward arc's end p_i: the largest p in
     [i, i + n - 1] with w_p - v_i < t, so the arc holds p_i - i points.
 
-    ``wn/wd`` (floats ``wf``) extend the columns past the seam, w_p =
-    v_{p-n} + 1, over the points below the largest threshold and one more,
-    which no arc reaches.  In integers w_p - v_i < t reads
-    wn_p d_i - n_i wd_p <= (t_num d_i wd_p - 1) // t_den, and a t_den clamped
-    to t_num dmax**2 + 1 leaves every floor as it is.  Exact rounds d = 1, 2, ...
-    test whether arc i holds i + d on whole-column slices, with no gathers (w
-    increases, so an arc holding i + d holds every point before it).  A round
-    costs O(n) and a search O(log n) an arc, so the rounds stop once fewer than
-    n / log2 n arcs are open or the last round closed fewer than that.  Float
-    searchsorted proposes the open arcs' ends, and exact rounds testing p and
-    p + 1 move each to p in, p + 1 out.
+    ``wk`` holds the keys floor(w_p 2**s), w_p = v_p and past the seam v_{p-n} + 1
+    for the points below the largest threshold and one more, which no arc
+    reaches.  Each floor is off by under one, so a key gap delta < floor(t 2**s)
+    proves w_p - v_i < t, delta > ceil(t 2**s) refutes it, and only the band
+    between takes wn_p d_i - n_i wd_p <= (t_num d_i wd_p - 1) // t_den (a t_den
+    clamped to t_num dmax**2 + 1 leaves every floor as it is).  Rounds d = 1, 2,
+    ... test whether arc i holds i + d on whole-column slices (w increases, so an
+    arc holding i + d holds every point before it).  A round costs O(n) and a
+    search O(log n) an arc, so the rounds stop once fewer than n / log2 n arcs
+    are open or the last round closed fewer than that.  A key search puts the
+    open arcs at their last point proven in; exact tests at p and p + 1 settle them.
     """
-    n = len(nums)
+    n, lo, hi = len(nums), (t_num << s) // t_den, -(-(t_num << s) // t_den)
 
-    def lt(ni, di, wnp, wdp):  # w_p - v_i < t, in integers
-        return wnp * di - ni * wdp <= (t_num * (di * wdp) - 1) // t_den
+    def lt(delta, pairs):  # w_p - v_i < t for keys delta apart; pairs(j) gives (i, p)
+        inside = delta < lo
+        i, p = pairs(band := _band(inside, delta, hi))
+        di, wd = dens[i], dens.take(p, mode="wrap")
+        x = (nums.take(p, mode="wrap") + (p >= n) * wd) * di - nums[i] * wd
+        inside[band] = x <= (t_num * (di * wd) - 1) // t_den
+        return inside
 
     ends, lg, d, left, closed = np.arange(n), n.bit_length(), 0, n, n
     while left * lg >= n and closed * lg >= n:  # round d: does arc i hold i + d?
         d += 1
-        m = min(n, len(wn) - d)  # i + d past the extension lies beyond every arc
-        held = lt(nums[:m], dens[:m], wn[d : m + d], wd[d : m + d])  # the open arcs
+        m = min(n, len(wk) - d)  # i + d past the extension lies beyond every arc
+        held = lt(wk[d : m + d] - wk[:m], lambda j: (j, j + d))  # the open arcs
         ends[:m] += held
         closed, left = left, np.count_nonzero(held)
         closed -= left
     i = np.flatnonzero(held)
-    p = np.searchsorted(wf, vf[i] + t_num / t_den) - 1
-    p = np.clip(p, i + d, np.minimum(i + n - 1, len(wn) - 2))
+    p = np.clip(np.searchsorted(wk, wk[i] + lo) - 1, i + d, np.minimum(i + n - 1, len(wk) - 2))
     while i.size:
-        ni, di = nums[i], dens[i]
-        inside = lt(ni, di, wn[p], wd[p])
-        beyond = lt(ni, di, wn[p + 1], wd[p + 1])
+        inside = lt(wk[p] - wk[i], lambda j: (i[j], p[j]))
+        beyond = lt(wk[p + 1] - wk[i], lambda j: (i[j], p[j] + 1))
         done = inside & ~beyond
         ends[i[done]] = p[done]
         p += beyond
@@ -184,17 +191,17 @@ def neighbor_counts_sorted(nums, dens, t_num, t_den) -> np.ndarray:
     One forward pass gives each point i its forward arc, the positions
     (i, p_i] of the doubled index range [0, 2n) whose points lie within
     (v' - v) mod 1 < t: exact rounds over whole columns end the short arcs
-    and a float search the rest (``_forward_ends``).  The backward neighbors
+    and a key search the rest (``_forward_ends``).  The backward neighbors
     of j are exactly the points whose forward arc covers j or j + n.  For
     t <= 1/2 the forward and backward relations are disjoint for distinct
     points ((v' - v) mod 1 and (v - v') mod 1 sum to 1, so at most one is
     below 1/2), and an arc is shorter than n, so no point covers j twice.
-    With E(x) the number of arcs ending before x, j counts
-    p_j - j + (j - E(j)) + (n - E(j + n)).
+    With E(x) the number of arcs ending before x, j counts p_j - j + (j - E(j))
+    + (n - E(j + n)) = p_j + c - #{p_i mod n < j}, as the c arcs past the seam come last.
 
     Thresholds follow the oracle, ``(n,)`` for a scalar and ``(T, n)`` for
-    sequences, and share one order certificate, one set of floats and one of
-    columns, int64 while 2 dmax**2 max(t_num) < 2**62, whatever each t_den.
+    sequences, and share one order certificate, one column of int64 keys and
+    one pair of columns, int64 while 2 dmax**2 max(t_num) < 2**62, whatever each t_den.
     """
     n = len(nums)
     counts, rows = _thresholds(t_num, t_den, n)
@@ -203,17 +210,17 @@ def neighbor_counts_sorted(nums, dens, t_num, t_den) -> np.ndarray:
         nums, dens = _engine_columns(nums, dens, max(t_nums))
         if not strictly_increasing(nums, dens):
             raise ValueError("sorted engine requires strictly increasing values")
-        vf = nums.astype(np.float64) / dens.astype(np.float64)
+        s = 62 - min(int(np.max(dens)).bit_length(), 31)  # nums << s < 2**62
         cap = max(t_nums) * int(np.max(dens)) ** 2 + 1  # (u p - 1) // v is 0 for v >= cap
-        tu, tv = max(((u, v) for _, u, v in rows), key=lambda t: Fraction(*t))
-        e = min(n, 1 + np.count_nonzero(nums <= (tu * dens - 1) // min(tv, cap)))  # #{v < t} + 1
-        wn = np.concatenate([nums, nums[:e] + dens[:e]])
-        wd = np.concatenate([dens, dens[:e]])
-        wf = np.concatenate([vf, vf[:e] + 1.0])
+        t = max(Fraction(u, v) for _, u, v in rows)
+        e = 1 + bisect_left(range(n), t, key=lambda i: Fraction(int(nums[i]), int(dens[i])))
+        wk = np.asarray((nums << s) // dens, dtype=np.int64)  # floor(v 2**s)
+        wk = np.concatenate([wk, wk[: min(n, e)] + (1 << s)])  # #{v < t} + 1 past the seam
         for r, u, v in rows:
-            ends = _forward_ends(nums, dens, vf, wn, wd, wf, u, min(v, cap))
-            before = np.cumsum(np.bincount(ends + 1, minlength=2 * n))  # E(x)
-            counts[r] = ends + n - before[:n] - before[n:]
+            ends = _forward_ends(nums, dens, wk, s, u, min(v, cap))
+            c = np.count_nonzero(ends >= n)  # the last c arcs pass the seam
+            counts[r], ends[n - c :] = ends + c, ends[n - c :] - n
+            counts[r, 1:] -= np.cumsum(np.bincount(ends, minlength=n)[:-1])
     return counts if np.ndim(t_num) else counts[0]
 
 

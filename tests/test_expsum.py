@@ -3,6 +3,7 @@
 import cmath
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -408,6 +409,26 @@ class TestPoissonIdentity:
     def test_tail_floor_enforced(self):
         with pytest.raises(ValueError):
             poisson_identity_check(1, tail=10)
+
+    def test_blocks_give_the_one_shot_sum(self):
+        # fsum rounds the exact sum of the terms, so forming them a block at a
+        # time leaves lhs as one column of all T terms gives it
+        T, N = 10 ** 5, 7
+        n = np.arange(1, T + 1, dtype=np.float64)
+        one_shot = fejer_phi(0.0) + 2.0 * math.fsum(fejer_phi(n / (2.0 * N)))
+        assert T > expsum._POISSON_BLOCK
+        assert poisson_identity_check(N, tail=T).lhs == one_shot
+
+    def test_memory_is_bounded_by_the_block(self):
+        # 10**6 terms are 8 MB a float64 column; a block's columns and its
+        # Python floats take under 64 bytes a term
+        tracemalloc.start()
+        try:
+            poisson_identity_check(3, tail=10 ** 6)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * expsum._POISSON_BLOCK < 8 * 10 ** 6
 
 
 class TestVKernel:

@@ -561,9 +561,9 @@ class TestFloorWidth:
         extended = []
         forward_ends = spacing._forward_ends
 
-        def spy(nums, dens, vf, wn, *rest):
-            extended.append(len(wn) - len(nums))
-            return forward_ends(nums, dens, vf, wn, *rest)
+        def spy(nums, dens, wk, *rest):
+            extended.append(len(wk) - len(nums))
+            return forward_ends(nums, dens, wk, *rest)
 
         monkeypatch.setattr(spacing, "_forward_ends", spy)
         neighbor_counts_sorted(nums, dens, [1, 1], [9, 90])
@@ -626,7 +626,7 @@ def slice_rounds(pts, t):
 
 class TestSliceRounds:
     """Exact rounds d = 1, 2, ... over whole-column slices settle the short
-    arcs; only the arcs still open after them reach the float search."""
+    arcs; only the arcs still open after them reach the key search."""
 
     @staticmethod
     def check(pts, thresholds, keys):
@@ -713,6 +713,93 @@ class TestSliceRounds:
         fs = enumerate_set(12, 2)
         spacing_count_fast(fs, 10)
         assert sum(search_keys) >= 0.9 * len(fs)
+
+
+def key_bracket(pts, t):
+    """A plain model of the sorted engine's keys floor(v 2**s): s, the bracket
+    lo = floor(t 2**s) and hi = ceil(t 2**s), and for every ordered pair at
+    most half a turn apart forward its key gap delta, whether it is below t
+    and whether it crosses the seam."""
+    s = 62 - min(max(p.denominator for p in pts).bit_length(), 31)
+    lo, hi = math.floor(t * 2 ** s), math.ceil(t * 2 ** s)
+    pairs = []
+    for x in pts:
+        for y in pts:
+            f = (y - x) % 1
+            if 0 < f <= Fraction(1, 2):
+                delta = math.floor((x + f) * 2 ** s) - math.floor(x * 2 ** s)
+                pairs.append((delta, f < t, y < x))
+    return s, lo, hi, pairs
+
+
+def band_points(t, scale):
+    """Bases a/D and a/(E - 1), each with partners over E and E - 1 a few
+    units either side of it + t, and the a/D with their exact partner at + t
+    (D = 3 * 2**28 and E = 2**30 times ``scale``; 64 and 96 divide D).  The
+    first base of each kind sits just below 1, so its partners cross the seam."""
+    D, E = 3 * 2 ** 28 * scale, 2 ** 30 * scale
+    pts = set()
+    for j in range(4):
+        for B in (D, E - 1):
+            x = Fraction((j * B) // 4 - B // 200 + 5 * j, B) % 1
+            y = (x + t) % 1
+            pts |= {x, y} if B == D else {x}
+            for den in (E, E - 1):
+                pts |= {Fraction(math.floor(y * den) + r, den) % 1 for r in (-1, 0, 1, 2)}
+    return sorted(pts)
+
+
+@pytest.fixture
+def band_sizes(monkeypatch):
+    """The number of pairs of every band the sorted engine sends to its floor test."""
+    sizes, band = [], spacing._band
+
+    def spy(*args):
+        out = band(*args)
+        sizes.append(len(out))
+        return out
+
+    monkeypatch.setattr(spacing, "_band", spy)
+    return sizes
+
+
+class TestKeyBand:
+    """Integer keys floor(v 2**s) settle a pair by one subtraction unless its
+    key gap lies in the band [floor(t 2**s), ceil(t 2**s)], where the floor
+    test decides it."""
+
+    # t 2**31 is 2**25 at t = 1/64 (lo == hi) and 2**26 / 3 at t = 1/96 (lo < hi);
+    # at scale 8 the denominators pass 2**31 and the columns are Python integers
+    @pytest.mark.parametrize("t", [Fraction(1, 64), Fraction(1, 96)])
+    @pytest.mark.parametrize("scale,dtype", [(1, np.int64), (8, object)])
+    def test_pairs_at_and_one_key_unit_around_t(self, t, scale, dtype, band_sizes):
+        pts = band_points(t, scale)
+        s, lo, hi, pairs = key_bracket(pts, t)
+        assert s == 31 and (lo == hi) == (t == Fraction(1, 64))
+        seen = {(delta - lo, inside) for delta, inside, _ in pairs}
+        # pairs exactly t apart (outside at delta = lo), inside at delta = hi,
+        # and one key unit below lo (inside) and above hi (outside)
+        assert {(0, False), (hi - lo, True), (-1, True), (hi - lo + 1, False)} <= seen
+        assert any(seam and lo <= delta <= hi for delta, _, seam in pairs)
+        assert any((y - x) % 1 == t for x in pts for y in pts)
+        nums, dens = fraction_columns(pts)
+        assert spacing._engine_columns(nums, dens, t.numerator)[0].dtype == dtype
+        counts = neighbor_counts_sorted(nums, dens, t.numerator, t.denominator)
+        assert sum(band_sizes) > 0
+        assert counts.tolist() == fraction_counts(pts, t)
+        brute = neighbor_counts_bruteforce(nums, dens, t.numerator, t.denominator)
+        assert counts.tolist() == brute.tolist()
+
+    @pytest.mark.parametrize("t_den", [30 ** 3, 2 * 30 ** 3])
+    def test_band_is_rare_on_a_fraction_set(self, t_den, band_sizes):
+        # S(30, 2) at both scan thresholds: the one subtraction settles all but
+        # a few of the pairs, so a shift that left every key gap in the band
+        # (s = 0) would fail here
+        fs = enumerate_set(30, 2)
+        n = len(fs)
+        counts = neighbor_counts_sorted(fs.numerators, fs.denominators(), 1, t_den)
+        assert band_sizes and sum(band_sizes) < n / 1000
+        assert counts.max() > 0
 
 
 class TestOracleMemory:

@@ -1,6 +1,7 @@
 """Spacing counts: oracle equivalence, conventions, seam handling, scans."""
 
 import csv
+import functools
 import itertools
 import math
 import random
@@ -509,6 +510,71 @@ class TestOracleClasses:
         assert counts.tolist() == [0] * len(fs)
 
 
+def class_points(classes, rng):
+    """Distinct reduced points a/d, ``size`` of them for each (d, size), shuffled."""
+    pts = [Fraction(int(a), d) for d, size in classes
+           for a in rng.sample([a for a in range(1, d) if gcd(a, d) == 1], size)]
+    rng.shuffle(pts)
+    return (pts, np.array([p.numerator for p in pts]), np.array([p.denominator for p in pts]))
+
+
+class TestOracleRuns:
+    """The oracle's column runs: a class of ``_LARGE_CLASS`` points or more
+    alone, stretches of smaller classes together, hits summed narrow."""
+
+    # large classes 101, 103 and 107 around small ones, and a small stretch at each end
+    MIXED = [(5, 4), (7, 6), (11, 1), (101, 80), (102, 3), (103, 70), (107, 64),
+             (109, 5), (113, 2), (127, 9)]
+    THRESHOLDS = [Fraction(1, 200), Fraction(1, 150), Fraction(1, 41), Fraction(3, 1000)]
+
+    @classmethod
+    @functools.cache
+    def mixed_case(cls):
+        pts, nums, dens = class_points(cls.MIXED, random.Random(1))
+        return pts, nums, dens, [fraction_counts(pts, t) for t in cls.THRESHOLDS]
+
+    def test_runs_split_large_classes_from_small_stretches(self):
+        sizes = [3, 70, 2, 5, 64, 1, 63, 64]
+        ends = np.cumsum(sizes).tolist()
+        assert spacing._column_runs(ends) == [
+            [0, 3], [3, 73], [73, 80], [80, 144], [144, 208], [208, 272]]
+        assert spacing._column_runs([5]) == [[0, 5]]
+
+    @pytest.mark.parametrize("block_cells", [1, 7, 64, 150, 2 ** 17])
+    def test_mixed_classes_at_any_block_size(self, monkeypatch, block_cells):
+        # small blocks split each class's rows, and a run's first block meets
+        # the columns from inside the class on
+        monkeypatch.setattr(spacing, "_BLOCK_CELLS", block_cells)
+        pts, nums, dens, expected = self.mixed_case()
+        t_nums, t_dens = zip(*((t.numerator, t.denominator) for t in self.THRESHOLDS))
+        rows = neighbor_counts_bruteforce(nums, dens, [*t_nums, 1], [*t_dens, 2])
+        assert rows.tolist() == [*expected, [len(pts) - 1] * len(pts)]
+        assert 0 < rows[0].max() < rows[2].max() < len(pts) - 1
+
+    @pytest.mark.parametrize("n, one_class", [(255, True), (256, True), (256, False)])
+    def test_rows_of_more_than_255_hits(self, n, one_class):
+        # every pair is closer than t, so the first row of the sweep holds n
+        # hits in one run: 255 fit a uint8 sum, 256 need a uint16
+        if one_class:
+            pts = [Fraction(a, 1009) for a in range(1, n + 1)]
+        else:
+            pts = [Fraction(1, d) for d in range(1000, 1000 + n)]
+        random.Random(n).shuffle(pts)
+        nums, dens = (np.array([getattr(p, f) for p in pts]) for f in ("numerator", "denominator"))
+        t = Fraction(1, 3) if one_class else Fraction(1, 1000)
+        counts = neighbor_counts_bruteforce(nums, dens, t.numerator, t.denominator)
+        assert counts.tolist() == fraction_counts(pts, t) == [n - 1] * n
+
+    def test_shuffled_mixed_classes_give_permuted_counts(self, monkeypatch):
+        monkeypatch.setattr(spacing, "_BLOCK_CELLS", 300)
+        pts, nums, dens, expected = self.mixed_case()
+        t = self.THRESHOLDS[1]
+        for seed in range(3):
+            perm = np.random.default_rng(seed).permutation(len(pts))
+            counts = neighbor_counts_bruteforce(nums[perm], dens[perm], t.numerator, t.denominator)
+            assert counts.tolist() == [expected[1][i] for i in perm]
+
+
 class TestFloorWidth:
     """The sorted engine tests x/p < u/v as x <= (u p - 1) // v with v clamped
     to u dmax**2 + 1, so its width rests on dmax and t_num alone."""
@@ -815,7 +881,7 @@ class TestOracleMemory:
         return peak, len(fs), counts.nbytes
 
     def test_block_buffers_bound_the_peak(self):
-        # two int32 cell buffers and a bool mask are 9 bytes a cell, 10 with
+        # two int32 cell buffers and a uint8 mask are 9 bytes a cell, 10 with
         # room for the row and column sums; the columns in class order, the
         # class vectors and the counts take under 80 bytes a point
         def bound(n, counts_bytes):

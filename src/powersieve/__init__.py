@@ -18,6 +18,7 @@ from .characters import (
 from .expsum import (
     PolynomialPhase,
     exp_sum,
+    exp_sum_prefixes,
     fejer_phi,
     fejer_phi_hat,
     poisson_identity_check,

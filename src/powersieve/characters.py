@@ -55,6 +55,18 @@ class GaussSum:
         return abs(self.value)
 
 
+def _powers(g: int, d: int, m: int) -> np.ndarray:
+    """g**e mod m for e = 0..d-1 by doubling: powers[s:2s] = powers[:s] * g**s."""
+    powers = np.empty(d, dtype=np.int64)
+    powers[0] = 1 % m
+    s, gs = 1, g % m
+    while s < d:
+        n = min(s, d - s)
+        powers[s:s + n] = powers[:n] * gs % m
+        s, gs = 2 * s, gs * gs % m
+    return powers
+
+
 class CharacterTable:
     """All phi(m) Dirichlet characters to modulus m = q**k.
 
@@ -80,11 +92,11 @@ class CharacterTable:
         self.shape = tuple(self.orders) or (1,)
         assert math.prod(self.orders) == totient(m)
 
-        # walk the group once: residues[t] = prod g_i**t_i, t in C order
+        # walk the group once: residues[t] = prod g_i**t_i, t in C order; int64
+        # products stay below m**2 <= 10**12
         residues = np.array([1 % m], dtype=np.int64)
         for g, d in self.generators:
-            powers = np.array([pow(g, e, m) for e in range(d)], dtype=np.int64)
-            residues = (residues[:, None] * powers[None, :] % m).ravel()
+            residues = (residues[:, None] * _powers(g, d, m)[None, :] % m).ravel()
         self.residues = residues
         self.primitive = self._primitive_flags()
 

@@ -7,6 +7,9 @@ the phase is reduced mod 1 in exact integer arithmetic (Horner mod L over one
 ``exact_columns`` column) before the transcendental call, and the per-term
 argument error is one sin/cos ulp even for large n; naive float evaluation
 of f(n) would lose every significant digit long before that.
+``exp_sum_prefixes`` gives the sums over every prefix of one interval from
+terms formed once; ``exp_sum`` is its one-row case, so both share one
+summation path and agree bit for bit.
 
 ``weyl_bound`` evaluates the explicit-constant majorant obtained by squaring
 the sum k-1 times (kappa = 2**(k-1)):
@@ -94,8 +97,9 @@ class PolynomialPhase:
         return cls((0,) * k + (alpha,))
 
 
-def _phase_fractions_mod1(phase: PolynomialPhase, interval: Interval) -> list[float]:
-    """f(n) mod 1 for each n of the interval, reduced exactly."""
+def _phase_fractions_mod1(phase: PolynomialPhase, interval: Interval) -> np.ndarray:
+    """f(n) mod 1 for each n of the interval, reduced exactly: the correctly
+    rounded float64 column."""
     start, length = interval
     L = math.lcm(*(c.denominator for c in phase.coefficients))
     ints = [int(c * L) % L for c in phase.coefficients]  # f = P/L with P integral
@@ -106,22 +110,33 @@ def _phase_fractions_mod1(phase: PolynomialPhase, interval: Interval) -> list[fl
     for c in reversed(ints):
         acc = (acc * ns + c) % L
     if L < 2 ** 53:  # acc and L are exact doubles: one IEEE division rounds acc / L
-        return (acc.astype(np.float64) / L).tolist()
-    return [a / L for a in acc.tolist()]
+        return acc.astype(np.float64) / L
+    return np.array([a / L for a in acc.tolist()], dtype=np.float64)
 
 
-def exp_sum(phase: PolynomialPhase, interval: Interval) -> complex:
-    """S = sum over n in the interval of e(f(n)), compensated.
+def exp_sum_prefixes(phase: PolynomialPhase, interval: Interval, first: int = 1) -> list[complex]:
+    """S_L = sum over the interval's first L integers of e(f(n)), for
+    L = first..length, compensated.
 
-    Real and imaginary parts are accumulated with ``math.fsum``.
+    The cos and sin of every term are formed once, into two columns; each
+    S_L is one ``math.fsum`` per part over the columns' first L entries.
     """
     start, length = interval
     if length < 1:
         raise ValueError("interval length must be >= 1")
-    thetas = _phase_fractions_mod1(phase, interval)
-    re = fsum(math.cos(2 * math.pi * t) for t in thetas)
-    im = fsum(math.sin(2 * math.pi * t) for t in thetas)
-    return complex(re, im)
+    if not 1 <= first <= length:
+        raise ValueError(f"need 1 <= first <= length = {length}, got first {first}")
+    # the IEEE products 2*pi*t, handed to cos and sin as Python floats
+    args = memoryview(2 * math.pi * _phase_fractions_mod1(phase, interval))
+    re = memoryview(np.fromiter(map(math.cos, args), np.float64, length))
+    im = memoryview(np.fromiter(map(math.sin, args), np.float64, length))
+    return [complex(fsum(re[:L]), fsum(im[:L])) for L in range(first, length + 1)]
+
+
+def exp_sum(phase: PolynomialPhase, interval: Interval) -> complex:
+    """S = sum over n in the interval of e(f(n)): the one-row case of
+    ``exp_sum_prefixes``."""
+    return exp_sum_prefixes(phase, interval, first=interval[1])[0]
 
 
 def weyl_kappa(k: int, N: int) -> int:
@@ -170,7 +185,7 @@ def weyl_bound(phase: PolynomialPhase, interval: Interval) -> float:
     num = np.minimum(res, v - res)
     capped = (num == 0) | (N * num <= v)
     terms = np.where(capped, N, v / np.where(capped, 1, num)).astype(np.float64)
-    rsum = fsum(mult * terms)
+    rsum = fsum(memoryview(mult * terms))  # Python floats, not numpy scalars, into fsum
     return float(2 ** (2 * kappa)) * N ** (kappa - 1) + float(2 ** kappa) * N ** (
         kappa - k
     ) * rsum

@@ -129,6 +129,18 @@ class TestTableConstruction:
         with pytest.raises(ValueError):
             build_character_table(3, 1)
 
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_doubled_powers_equal_the_pow_loop(self, k):
+        # every q**k <= 2*10**4: q = 1, the powers of two and odd prime powers
+        for q in itertools.takewhile(lambda q: q ** k <= 2 * 10 ** 4, itertools.count(1)):
+            t = build_character_table(q, k)
+            m = t.modulus
+            residues = np.array([1 % m], dtype=np.int64)
+            for g, d in t.generators:
+                powers = np.array([pow(g, e, m) for e in range(d)], dtype=np.int64)
+                residues = (residues[:, None] * powers[None, :] % m).ravel()
+            assert np.array_equal(t.residues, residues), (q, k)
+
     @pytest.mark.parametrize("q,k", [(1, 2), (1, 3), (2, 2), (2, 3), (3, 2), (3, 3), (4, 2),
                                      (5, 2), (6, 2), (10, 2), (12, 2), (14, 2), (2, 7)])
     def test_labels_on_demand_are_the_c_order_grid(self, q, k):

@@ -25,6 +25,7 @@ from powersieve.cli import (
     build_parser,
     main,
 )
+from powersieve.characters import build_character_table, gauss_sum
 from powersieve.rationals import expected_cardinality
 
 
@@ -308,6 +309,18 @@ class TestSubcommands:
         assert doc["primitive_count"] == 16
         assert doc["violations"] == 0
 
+    @pytest.mark.parametrize("q,k", [(1, 2), (2, 2), (8, 2), (31, 2), (9, 3)])
+    def test_gauss_rows_are_gauss_sums(self, q, k, capsys):
+        code, out = run_cli(["gauss", "--q", str(q), "--k", str(k)], capsys)
+        assert code == EXIT_OK
+        table = build_character_table(q, k)
+        rows = []
+        for j in range(len(table)):
+            g = gauss_sum(table, j).value
+            rows.append({"index": j, "primitive": bool(table.primitive[j]),
+                         "gauss_re": g.real, "gauss_im": g.imag, "gauss_abs": abs(g)})
+        assert json.loads(out)["rows"] == rows
+
     def test_transfer_ok(self, capsys):
         code, out = run_cli(["transfer", "--q", "5", "--N", "20", "--seed", "1"], capsys)
         doc = json.loads(out)
@@ -547,6 +560,14 @@ class TestWidthGuards:
          "S(46, 3) has 10385352 points, more than the budget 10000000"),
         (["table1", "--q-max", "192"],
          "S(192, 2) has 10080808 points, more than the budget 10000000"),
+        # so is a weyl range: rows from N = 1 pass the guard up to N = 10**7 + 1
+        # (k=2) or 3163 (k=3), and the largest N's bound is evaluated first
+        (["weyl", "--alpha", "1/7", "--k", "2", "--N", "20000000", "--n-min", "1"],
+         "at k=2, N=20000000 a differencing round forms 19999999 product cells, "
+         "over the guard 10000000; reduce k or N"),
+        (["weyl", "--alpha", "1/7", "--k", "3", "--N", "5000", "--n-min", "1"],
+         "at k=3, N=5000 a differencing round forms 24990001 product cells, "
+         "over the guard 10000000; reduce k or N"),
     ])
     def test_refused_before_the_power_is_formed(self, argv, message, capsys):
         start = time.process_time()

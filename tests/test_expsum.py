@@ -13,6 +13,7 @@ from powersieve import expsum
 from powersieve.expsum import (
     PolynomialPhase,
     exp_sum,
+    exp_sum_prefixes,
     fejer_phi,
     fejer_phi_hat,
     poisson_identity_check,
@@ -197,7 +198,8 @@ class TestExactPhaseColumn:
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_equals_per_term_horner(self, case):
         phase, interval = self.CASES[case]
-        assert expsum._phase_fractions_mod1(phase, interval) == per_term_thetas(phase, interval)
+        thetas = expsum._phase_fractions_mod1(phase, interval)
+        assert thetas.dtype == np.float64 and thetas.tolist() == per_term_thetas(phase, interval)
         assert exp_sum(phase, interval) == per_term_exp_sum(phase, interval)
 
     def test_cases_reach_each_path(self):
@@ -215,6 +217,49 @@ class TestExactPhaseColumn:
         # past 2**53 acc is no exact double, and a float64 division rounds differently
         L, residues = per_term_residues(*self.CASES["prime_L_past_2_53"])
         assert any(float(acc) / float(L) != acc / L for acc in residues)
+
+
+def random_phase(rng):
+    """Degree 1-4, coefficients all Fractions or all floats, leading nonzero."""
+    degree = rng.randint(1, 4)
+    if rng.random() < 0.5:
+        coeffs = [Fraction(rng.randint(-50, 50), rng.randint(1, 200)) for _ in range(degree)]
+        coeffs.append(Fraction(rng.choice([-1, 1]) * rng.randint(1, 50), rng.randint(1, 200)))
+    else:
+        coeffs = [rng.uniform(-3, 3) for _ in range(degree)]
+        coeffs.append(rng.choice([-1, 1]) * rng.uniform(0.01, 3))
+    return PolynomialPhase(tuple(coeffs))
+
+
+class TestExpSumPrefixes:
+    """Every prefix sum is the one-row exp_sum of its own interval, and the
+    per-term reference, bit for bit: a theta does not depend on the length."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_each_prefix_is_its_own_exp_sum(self, seed):
+        rng = random.Random(seed)
+        for _ in range(50):
+            phase = random_phase(rng)
+            start, length = rng.randint(-10 ** 6, 50), rng.randint(1, 100)
+            for first in (1, length):
+                sums = exp_sum_prefixes(phase, (start, length), first)
+                assert len(sums) == length - first + 1
+                for L, S in zip(range(first, length + 1), sums):
+                    assert S == exp_sum(phase, (start, L))
+                    assert S == per_term_exp_sum(phase, (start, L))
+
+    @pytest.mark.parametrize("case", sorted(TestExactPhaseColumn.CASES))
+    def test_prefixes_across_column_widths(self, case):
+        # a short prefix's own column can be narrower than the whole interval's
+        phase, (start, length) = TestExactPhaseColumn.CASES[case]
+        sums = exp_sum_prefixes(phase, (start, length))
+        assert sums == [exp_sum(phase, (start, L)) for L in range(1, length + 1)]
+        assert sums[-1] == per_term_exp_sum(phase, (start, length))
+
+    @pytest.mark.parametrize("first", [0, 6])
+    def test_first_outside_1_to_length_refused(self, first):
+        with pytest.raises(ValueError, match=f"need 1 <= first <= length = 5, got first {first}"):
+            exp_sum_prefixes(PolynomialPhase.monomial(Fraction(1, 7), 2), (1, 5), first)
 
 
 class TestWeylBound:

@@ -8,7 +8,6 @@ __version__ = "0.1.0"
 
 from .characters import (
     CharacterTable,
-    GaussSum,
     additive_lhs,
     build_character_table,
     gauss_sum,
@@ -47,8 +46,6 @@ from .sieve import (
     sieve_ratio_experiment,
 )
 from .spacing import (
-    ScanReport,
-    ScanRow,
     SpacingResult,
     conjecture_scan,
     neighbor_counts_bruteforce,

@@ -9,7 +9,8 @@ e(sum c_i e_i / d_i).  The table keeps the generators, orders and the unit
 residues in C order over the grid, all O(phi(m)); character j is labelled
 by grid index j, read off on demand.  A sum over the units of f(a) chi_c(a)
 is, for all c at once, phi(m) times the inverse DFT of f on the grid: every
-Gauss sum comes from one group FFT of e(a/m), and the character sums of a
+Gauss sum comes from one group FFT of e(a/m), the column ``gauss``
+(``gauss_sum`` reads one entry as a complex), and the character sums of a
 sequence from one group FFT of the sequence binned by residue.  Dense value
 rows are built only on demand.
 
@@ -32,7 +33,6 @@ phi(q**k)/q**k = phi(q)/q for every k.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
@@ -45,14 +45,8 @@ from .arith import coprime_residues, factorize, totient, unit_group_generators
 MAX_MODULUS = 10 ** 6
 VALUES_CELL_GUARD = 5 * 10 ** 7
 
-
-@dataclass(frozen=True)
-class GaussSum:
-    chi_index: int
-    value: complex
-
-    def __abs__(self) -> float:
-        return abs(self.value)
+# the transfer check's sequence length, refused past this before it is drawn
+TRANSFER_TERMS_GUARD = 10 ** 7
 
 
 def _powers(g: int, d: int, m: int) -> np.ndarray:
@@ -156,9 +150,9 @@ def build_character_table(q: int, k: int) -> CharacterTable:
     return CharacterTable(q, k)
 
 
-def gauss_sum(table: CharacterTable, j: int) -> GaussSum:
-    """G(chi) = sum over a mod m of chi(a) e(a/m), read off the group FFT."""
-    return GaussSum(chi_index=j, value=complex(table.gauss[j]))
+def gauss_sum(table: CharacterTable, j: int) -> complex:
+    """G(chi_j), read off ``table.gauss``."""
+    return complex(table.gauss[j])
 
 
 def _binned(seq: Sequence[complex], M: int, m: int) -> np.ndarray:

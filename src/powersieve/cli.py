@@ -34,7 +34,8 @@ import numpy as np
 
 from . import __version__
 # gauss_sum and exp_sum are unused here; perfbench/spans.py patches them by name
-from .characters import build_character_table, gauss_sum, mult_transfer_check
+from .characters import (TRANSFER_TERMS_GUARD, build_character_table, gauss_sum,
+                         mult_transfer_check)
 from .expsum import (PolynomialPhase, exp_sum, exp_sum_prefixes, poisson_identity_check,
                      weyl_bound, weyl_kappa)
 from .rationals import FractionSet, _checked_size, enumerate_set
@@ -157,24 +158,7 @@ def _cmd_spacing(args: argparse.Namespace) -> tuple[dict, int]:
 
 
 def _cmd_conjecture(args: argparse.Namespace) -> tuple[dict, int]:
-    report = conjecture_scan(_cached_sets(args.q_min, args.q_max, args.k, args.cache_dir))
-    rows = [
-        {
-            "Q": r.Q,
-            "M": r.count,
-            "M_open": r.count_open,
-            "witness_a": r.witness_a,
-            "witness_q": r.witness_q,
-            "ratio": r.ratio,
-        }
-        for r in report.rows
-    ]
-    payload = {
-        "rows": rows,
-        "running_max": report.running_max,
-        "fit": {"intercept": report.fit_intercept, "slope": report.fit_slope},
-    }
-    return payload, EXIT_OK
+    return conjecture_scan(_cached_sets(args.q_min, args.q_max, args.k, args.cache_dir)), EXIT_OK
 
 
 def _cmd_sieve_ratio(args: argparse.Namespace) -> tuple[dict, int]:
@@ -187,13 +171,7 @@ def _cmd_sieve_ratio(args: argparse.Namespace) -> tuple[dict, int]:
 
 
 def _cmd_bounds(args: argparse.Namespace) -> tuple[dict, int]:
-    rows = [
-        {"name": name, "value": value, "assertable": assertable}
-        for name, value, assertable in bound_catalog(
-            args.Q, args.N, args.k, args.epsilon
-        )
-    ]
-    return {"rows": rows}, EXIT_OK
+    return {"rows": bound_catalog(args.Q, args.N, args.k, args.epsilon)}, EXIT_OK
 
 
 def _cmd_weyl(args: argparse.Namespace) -> tuple[dict, int]:
@@ -220,22 +198,9 @@ def _cmd_weyl(args: argparse.Namespace) -> tuple[dict, int]:
 
 
 def _cmd_poisson(args: argparse.Namespace) -> tuple[dict, int]:
-    check = poisson_identity_check(args.N, args.tail)
-    ok = check.gap <= check.tail_bound
-    payload = {
-        "rows": [
-            {
-                "N": args.N,
-                "lhs": check.lhs,
-                "rhs": check.rhs,
-                "gap": check.gap,
-                "tail_bound": check.tail_bound,
-                "terms": check.terms,
-            }
-        ],
-        "within_tail_bound": ok,
-    }
-    return payload, EXIT_OK if ok else EXIT_ASSERTION
+    row = poisson_identity_check(args.N, args.tail)
+    ok = row["gap"] <= row["tail_bound"]
+    return {"rows": [row], "within_tail_bound": ok}, EXIT_OK if ok else EXIT_ASSERTION
 
 
 def _cmd_gauss(args: argparse.Namespace) -> tuple[dict, int]:
@@ -259,6 +224,9 @@ def _cmd_gauss(args: argparse.Namespace) -> tuple[dict, int]:
 
 
 def _cmd_transfer(args: argparse.Namespace) -> tuple[dict, int]:
+    if args.N > TRANSFER_TERMS_GUARD:
+        raise ValueError(f"the sequence has N = {args.N} terms, over the guard "
+                         f"{TRANSFER_TERMS_GUARD}")
     rng = np.random.default_rng(args.seed)
     seq = rng.standard_normal(args.N) + 1j * rng.standard_normal(args.N)
     lhs, rhs = mult_transfer_check(args.Q, args.k, seq)

@@ -33,7 +33,8 @@ sum phi(n/(2N)) = pi^2 N / 2, and the resulting spacing kernel
 supported on ||y|| < 1/(2N).  ``v_kernel_series`` evaluates the defining
 series by an independent route (the quadratic Bernoulli polynomial giving
 sum cos(2 pi n t)/n**2 in closed form), which the tests play against the
-compactly supported closed form.
+compactly supported closed form.  ``poisson_identity_check`` returns the
+identity's JSON-ready report row, the one the CLI's ``poisson`` prints.
 """
 
 from __future__ import annotations
@@ -208,22 +209,15 @@ def fejer_phi_hat(s):
     return float(val) if np.isscalar(s) else val
 
 
-@dataclass(frozen=True)
-class PoissonCheck:
-    lhs: float          # truncated sum of phi(n/(2N)) over |n| <= terms
-    rhs: float          # pi**2 N / 2, the full-line value
-    gap: float
-    tail_bound: float   # (2N)**2 / terms majorizes the dropped tail
-    terms: int
-
-
-def poisson_identity_check(N: int, tail: int | None = None) -> PoissonCheck:
+def poisson_identity_check(N: int, tail: int | None = None) -> dict:
     """Truncated two-sided check of sum phi(n/(2N)) = pi**2 N / 2.
 
     On the transform side every integer frequency except 0 falls outside
     the support of phi-hat for N >= 1, so the right side collapses to
     2N * phi_hat(0).  The left side is summed to |n| <= tail with the
     remainder majorized by (2N)**2 / tail (termwise phi(n/2N) <= N**2/n**2).
+    Returns the JSON-ready row {N, lhs, rhs, gap, tail_bound, terms}: lhs the
+    truncated sum over |n| <= terms, rhs = pi**2 N / 2 the full-line value.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
@@ -234,9 +228,8 @@ def poisson_identity_check(N: int, tail: int | None = None) -> PoissonCheck:
               for lo in range(1, T + 1, _POISSON_BLOCK))
     lhs = fejer_phi(0.0) + 2.0 * fsum(chain.from_iterable(blocks))
     rhs = math.pi ** 2 * N / 2.0
-    return PoissonCheck(
-        lhs=lhs, rhs=rhs, gap=abs(lhs - rhs), tail_bound=(2 * N) ** 2 / T, terms=T
-    )
+    return {"N": N, "lhs": lhs, "rhs": rhs, "gap": abs(lhs - rhs),
+            "tail_bound": (2 * N) ** 2 / T, "terms": T}
 
 
 def v_kernel(y: float, N: int) -> float:

@@ -229,21 +229,21 @@ class FractionSet:
 
 def _certify(fs: FractionSet) -> None:
     """ValueError unless every record of ``fs``, a block at a time, has its
-    base in (Q, 2Q], 1 <= a < q**k, a unit mod q (a lookup of a % q) and
-    exceeds its predecessor: distinct members, |S(Q, k)| of them, are S(Q, k)."""
+    base in (Q, 2Q], 1 <= a < q**k and a unit mod q (a lookup of a % q), and
+    the records pass the order certificate: distinct members, |S(Q, k)| of
+    them, are S(Q, k)."""
     Q, k, a, q = fs.Q, fs.k, fs.numerators, fs.bases
     unit = (np.gcd.outer(np.arange(Q + 1, 2 * Q + 1), np.arange(2 * Q)) == 1).ravel()
     for lo in range(0, len(a), _CERTIFY_BLOCK):
-        aa, qq = a[lo:lo + _CERTIFY_BLOCK + 1], q[lo:lo + _CERTIFY_BLOCK + 1]
+        aa, qq = a[lo:lo + _CERTIFY_BLOCK], q[lo:lo + _CERTIFY_BLOCK]
         member = (Q < qq) & (qq <= 2 * Q)
         if member.all():
-            d = qq ** k
-            member = (1 <= aa) & (aa < d) & unit[(qq - (Q + 1)) * (2 * Q) + aa % qq]
+            member = (1 <= aa) & (aa < qq ** k) & unit[(qq - (Q + 1)) * (2 * Q) + aa % qq]
         if not member.all():
             i = lo + int(np.argmin(member))
             raise ValueError(f"cache record {i}, {a[i]}/{q[i]}**{k}, is not in S({Q}, {k})")
-        if not np.all(aa[:-1] * d[1:] < aa[1:] * d[:-1]):
-            raise ValueError("cache records are not strictly increasing")
+    if not strictly_increasing(a, q, k):  # bases certified, so q**k fits
+        raise ValueError("cache records are not strictly increasing")
 
 
 def enumerate_set(Q: int, k: int) -> FractionSet:

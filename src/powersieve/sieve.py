@@ -300,26 +300,20 @@ CATALOG: tuple[BoundFormula, ...] = (
 )
 
 
-def bound_catalog(Q: int, N: int, k: int = 2, epsilon: float = 0.0):
+def bound_catalog(Q: int, N: int, k: int = 2, epsilon: float = 0.0) -> list[dict]:
     """Evaluate every tracked closed form at (Q, N, k, epsilon).
 
-    Returns [(name, value, assertable)].  The half-power form exists only
-    for quadratic denominators and is skipped for k > 2.
+    Returns the JSON-ready rows {name, value, assertable}.  The half-power
+    form exists only for quadratic denominators and is skipped for k > 2.
     """
-    if Q < 1 or N < 1 or k < 2 or epsilon < 0:
-        raise ValueError("need Q, N >= 1, k >= 2, epsilon >= 0")
+    if Q < 1 or N < 1 or k < 2 or not 0 <= epsilon < math.inf:
+        raise ValueError(f"need Q, N >= 1, k >= 2, finite epsilon >= 0; got epsilon {epsilon}")
     # the largest int a form converts to float, Q**(2k) or (2Q)**k at Q = 1,
     # is refused past float64 range (1024 bits) before it is formed
     _checked_power(max(Q * Q, 2 * Q), k, 1024,
                    f"the bounds at Q={Q}, k={k} need Q**(2k) inside float range")
-    entries = []
-    for formula in CATALOG:
-        if formula.name == "half_power" and k != 2:
-            continue
-        entries.append(
-            (formula.name, formula.evaluate(Q, N, k, epsilon), formula.assertable)
-        )
-    return entries
+    return [{"name": f.name, "value": f.evaluate(Q, N, k, epsilon), "assertable": f.assertable}
+            for f in CATALOG if f.name != "half_power" or k == 2]
 
 
 def sieve_ratio_experiment(fs: FractionSet, N: int, epsilon: float = 0.0) -> dict:
@@ -333,6 +327,7 @@ def sieve_ratio_experiment(fs: FractionSet, N: int, epsilon: float = 0.0) -> dic
     # the complex K x K points solve costs the real N x N one's time at N = 2K
     side = "points" if 2 * len(fs) <= N else "frequencies"
     _check_gram_guard(len(fs), N, side, full_set=True)  # before the instance is built
+    catalog = bound_catalog(Q, N, k, epsilon)  # and so is a bad epsilon
     inst = SieveInstance.from_fraction_set(fs, N)
     spec = gram_lambda_max(inst, side)
     ceiling = per_q_exact_ceiling(Q, N, k)
@@ -340,15 +335,9 @@ def sieve_ratio_experiment(fs: FractionSet, N: int, epsilon: float = 0.0) -> dic
         raise SieveBoundViolation(
             f"lambda_max {spec.lambda_max} exceeds the per-q ceiling {ceiling}"
         )
-    bounds = [
-        {
-            "name": name,
-            "value": value,
-            "ratio": spec.lambda_max / value if value > 0 else math.inf,
-            "assertable": assertable,
-        }
-        for name, value, assertable in bound_catalog(Q, N, k, epsilon)
-    ]
+    bounds = [{"name": b["name"], "value": b["value"],
+               "ratio": spec.lambda_max / b["value"] if b["value"] > 0 else math.inf,
+               "assertable": b["assertable"]} for b in catalog]
     return {
         "Q": Q,
         "N": N,

@@ -19,14 +19,16 @@ with t = 1/(2N) in the standard parameterization.  Two engines compute it:
 Each answers any number of thresholds in one call and decides
 ``||x - x'|| < t = u/v`` by its own integer test against the floor
 (u p - 1) // v, at int64 or narrower on every S(Q, k), so they agree bit for
-bit; the fast path runs it only on the pairs that one subtraction of int64
-keys floor(v 2**s) leaves undecided.
+bit; both clamp v to max(u) dmax**2 + 1, past which every floor is 0, so no
+t_den widens a column.  The fast path runs the test only on the pairs that
+one subtraction of int64 keys floor(v 2**s) leaves undecided.
 
 Thresholds are positive fractions ``t_num/t_den``; both engines refuse any
 other.  The counts over a whole set, ``spacing_count_fast`` and
 ``spacing_count_bruteforce``, take the ``FractionSet`` and N, and the range
 scan ``conjecture_scan`` takes the sets themselves: each reads Q and k off
-its set, so no second copy of them can disagree with the points.
+its set, so no second copy of them can disagree with the points.  The scan
+returns the JSON-ready record that the CLI's ``conjecture`` prints.
 
 Threshold conventions.  The scan statistic published for quadratic
 denominators counts ``2 * ||x - x'|| < Q**-3``, which equals the
@@ -90,11 +92,12 @@ def _thresholds(t_num, t_den, n: int):
 
 
 def _oracle_columns(nums, dens, u_max: int):
-    """The oracle's columns: int32 while its cells and u p stay below 2**31."""
-    bound = int(np.max(dens)) ** 2 * u_max
-    if bound < 2 ** 31:
-        return np.asarray(nums, dtype=np.int32), np.asarray(dens, dtype=np.int32)
-    return exact_columns(nums, dens, bound=bound)
+    """The oracle's columns and cap = u_max dmax**2 + 1, which bounds its cells,
+    u p and every threshold denominator clamped to it: int32 while cap < 2**31."""
+    cap = u_max * int(np.max(dens)) ** 2 + 1
+    if cap < 2 ** 31:
+        return np.asarray(nums, dtype=np.int32), np.asarray(dens, dtype=np.int32), cap
+    return (*exact_columns(nums, dens, bound=cap), cap)
 
 
 def _column_runs(ends):
@@ -117,8 +120,9 @@ def neighbor_counts_bruteforce(nums, dens, t_num, t_den) -> np.ndarray:
     For a row a/d and a column b/d' let x = a d' - d b and p = d d' > |x|:
     ||a/d - b/d'|| < t = u/v exactly when min(|x|, p - |x|) <= (u p - 1) // v.
     Rows go a class of one denominator d at a time (a stable integer argsort
-    of ``dens``), so p, d b and h = (u p - 1) // v, formed at a width that
-    holds u p and v, are column vectors made once per class.
+    of ``dens``), so p, d b and h = (u p - 1) // v are column vectors made once
+    per class, at the cells' width: h is 0 for every v >= cap = max(u) dmax**2 + 1,
+    so v is clamped to cap, as the sorted engine does.
 
     The columns go in runs (``_column_runs``): a large class alone, a stretch
     of small classes together.  Each run meets the class's rows in blocks of
@@ -139,7 +143,8 @@ def neighbor_counts_bruteforce(nums, dens, t_num, t_den) -> np.ndarray:
     counts[[r for r, _, _ in rows]] = -1  # the self pair is a hit below
     if n and rows:
         order = np.argsort(dens, kind="stable")
-        nums, dens = (c[order] for c in _oracle_columns(nums, dens, max(u for _, u, _ in rows)))
+        nums, dens, cap = _oracle_columns(nums, dens, max(u for _, u, _ in rows))
+        nums, dens = nums[order], dens[order]
         cells, other = np.empty((2, max(_BLOCK_CELLS, n)), dtype=nums.dtype)
         hits, acc = np.empty(len(cells), dtype=np.uint8), np.min_scalar_type(n)
         ends = [*np.flatnonzero(dens[1:] != dens[:-1]) + 1, n]
@@ -147,8 +152,7 @@ def neighbor_counts_bruteforce(nums, dens, t_num, t_den) -> np.ndarray:
         run_ends = [end for _, end in runs]
         for c, end in zip([0, *ends], ends):  # the class of rows [c, end)
             p, db = dens[c] * dens[c:], dens[c] * nums[c:]
-            hs = [((exact_columns(u * p, bound=max(u * int(dens[-1]) ** 2, v))[0] - 1) // v)
-                  .astype(p.dtype) for _, u, v in rows]  # h < p/2 fits the cells
+            hs = [(u * p - 1) // min(v, cap) for _, u, v in rows]  # 0 for v >= cap
             for start, stop in runs[bisect_right(run_ends, c) :]:
                 step = max(1, _BLOCK_CELLS // (stop - max(start, c)))
                 for lo in range(c, end, step):  # a block of rows against the run
@@ -298,36 +302,18 @@ def spacing_count_fast(fs: FractionSet, N: int) -> SpacingResult:
     return _spacing_count(fs, N, neighbor_counts_sorted)
 
 
-@dataclass(frozen=True)
-class ScanRow:
-    Q: int
-    count: int            # threshold 1/(2 Q**(k+1)): the published convention
-    count_open: int       # threshold 1/Q**(k+1): the conjectured convention
-    witness_a: int
-    witness_q: int
-    ratio: float
-
-
-@dataclass(frozen=True)
-class ScanReport:
-    rows: list[ScanRow]
-    running_max: int
-    fit_intercept: float  # least-squares fit count ~ intercept + slope*log(Q)
-    fit_slope: float
-
-
-def conjecture_scan(sets: Iterable[FractionSet]) -> ScanReport:
+def conjecture_scan(sets: Iterable[FractionSet]) -> dict:
     """One row per set S(Q, k), counting at both threshold conventions.
 
-    Each row reads Q and k off its set and takes the spacing count at
+    Each row reads Q and k off its set and takes the spacing count M at
     t = 1/(2 Q**(k+1)) (the convention behind the published quadratic table)
-    and at the open-question variant t = 1/Q**(k+1).  ``sets`` is consumed
-    one set at a time, so a generator never holds the whole range.  The report
-    carries the running maximum of the primary count and a least-squares fit
-    of count against log Q, for eyeballing the conjectured Q**epsilon growth.
+    and M_open at the open-question variant t = 1/Q**(k+1).  ``sets`` is consumed
+    one set at a time, so a generator never holds the whole range.  The
+    JSON-ready record holds the rows {Q, M, M_open, witness_a, witness_q, ratio},
+    the running maximum of M and a least-squares fit of M against log Q, for
+    eyeballing the conjectured Q**epsilon growth.
     """
-    rows: list[ScanRow] = []
-    running = 0
+    rows = []
     for fs in sets:
         Q, k = fs.Q, fs.k
         N = Q ** (k + 1)
@@ -335,30 +321,18 @@ def conjecture_scan(sets: Iterable[FractionSet]) -> ScanReport:
             fs.numerators, fs.denominators(), [1, 1], [2 * N, N]
         )
         res = _result_from_counts(fs, counts)
-        running = max(running, res.count)
         kappa = 2 ** (k - 1)  # epsilon = 0 form of the degree-k majorant
         denom = Q ** (k + 1) / N + Q ** ((kappa - 1) / kappa) + Q ** (
             (kappa + k) / kappa
         ) / N ** (1 / kappa)
-        rows.append(
-            ScanRow(
-                Q=Q,
-                count=res.count,
-                count_open=int(open_counts.max()),
-                witness_a=res.witness.a,
-                witness_q=res.witness.q,
-                ratio=res.count / denom,
-            )
-        )
-    qs = np.array([r.Q for r in rows], dtype=np.float64)
-    ms = np.array([r.count for r in rows], dtype=np.float64)
-    if len(rows) >= 2 and np.ptp(np.log(qs)) > 0:
-        slope, intercept = np.polyfit(np.log(qs), ms, 1)
+        rows.append({"Q": Q, "M": res.count, "M_open": int(open_counts.max()),
+                     "witness_a": res.witness.a, "witness_q": res.witness.q,
+                     "ratio": res.count / denom})
+    log_q = np.log(np.array([r["Q"] for r in rows], dtype=np.float64))
+    ms = np.array([r["M"] for r in rows], dtype=np.float64)
+    if len(rows) >= 2 and np.ptp(log_q) > 0:
+        slope, intercept = np.polyfit(log_q, ms, 1)
     else:
         slope, intercept = 0.0, float(ms[0]) if len(rows) else 0.0
-    return ScanReport(
-        rows=rows,
-        running_max=running,
-        fit_intercept=float(intercept),
-        fit_slope=float(slope),
-    )
+    return {"rows": rows, "running_max": max((r["M"] for r in rows), default=0),
+            "fit": {"intercept": float(intercept), "slope": float(slope)}}

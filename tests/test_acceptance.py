@@ -178,7 +178,7 @@ def test_criterion_5_weyl_bound_500_phases():
 def test_criterion_6_kernel_identities():
     for N in range(1, 51):
         check = poisson_identity_check(N)
-        assert check.gap <= check.tail_bound, N
+        assert check["gap"] <= check["tail_bound"], N
     rng = random.Random(4242)
     worst = 0.0
     for _ in range(100):
@@ -203,7 +203,7 @@ def test_criterion_7_gauss_and_orthogonality():
         for j in range(len(table)):
             if table.primitive[j]:
                 worst_gauss = max(
-                    worst_gauss, abs(abs(gauss_sum(table, j).value) - q)
+                    worst_gauss, abs(abs(gauss_sum(table, j)) - q)
                 )
     assert worst_gauss <= 1e-9
     worst_orth = 0.0
@@ -252,8 +252,8 @@ def test_criterion_9_report_only_ratios(data_dir):
             f"  {base['Q']:>2} {base['N']:>4} {base['k']}  {rec['lambda_max']:>12.4f}  {shown}"
         )
     scan = conjecture_scan(enumerate_set(Q, 2) for Q in (101, 102))
-    for row in scan.rows:
+    for row in scan["rows"]:
         print(
-            f"  exploratory scan Q={row.Q}: count={row.count} open={row.count_open} ratio={row.ratio:.4f}"
+            f"  exploratory scan Q={row['Q']}: count={row['M']} open={row['M_open']} ratio={row['ratio']:.4f}"
         )
     report(9, True, "frozen ratio baselines reproduced; exploratory scan emitted")

@@ -88,8 +88,8 @@ class TestExitCodes:
         assert "per_q_exact" in [r["name"] for r in doc["rows"]]
 
     def test_brute_engine_at_a_threshold_denominator_past_int32(self, capsys):
-        # the oracle's int32 cells meet t_den = 2 * 10**10 only through its
-        # threshold vector, formed at a width that holds t_den
+        # the oracle's int32 cells never meet t_den = 2 * 10**10: it is clamped
+        # to max(u) dmax**2 + 1, past which every floor is 0
         rows = {}
         for engine in ("brute", "fast"):
             argv = ["spacing", "--Q", "2", "--k", "2", "--N", "10000000000", "--engine", engine]
@@ -245,6 +245,27 @@ class TestJsonLayout:
         assert out == expected
 
 
+class TestCsvLayout:
+    """A CSV report holds the JSON rows as text and each other key as a
+    ``# key: json`` line."""
+
+    @pytest.mark.parametrize("argv", EVERY_SUBCOMMAND, ids=lambda argv: argv[0])
+    def test_csv_matches_json(self, argv, capsys):
+        code, out = run_cli(argv, capsys)
+        assert code == EXIT_OK
+        doc = json.loads(out)
+        code, out = run_cli([*argv, "--format", "csv"], capsys)
+        assert code == EXIT_OK
+        lines = out.splitlines()
+        body = [line for line in lines if not line.startswith("#")]
+        rows = doc.get("rows", [])
+        assert list(csv.reader(body[:1])) == [list(rows[0])] if rows else body == []
+        assert list(csv.DictReader(body)) == [{k: str(v) for k, v in r.items()} for r in rows]
+        for key, val in doc.items():
+            if key not in ("header", "rows"):
+                assert f"# {key}: {json.dumps(val, sort_keys=True)}" in lines
+
+
 class TestSubcommands:
     def test_weyl_rows_and_validity(self, capsys):
         code, out = run_cli(
@@ -296,6 +317,24 @@ class TestSubcommands:
         assert captured.err == ("powersieve poisson: the truncated sum has T = 1000000000 "
                                 "terms; it needs 10**3 <= T <= 10**7\n")
 
+    @pytest.mark.parametrize("subcommand", ["bounds", "sieve-ratio"])
+    @pytest.mark.parametrize("epsilon", ["nan", "inf", "-inf"])
+    def test_non_finite_epsilon_refused(self, capsys, subcommand, epsilon):
+        assert main([subcommand, "--Q", "2", "--N", "8", f"--epsilon={epsilon}"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"powersieve {subcommand}: need Q, N >= 1, k >= 2, "
+                                f"finite epsilon >= 0; got epsilon {float(epsilon)}\n")
+
+    def test_transfer_refuses_past_its_term_guard(self, capsys, monkeypatch):
+        # refused before any generator is made, so no term is drawn
+        monkeypatch.setattr(np.random, "default_rng", lambda *args: pytest.fail("drew terms"))
+        assert main(["transfer", "--q", "3", "--N", str(10 ** 10)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("powersieve transfer: the sequence has N = 10000000000 terms, "
+                                "over the guard 10000000\n")
+
     def test_poisson_within_bound(self, capsys):
         code, out = run_cli(["poisson", "--N", "4"], capsys)
         assert code == EXIT_OK
@@ -316,7 +355,7 @@ class TestSubcommands:
         table = build_character_table(q, k)
         rows = []
         for j in range(len(table)):
-            g = gauss_sum(table, j).value
+            g = gauss_sum(table, j)
             rows.append({"index": j, "primitive": bool(table.primitive[j]),
                          "gauss_re": g.real, "gauss_im": g.imag, "gauss_abs": abs(g)})
         assert json.loads(out)["rows"] == rows

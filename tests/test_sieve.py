@@ -367,7 +367,7 @@ class TestMinTorusGap:
 
 class TestBoundCatalog:
     def test_quadratic_example_values(self):
-        entries = {name: (value, flag) for name, value, flag in bound_catalog(2, 16, 2, 0.0)}
+        entries = {r["name"]: (r["value"], r["assertable"]) for r in bound_catalog(2, 16, 2, 0.0)}
         assert entries["coarse_global"][0] == 32.0
         assert entries["per_q_classical"][0] == 40.0
         # direct arithmetic for the dyadic differencing form
@@ -376,23 +376,21 @@ class TestBoundCatalog:
         assert entries["per_q_exact"] == (55.0, True)  # (9-1+16) + (16-1+16)
 
     def test_trivial_parameters(self):
-        entries = dict(
-            (name, value) for name, value, _ in bound_catalog(1, 1, 2, 0.0)
-        )
+        entries = {r["name"]: r["value"] for r in bound_catalog(1, 1, 2, 0.0)}
         assert entries["coarse_global"] == 2.0
 
     def test_coarse_forms_cross_at_cubic_window(self):
         # at N = Q**3 both coarse closed forms evaluate to Q**4 + Q**3
-        entries = dict((n, v) for n, v, _ in bound_catalog(10, 1000, 2, 0.0))
+        entries = {r["name"]: r["value"] for r in bound_catalog(10, 1000, 2, 0.0)}
         assert entries["coarse_global"] == entries["per_q_classical"] == 11000.0
 
     def test_only_the_per_q_aggregate_is_assertable(self):
-        flags = {name: flag for name, _, flag in bound_catalog(3, 9, 2, 0.1)}
+        flags = {r["name"]: r["assertable"] for r in bound_catalog(3, 9, 2, 0.1)}
         assert flags.pop("per_q_exact") is True
         assert not any(flags.values())
 
     def test_half_power_form_only_for_quadratic(self):
-        names = {name for name, _, _ in bound_catalog(3, 9, 3, 0.0)}
+        names = {r["name"] for r in bound_catalog(3, 9, 3, 0.0)}
         assert "half_power" not in names
 
     def test_rejects_bad_parameters(self):
@@ -405,7 +403,7 @@ class TestBoundCatalog:
     def test_width_refused_from_bit_lengths(self, Q, k_max):
         # the largest converted int, Q**(2k) (2**k at Q = 1), must stay under
         # 2**1024; one step of k past the edge is refused with Q, k and bits
-        assert all(math.isfinite(v) for _, v, _ in bound_catalog(Q, 1, k_max))
+        assert all(math.isfinite(r["value"]) for r in bound_catalog(Q, 1, k_max))
         with pytest.raises(OverflowError, match=rf"bits, more than 1024: .* Q={Q}, k={k_max + 1}"):
             bound_catalog(Q, 1, k_max + 1)
 

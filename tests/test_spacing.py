@@ -18,7 +18,6 @@ from powersieve import rationals, spacing
 from powersieve.rationals import enumerate_set
 from powersieve.spacing import (
     BRUTEFORCE_MAX_POINTS,
-    ScanReport,
     conjecture_scan,
     neighbor_counts_bruteforce,
     neighbor_counts_sorted,
@@ -458,6 +457,23 @@ class TestOracleClasses:
         rows = neighbor_counts_bruteforce(
             nums, dens, [t.numerator for t in thresholds], [t.denominator for t in thresholds])
         assert rows.tolist() == [fraction_counts(pts, t) for t in thresholds]
+
+    @pytest.mark.parametrize("t_den", [2 ** 70, 2 ** 200])
+    def test_threshold_denominators_past_int64(self, t_den):
+        # t = 1/t_den: the oracle clamps t_den to its cap and stays int32, every
+        # h is 0; t near 1/37 takes both engines' columns to Python integers
+        fs = enumerate_set(4, 2)
+        nums, dens = fs.numerators, fs.denominators()
+        pts = [p.as_fraction() for p in fs]
+        t_nums = [1, t_den // 37 | 1]
+        assert spacing._oracle_columns(nums, dens, 1)[0].dtype == np.int32
+        assert spacing._oracle_columns(nums, dens, t_nums[1])[0].dtype == object
+        expected = [fraction_counts(pts, Fraction(u, t_den)) for u in t_nums]
+        assert max(expected[0]) == 0 < min(expected[1])
+        for engine in (neighbor_counts_bruteforce, neighbor_counts_sorted):
+            assert engine(nums, dens, t_nums, [t_den, t_den]).tolist() == expected
+            for u, row in zip(t_nums, expected):
+                assert engine(nums, dens, u, t_den).tolist() == row
 
     def test_pair_at_distance_exactly_t_does_not_count(self):
         # 0, 3/1000 and 1/2: the first pair is exactly t = 3/1000 apart
@@ -921,9 +937,10 @@ class TestScanStatistic:
         # witness is the first point in value order attaining M
         with open(data_dir / "conjecture_rows.csv") as fh:
             frozen = [{key: int(v) for key, v in r.items()} for r in csv.DictReader(fh)]
-        got = [{"k": k, "Q": r.Q, "M": r.count, "M_open": r.count_open,
-                "witness_a": r.witness_a, "witness_q": r.witness_q}
-               for k, q_max in ((2, 60), (3, 20)) for r in conjecture_scan(scan_sets(1, q_max, k)).rows]
+        got = [{"k": k, "Q": r["Q"], "M": r["M"], "M_open": r["M_open"],
+                "witness_a": r["witness_a"], "witness_q": r["witness_q"]}
+               for k, q_max in ((2, 60), (3, 20))
+               for r in conjecture_scan(scan_sets(1, q_max, k))["rows"]]
         assert got == frozen
 
 
@@ -933,32 +950,32 @@ class TestConjectureScan:
         # S(1,3) = {1/8, 3/8, 5/8, 7/8}; at threshold 1/2 each point sees the
         # two neighbors at distance 1/4 but not the antipode at exactly 1/2;
         # the open threshold is 1 > 1/2, so every other point counts
-        assert report.rows[0].count == 2
-        assert report.rows[0].count_open == 3
+        assert report["rows"][0]["M"] == 2
+        assert report["rows"][0]["M_open"] == 3
 
     def test_running_max_prefix(self):
         report = conjecture_scan(scan_sets(1, 10, 2))
-        counts = [r.count for r in report.rows]
+        counts = [r["M"] for r in report["rows"]]
         assert counts == [table1_count(Q) for Q in range(1, 11)]
-        assert report.running_max == max(counts)
+        assert report["running_max"] == max(counts)
 
     def test_open_threshold_counts_at_least_as_many(self):
         # the open convention threshold 1/Q**(k+1) is twice as wide
-        for row in conjecture_scan(scan_sets(2, 8, 2)).rows:
-            assert row.count_open >= row.count
+        for row in conjecture_scan(scan_sets(2, 8, 2))["rows"]:
+            assert row["M_open"] >= row["M"]
 
     def test_fit_shape(self):
         report = conjecture_scan(scan_sets(1, 12, 2))
-        assert isinstance(report, ScanReport)
-        assert report.fit_slope > 0  # counts grow with Q in this range
+        assert set(report) == {"rows", "running_max", "fit"}
+        assert report["fit"]["slope"] > 0  # counts grow with Q in this range
 
     def test_rows_report_the_q_and_k_of_their_sets(self):
         # each row's Q, threshold and ratio come from its own set: S(4, 2)
         # is counted at N = 4**3 whichever sets come before or after it
         sets = [enumerate_set(4, 2), enumerate_set(2, 3), enumerate_set(4, 2)]
-        rows = conjecture_scan(sets).rows
-        assert [r.Q for r in rows] == [4, 2, 4]
+        rows = conjecture_scan(sets)["rows"]
+        assert [r["Q"] for r in rows] == [4, 2, 4]
         assert rows[0] == rows[2]
-        assert rows[0].count == table1_count(4)
-        assert rows[1] == conjecture_scan([enumerate_set(2, 3)]).rows[0]
-        assert rows[1].count == spacing_count_fast(enumerate_set(2, 3), 2 ** 4).count
+        assert rows[0]["M"] == table1_count(4)
+        assert rows[1] == conjecture_scan([enumerate_set(2, 3)])["rows"][0]
+        assert rows[1]["M"] == spacing_count_fast(enumerate_set(2, 3), 2 ** 4).count

@@ -224,6 +224,8 @@ def _cmd_gauss(args: argparse.Namespace) -> tuple[dict, int]:
 
 
 def _cmd_transfer(args: argparse.Namespace) -> tuple[dict, int]:
+    if args.N < 1:
+        raise ValueError(f"the sequence needs N >= 1 terms, got N = {args.N}")
     if args.N > TRANSFER_TERMS_GUARD:
         raise ValueError(f"the sequence has N = {args.N} terms, over the guard "
                          f"{TRANSFER_TERMS_GUARD}")

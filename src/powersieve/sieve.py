@@ -9,12 +9,13 @@ in
 is exactly the largest eigenvalue of the positive semidefinite Gram form,
 computable on either side (T*T over frequencies, TT* over points); equality
 of the two spectral norms is the operator-norm duality that the test suite
-asserts numerically.  lambda_max comes from one dense eigensolve
-(numpy.linalg.eigh) of the side's Gram matrix.  The two sides are built
-independently: TT* from the sieve matrix, and T*T, which depends only on
-m - n, as a Toeplitz matrix over the symbol c[h] = sum_j e(x_j h).  For a
-FractionSet, always the full S(Q, k), the symbol is a sum of Ramanujan sums,
-an integer vector, and T*T is real symmetric; point sequences stay complex.
+asserts numerically.  The two sides are built independently: TT* from the
+sieve matrix, and T*T, which depends only on m - n, as a Toeplitz matrix
+over the symbol c[h] = sum_j e(x_j h).  For a FractionSet, always the full
+S(Q, k), the symbol is a sum of Ramanujan sums, an integer vector, and T*T
+is real symmetric; its lambda_max comes from Lanczos on an FFT circulant
+matvec, and no N x N matrix is formed.  The points side and point sequences
+take one dense Hermitian eigensolve (numpy.linalg.eigh) of their Gram matrix.
 Every point is rational: a float enters as its exact binary value (0.1 has
 denominator 2**55; one tenth is Fraction("0.1")), so the phases x_j n mod 1
 and the minimal gap are reduced in integers for every instance.
@@ -57,6 +58,11 @@ _BLOCK_CELLS = 2 ** 12
 # largest residual |Gv - lambda v| / max(1, lambda) accepted from the eigensolver
 RESIDUAL_TOL = 1e-10
 
+# basis guard on the N x stored vectors x 8 bytes of a Lanczos run, whose
+# basis is allocated _BASIS_BLOCK vectors at a time
+LANCZOS_BASIS_BYTES = 2 ** 30
+_BASIS_BLOCK = 32
+
 
 class ConvergenceError(RuntimeError):
     """The eigensolver missed the residual target; carries its state."""
@@ -89,12 +95,23 @@ class BoundFormula:
     evaluate: Callable[[int, int, int, float], float]
 
 
+def _check_basis(vectors: int, N: int) -> None:
+    """Refuse a Lanczos basis past the basis guard, before it is allocated."""
+    if vectors * N * 8 > LANCZOS_BASIS_BYTES:
+        raise ValueError(f"a Lanczos basis of {vectors} vectors of length N = {N} holds "
+                         f"{vectors * N * 8} bytes, over the basis guard {LANCZOS_BASIS_BYTES}; "
+                         "reduce Q or N")
+
+
 def _check_gram_guard(K: int, N: int, side: str, full_set: bool) -> None:
-    """Refuse a solve past the gram guard before anything is formed: the K*N
-    sieve-matrix cells, evaluated by the points side and by a point list's
-    symbol (a full set's symbol is built from Ramanujan sums), and the d*d
-    cells of the Gram matrix solved, d = K or N."""
-    if (side == "points" or not full_set) and K * N > GRAM_CELL_GUARD:
+    """Refuse a solve past its guard before anything is formed: a full set's
+    frequencies side, Lanczos, needs its first basis block within the basis
+    guard; otherwise the gram guard bounds the K*N sieve-matrix cells and
+    the d*d cells of the dense Gram matrix solved, d = K or N."""
+    if side == "frequencies" and full_set:
+        _check_basis(min(N, _BASIS_BLOCK), N)
+        return
+    if K * N > GRAM_CELL_GUARD:
         raise ValueError(f"K*N = {K * N} exceeds the gram guard {GRAM_CELL_GUARD}; reduce Q or N")
     d = K if side == "points" else N
     if d * d > GRAM_CELL_GUARD:
@@ -189,19 +206,66 @@ class SieveInstance:
 
 
 def _gram(instance: SieveInstance, side: str) -> np.ndarray:
-    """The Gram matrix of one side: TT* (K x K) or the Toeplitz T*T (N x N).
+    """The dense Gram matrix of one side: TT* (K x K) or a point list's T*T.
 
     (T*T)[n, m] = c[m - n] with c[-h] = conj(c[h]), so the frequencies side
-    is a strided view over the 2N - 1 symbol values and never holds T.  An
-    integer symbol is real and even, and gives a real symmetric float64 view.
+    is a strided view over the 2N - 1 symbol values and never holds T.
     """
     if side == "points":
         T = instance.matrix()
         return T @ T.conj().T
     c = instance.gram_symbol()
-    if c.dtype.kind == "i":
-        c = c.astype(np.float64)  # exact: |c[h]| <= K
     return sliding_window_view(np.concatenate((np.conj(c[:0:-1]), c)), instance.N)[::-1]
+
+
+def _toeplitz_matvec(c: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """x -> G x for the real symmetric Toeplitz G[n, m] = c[|m - n|], the leading
+    block of the length-2N circulant with the real, even first column
+    [c, 0, c[:0:-1]]: its spectrum is real, and one rfft/irfft pair applies G."""
+    L = 2 * len(c)
+    spectrum = np.fft.rfft(np.concatenate((c, [0], c[:0:-1])).astype(np.float64)).real
+    return lambda x: np.fft.irfft(spectrum * np.fft.rfft(x, L), L)[: len(c)]
+
+
+def _lanczos(apply: Callable[[np.ndarray], np.ndarray], N: int) -> tuple[float, np.ndarray, int]:
+    """(theta, Ritz vector, steps m) for the top eigenpair of the real symmetric
+    operator ``apply`` on R**N: Lanczos (Golub and Van Loan, Matrix Computations),
+    each new vector projected off the whole basis twice, from a fixed-seed
+    pseudo-random start; a start with no component along the top eigenvector
+    (one symmetric under n -> N-1-n where that vector is antisymmetric) would
+    converge to a lower pair.  The run stops when the top Ritz pair (theta, s)
+    of T_m has residual |beta_m s_m| <= RESIDUAL_TOL / 10 * max(1, theta).  It is
+    formed at step 8, then as many steps on as the residual would take to get
+    there at 0.4 decades a step (2 to 16), and whenever beta_m is that small."""
+    v = np.random.default_rng(20050803).standard_normal(N)
+    v /= np.linalg.norm(v)
+    tol = RESIDUAL_TOL / 10
+    blocks, alpha, beta, check = [], [], [], 8
+    for j in range(N):
+        if j % _BASIS_BLOCK == 0:
+            _check_basis(j + min(_BASIS_BLOCK, N - j), N)
+            blocks.append(np.empty((min(_BASIS_BLOCK, N - j), N)))
+        blocks[-1][j % _BASIS_BLOCK] = v
+        w = apply(v)
+        alpha.append(0.0)
+        for _ in range(2):
+            for i, block in enumerate(blocks):
+                V = block[: j + 1 - i * _BASIS_BLOCK]
+                h = V @ w
+                w -= h @ V
+            alpha[-1] += h[-1]
+        b = math.sqrt(w @ w)
+        if b <= tol * max(1.0, alpha[-1]) or j + 1 == check or j == N - 1:
+            theta, S = np.linalg.eigh(np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1))
+            r = abs(b * S[-1, -1]) / max(1.0, theta[-1])
+            if r <= tol:
+                break
+            check = j + 1 + min(16, max(2, math.ceil(2.5 * math.log10(r / tol))))
+        beta.append(b)
+        v = w / b
+    y = sum(block[: j + 1 - i * _BASIS_BLOCK].T @ S[i * _BASIS_BLOCK: (i + 1) * _BASIS_BLOCK, -1]
+            for i, block in enumerate(blocks))
+    return float(theta[-1]), y, j + 1
 
 
 def gram_lambda_max(
@@ -211,21 +275,25 @@ def gram_lambda_max(
     """Largest eigenvalue of the chosen Gram contraction.
 
     This value is exactly the best sieve constant for the instance: the
-    quadratic form attains it and no smaller constant works.  One dense
-    eigensolve, real symmetric for a full set's frequencies side and
-    Hermitian otherwise; the top eigenpair is checked by its residual.
+    quadratic form attains it and no smaller constant works.  A full set's
+    frequencies side is Lanczos on the FFT matvec of its integer symbol
+    (``iterations`` counts its steps), every other solve one dense Hermitian
+    eigh (``iterations`` 1); the top eigenpair is checked by its residual.
     """
     if side not in ("points", "frequencies"):
         raise ValueError(f"unknown side {side!r}")
     _check_gram_guard(instance.K, instance.N, side, instance.full_set is not None)
-    G = _gram(instance, side)
-    eigenvalues, eigenvectors = np.linalg.eigh(G)
-    lam = float(eigenvalues[-1])
-    v = eigenvectors[:, -1]
-    residual = float(np.linalg.norm(G @ v - lam * v))
+    if side == "frequencies" and instance.full_set is not None:
+        apply = _toeplitz_matvec(instance.gram_symbol())
+        lam, v, steps = _lanczos(apply, instance.N)
+    else:
+        G = _gram(instance, side)
+        eigenvalues, eigenvectors = np.linalg.eigh(G)
+        lam, v, steps, apply = float(eigenvalues[-1]), eigenvectors[:, -1], 1, G.__matmul__
+    residual = float(np.linalg.norm(apply(v) - lam * v))
     if residual > RESIDUAL_TOL * max(1.0, abs(lam)):
-        raise ConvergenceError(residual, 1)
-    return GramSpectrum(lambda_max=lam, iterations=1, residual=residual)
+        raise ConvergenceError(residual, steps)
+    return GramSpectrum(lambda_max=lam, iterations=steps, residual=residual)
 
 
 def duality_check(instance: SieveInstance) -> tuple[float, float]:
@@ -312,8 +380,19 @@ def bound_catalog(Q: int, N: int, k: int = 2, epsilon: float = 0.0) -> list[dict
     # is refused past float64 range (1024 bits) before it is formed
     _checked_power(max(Q * Q, 2 * Q), k, 1024,
                    f"the bounds at Q={Q}, k={k} need Q**(2k) inside float range")
-    return [{"name": f.name, "value": f.evaluate(Q, N, k, epsilon), "assertable": f.assertable}
-            for f in CATALOG if f.name != "half_power" or k == 2]
+    rows = []
+    for f in CATALOG:
+        if f.name == "half_power" and k != 2:
+            continue
+        try:  # a large epsilon takes a float power past range, or a product to inf
+            value = f.evaluate(Q, N, k, epsilon)
+        except OverflowError:
+            value = math.inf
+        if not math.isfinite(value):
+            raise ValueError(f"the {f.name} bound at Q={Q}, N={N}, k={k}, epsilon={epsilon} "
+                             "leaves float range")
+        rows.append({"name": f.name, "value": value, "assertable": f.assertable})
+    return rows
 
 
 def sieve_ratio_experiment(fs: FractionSet, N: int, epsilon: float = 0.0) -> dict:
@@ -324,7 +403,7 @@ def sieve_ratio_experiment(fs: FractionSet, N: int, epsilon: float = 0.0) -> dic
     is JSON-ready.
     """
     Q, k = fs.Q, fs.k
-    # the complex K x K points solve costs the real N x N one's time at N = 2K
+    # the dense complex K x K points solve from N = 2K, Lanczos below it
     side = "points" if 2 * len(fs) <= N else "frequencies"
     _check_gram_guard(len(fs), N, side, full_set=True)  # before the instance is built
     catalog = bound_catalog(Q, N, k, epsilon)  # and so is a bad epsilon

@@ -326,6 +326,23 @@ class TestSubcommands:
         assert captured.err == (f"powersieve {subcommand}: need Q, N >= 1, k >= 2, "
                                 f"finite epsilon >= 0; got epsilon {float(epsilon)}\n")
 
+    @pytest.mark.parametrize("subcommand, epsilon", [("bounds", "2000"), ("sieve-ratio", "700")])
+    def test_epsilon_past_float_range_refused(self, capsys, subcommand, epsilon):
+        assert main([subcommand, "--Q", "2", "--N", "8", "--epsilon", epsilon]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"powersieve {subcommand}: the weyl_dyadic bound at Q=2, N=8, "
+                                f"k=2, epsilon={float(epsilon)} leaves float range\n")
+
+    @pytest.mark.parametrize("N", ["0", "-1"])
+    def test_transfer_refuses_an_empty_sequence(self, capsys, monkeypatch, N):
+        monkeypatch.setattr(np.random, "default_rng", lambda *args: pytest.fail("drew terms"))
+        assert main(["transfer", "--q", "3", "--N", N]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"powersieve transfer: the sequence needs N >= 1 terms, "
+                                f"got N = {N}\n")
+
     def test_transfer_refuses_past_its_term_guard(self, capsys, monkeypatch):
         # refused before any generator is made, so no term is drawn
         monkeypatch.setattr(np.random, "default_rng", lambda *args: pytest.fail("drew terms"))

@@ -155,6 +155,23 @@ class TestLambdaMax:
         assert np.allclose(toeplitz, dense, rtol=0, atol=1e-12 * inst.K)
 
     def test_perturbed_eigenpair_raises_convergence_error(self, monkeypatch):
+        # a full set's Lanczos pair is checked with the FFT matvec: its value
+        # moved by 1e-3 leaves a residual of 1e-3 on the unit Ritz vector
+        inst = SieveInstance.from_fraction_set(enumerate_set(3, 2), 27)
+        steps = gram_lambda_max(inst, "frequencies").iterations
+        lanczos = sv._lanczos
+
+        def perturbed(apply, N):
+            lam, v, m = lanczos(apply, N)
+            return lam + 1e-3, v, m
+
+        monkeypatch.setattr(sv, "_lanczos", perturbed)
+        with pytest.raises(ConvergenceError) as err:
+            gram_lambda_max(inst, "frequencies")
+        assert err.value.iterations == steps > 1
+        assert err.value.residual == pytest.approx(1e-3, rel=1e-6)
+
+    def test_perturbed_dense_eigenpair_raises_convergence_error(self, monkeypatch):
         inst = SieveInstance.from_fraction_set(enumerate_set(3, 2), 27)
         eigh = np.linalg.eigh
 
@@ -164,7 +181,7 @@ class TestLambdaMax:
 
         monkeypatch.setattr(np.linalg, "eigh", perturbed)
         with pytest.raises(ConvergenceError) as err:
-            gram_lambda_max(inst)
+            gram_lambda_max(inst, "points")
         assert err.value.iterations == 1
         assert err.value.residual == pytest.approx(1e-3, rel=1e-6)
 
@@ -220,9 +237,11 @@ class TestIntegerSymbol:
 
     @pytest.mark.parametrize("Q, k, N, M", [(3, 2, 27, 0), (4, 2, 50, 7), (2, 3, 16, -3)])
     def test_full_set_gram_matches_dense(self, Q, k, N, M):
+        # the circulant matvec on every unit vector gives every entry of T*T
         inst = SieveInstance.from_fraction_set(enumerate_set(Q, k), N, M)
         T = inst.matrix()
-        G = sv._gram(inst, "frequencies")
+        apply = sv._toeplitz_matvec(inst.gram_symbol())
+        G = np.column_stack([apply(e) for e in np.eye(N)])
         assert G.dtype == np.float64
         assert np.allclose(G, T.conj().T @ T, rtol=0, atol=1e-12 * inst.K)
 
@@ -237,18 +256,122 @@ class TestIntegerSymbol:
             assert real.lambda_max == pytest.approx(cplx.lambda_max, rel=1e-12, abs=0)
 
     def test_eigh_sees_real_matrix_only_for_full_set(self, monkeypatch):
+        # a full set's solve hands eigh only Lanczos's real tridiagonals, one
+        # row per step; a point list's is one complex N x N Gram
         seen = []
         eigh = np.linalg.eigh
 
         def spy(G):
-            seen.append(G.dtype)
+            seen.append((G.dtype, len(G)))
             return eigh(G)
 
         monkeypatch.setattr(np.linalg, "eigh", spy)
         fs = enumerate_set(3, 2)
-        gram_lambda_max(SieveInstance.from_fraction_set(fs, 27), "frequencies")
+        inst = SieveInstance.from_fraction_set(fs, 27)
+        steps = gram_lambda_max(inst, "frequencies").iterations
+        assert seen and all(dtype == np.float64 and n <= steps for dtype, n in seen)
+        seen.clear()
         gram_lambda_max(SieveInstance(point_list(fs), 0, 27), "frequencies")
-        assert seen == [np.float64, np.complex128]
+        assert seen == [(np.complex128, 27)]
+        T = inst.matrix()
+        x = np.random.default_rng(5).standard_normal(27)
+        Gx = sv._toeplitz_matvec(inst.gram_symbol())(x)
+        assert Gx.dtype == np.float64
+        assert np.allclose(Gx, T.conj().T @ (T @ x), rtol=0, atol=1e-12 * inst.K)
+
+
+def dense_toeplitz(c):
+    """The real symmetric Toeplitz matrix c[|m - n|], formed entry by entry."""
+    n = np.arange(len(c))
+    return c[np.abs(np.subtract.outer(n, n))].astype(np.float64)
+
+
+def persymmetric_halves(G):
+    """G on the vectors symmetric and on those antisymmetric under n -> N-1-n.
+
+    A symmetric Toeplitz matrix commutes with that reversal, so its spectrum
+    is the union of the two blocks' spectra; each block has about N/2 rows,
+    and eigvalsh on both costs about a quarter of eigvalsh on G.
+    """
+    N = len(G)
+    m = N // 2
+    A, B = G[:m, :m], G[:m, ::-1][:, :m]  # B[i, j] = G[i, N-1-j]
+    sym, anti = A + B, A - B
+    if N % 2:  # the middle unit vector is symmetric
+        col = math.sqrt(2) * G[:m, m:m + 1]
+        sym = np.block([[sym, col], [col.T, G[m:m + 1, m:m + 1]]])
+    return sym, anti
+
+
+def dense_lambda_max(inst):
+    halves = persymmetric_halves(dense_toeplitz(inst.gram_symbol()))
+    return max(np.linalg.eigvalsh(h)[-1] for h in halves if len(h))
+
+
+CRITICAL_LINE = ([(Q, 2) for Q in range(1, 14)] + [(Q, 3) for Q in range(1, 8)]
+                 + [(Q, 4) for Q in range(1, 6)])
+
+
+class TestLanczos:
+    """A full set's frequencies side: Lanczos on the circulant matvec of the
+    integer symbol, against dense eigvalsh of the Toeplitz built here."""
+
+    @pytest.mark.parametrize("Q, k", CRITICAL_LINE)
+    def test_matches_dense_eigvalsh_on_critical_line(self, Q, k):
+        inst = SieveInstance.from_fraction_set(enumerate_set(Q, k), Q ** (k + 1))
+        spec = gram_lambda_max(inst, "frequencies")
+        assert spec.lambda_max == pytest.approx(dense_lambda_max(inst), rel=1e-12, abs=0)
+        assert spec.residual <= 1e-10 * max(1.0, spec.lambda_max)
+
+    @pytest.mark.parametrize("N", [1, 2, 27, 64, 125])
+    def test_persymmetric_halves_hold_the_whole_spectrum(self, N):
+        G = dense_toeplitz(SieveInstance.from_fraction_set(enumerate_set(4, 2), N).gram_symbol())
+        halves = np.concatenate([np.linalg.eigvalsh(h) for h in persymmetric_halves(G)])
+        assert np.allclose(np.sort(halves), np.linalg.eigvalsh(G), rtol=0, atol=1e-9 * len(G))
+
+    def test_repeats_exactly(self):
+        inst = SieveInstance.from_fraction_set(enumerate_set(6, 2), 216)
+        first, second = gram_lambda_max(inst, "frequencies"), gram_lambda_max(inst, "frequencies")
+        assert first.iterations > 1
+        assert (first.lambda_max, first.iterations) == (second.lambda_max, second.iterations)
+
+    def test_antisymmetric_top_eigenvector_is_found(self):
+        # S(5, 2) at N = 125: the top eigenvector is antisymmetric under
+        # n -> N-1-n and the symmetric block's top is about 5% lower; a start
+        # vector symmetric under the reversal has no component along the top
+        # one and converges to that lower pair, which passes the residual check
+        inst = SieveInstance.from_fraction_set(enumerate_set(5, 2), 125)
+        sym, anti = (np.linalg.eigvalsh(h)[-1]
+                     for h in persymmetric_halves(dense_toeplitz(inst.gram_symbol())))
+        assert sym < 0.96 * anti
+        lam = gram_lambda_max(inst, "frequencies").lambda_max
+        assert lam == pytest.approx(anti, rel=1e-12, abs=0)
+        assert lam == pytest.approx(497.8222797794816, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("Q, lam", [(20, 49930.432795), (30, 224750.887643)])
+    def test_reference_values_past_the_dense_range(self, Q, lam):
+        rec = sieve_ratio_experiment(enumerate_set(Q, 2), Q ** 3)
+        assert round(rec["lambda_max"], 6) == lam
+        assert rec["residual"] <= 1e-10 * lam
+
+    def test_basis_guard_refuses_the_block_it_would_allocate(self, monkeypatch):
+        # S(6, 2) at N = 216 takes more than one block of 32 vectors; a guard
+        # of exactly one block admits the first and refuses the second
+        inst = SieveInstance.from_fraction_set(enumerate_set(6, 2), 216)
+        assert gram_lambda_max(inst, "frequencies").iterations > 32
+        monkeypatch.setattr(sv, "LANCZOS_BASIS_BYTES", 32 * 216 * 8)
+        with pytest.raises(ValueError, match="a Lanczos basis of 64 vectors of length N = 216 "
+                                             "holds 110592 bytes, over the basis guard 55296"):
+            gram_lambda_max(inst, "frequencies")
+
+    def test_basis_guard_checked_before_instance_build(self, monkeypatch):
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("instance built for a guarded experiment")
+
+        monkeypatch.setattr(sv, "LANCZOS_BASIS_BYTES", 32 * 216 * 8 - 1)
+        monkeypatch.setattr(SieveInstance, "__init__", refuse)
+        with pytest.raises(ValueError, match="a Lanczos basis of 32 vectors .* basis guard 55295"):
+            sieve_ratio_experiment(enumerate_set(6, 2), 216)
 
 
 class TestSpectralProperties:
@@ -408,6 +531,18 @@ class TestBoundCatalog:
             bound_catalog(Q, 1, k_max + 1)
 
 
+    @pytest.mark.parametrize("Q, N, k, epsilon, form", [
+        (2, 8, 2, 2000.0, "weyl_dyadic"),       # N**epsilon raises OverflowError
+        (2, 1, 2, 1100.0, "half_power"),        # so does Q**(0.5 + epsilon)
+        (2, 1, 3, 1023.5, "conjectured_optimal"),  # Q**epsilon * 9 is inf
+    ])
+    def test_epsilon_past_float_range_names_the_form(self, Q, N, k, epsilon, form):
+        with pytest.raises(ValueError, match=rf"^the {form} bound at Q={Q}, N={N}, k={k}, "
+                                             rf"epsilon={epsilon} leaves float range$"):
+            bound_catalog(Q, N, k, epsilon)
+        assert all(math.isfinite(r["value"]) for r in bound_catalog(Q, N, k, 1.0))
+
+
 class TestRatioExperiment:
     def test_smallest_instance(self):
         rec = sieve_ratio_experiment(enumerate_set(1, 2), 4)
@@ -441,16 +576,22 @@ class TestRatioExperiment:
 
     @pytest.mark.parametrize("N, dtype", [(79, np.float64), (80, np.complex128)])
     def test_points_side_only_from_twice_the_set_size(self, monkeypatch, N, dtype):
-        # |S(3, 2)| = 40: the real frequencies solve serves N < 2K = 80, the
-        # complex points solve N >= 80
+        # |S(3, 2)| = 40: Lanczos on the real symbol serves N < 2K = 80, the
+        # dense complex points solve N >= 80
         seen = []
-        eigh = np.linalg.eigh
+        eigh, lanczos = np.linalg.eigh, sv._lanczos
 
-        def spy(G):
-            seen.append((G.dtype, len(G)))
+        def spy_eigh(G):
+            if np.iscomplexobj(G):
+                seen.append((G.dtype, len(G)))
             return eigh(G)
 
-        monkeypatch.setattr(np.linalg, "eigh", spy)
+        def spy_lanczos(apply, n):
+            seen.append((np.float64, n))
+            return lanczos(apply, n)
+
+        monkeypatch.setattr(np.linalg, "eigh", spy_eigh)
+        monkeypatch.setattr(sv, "_lanczos", spy_lanczos)
         rec = sieve_ratio_experiment(enumerate_set(3, 2), N)
         assert seen == [(dtype, N if dtype == np.float64 else 40)]
         inst = SieveInstance.from_fraction_set(enumerate_set(3, 2), N)

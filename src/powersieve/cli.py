@@ -33,11 +33,11 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-# gauss_sum and exp_sum are unused here; perfbench/spans.py patches them by name
+# gauss_sum, exp_sum and weyl_bound are unused here; perfbench/spans.py patches them by name
 from .characters import (TRANSFER_TERMS_GUARD, build_character_table, gauss_sum,
                          mult_transfer_check)
 from .expsum import (PolynomialPhase, exp_sum, exp_sum_prefixes, poisson_identity_check,
-                     weyl_bound, weyl_kappa)
+                     weyl_bound, weyl_bounds, weyl_kappa)
 from .rationals import FractionSet, _checked_size, enumerate_set
 from .sieve import SieveBoundViolation, bound_catalog, sieve_ratio_experiment
 from .spacing import conjecture_scan, spacing_count_bruteforce, spacing_count_fast
@@ -82,22 +82,24 @@ def _cached_sets(q_min: int, q_max: int, k: int, cache_dir: Optional[str]):
     return (_cached_set(Q, k, cache_dir) for Q in range(q_min, q_max + 1))
 
 
-# Rows are flat dicts of scalars.  With indent=2's separator between a row's items,
-# one C-encoder call lays out the whole list; escaped strings hold no newline, so
-# "},<sep>{" occurs only between rows, the one boundary laid out by hand.
+# Top-level lists of dicts (rows, bounds) hold flat dicts of scalars.  With indent=2's
+# separator between a row's items, one C-encoder call lays out a whole list; escaped strings
+# hold no newline, so "},<sep>{" occurs only between rows, the one boundary laid out by hand.
 _ROWS_ENCODER = json.JSONEncoder(separators=(",\n      ", ": "))
 
 
 def _json_parts(doc: dict) -> list[str]:
-    """json.dumps(doc, indent=2) + "\n" in pieces, the "rows" list spliced in
-    from ``_ROWS_ENCODER``: the indent=2 encoder is pure Python and costs more
-    than most handlers' computing."""
-    rows = doc.get("rows")
-    if not rows:
-        return [json.dumps(doc, indent=2), "\n"]
-    head, tail = json.dumps({**doc, "rows": []}, indent=2).split('\n  "rows": []')
-    body = _ROWS_ENCODER.encode(rows)[2:-2].replace("},\n      {", "\n    },\n    {\n      ")
-    return [head, '\n  "rows": [\n    {\n      ', body, "\n    }\n  ]", tail, "\n"]
+    """json.dumps(doc, indent=2) + "\n" in pieces, each top-level list of dicts
+    spliced in from ``_ROWS_ENCODER``: the indent=2 encoder is pure Python and
+    costs more than most handlers' computing."""
+    lists = {k: v for k, v in doc.items() if isinstance(v, list) and v and isinstance(v[0], dict)}
+    parts, text = [], json.dumps({**doc, **dict.fromkeys(lists, [])}, indent=2)
+    for key, rows in lists.items():
+        slot = f"\n  {json.dumps(key)}: ["
+        head, text = text.split(slot + "]")
+        body = _ROWS_ENCODER.encode(rows)[2:-2].replace("},\n      {", "\n    },\n    {\n      ")
+        parts += [head, slot + "\n    {\n      ", body, "\n    }\n  ]"]
+    return [*parts, text, "\n"]
 
 
 def _emit(args: argparse.Namespace, payload: dict, wall: float) -> None:
@@ -183,18 +185,13 @@ def _cmd_weyl(args: argparse.Namespace) -> tuple[dict, int]:
         phase = PolynomialPhase.monomial(args.alpha, args.k)
     except ZeroDivisionError:
         raise ValueError(f"--alpha {args.alpha} has a zero denominator") from None
-    # the largest N first: its cell guard refuses the range before any other row or term
-    bounds = [weyl_bound(phase, (args.start, N)) for N in range(args.N, n_min - 1, -1)][::-1]
-    sums = exp_sum_prefixes(phase, (args.start, args.N), n_min)
-    rows = []
-    violations = 0
-    for N, b, S in zip(range(n_min, args.N + 1), bounds, sums):
-        s = abs(S) ** kappa
-        if s > b * (1 + 1e-12):
-            violations += 1
-        rows.append({"N": N, "S_pow_kappa": s, "bound": b, "ratio": s / b})
-    payload = {"rows": rows, "violations": violations}
-    return payload, EXIT_ASSERTION if violations else EXIT_OK
+    # one differencing pass at the largest N: its cell guard refuses the range before any term
+    bounds = weyl_bounds(phase, (args.start, args.N), n_min)
+    powers = [abs(S) ** kappa for S in exp_sum_prefixes(phase, (args.start, args.N), n_min)]
+    rows = [{"N": N, "S_pow_kappa": s, "bound": b, "ratio": s / b}
+            for N, s, b in zip(range(n_min, args.N + 1), powers, bounds)]
+    violations = sum(s > b * (1 + 1e-12) for s, b in zip(powers, bounds))
+    return {"rows": rows, "violations": violations}, EXIT_ASSERTION if violations else EXIT_OK
 
 
 def _cmd_poisson(args: argparse.Namespace) -> tuple[dict, int]:

@@ -11,8 +11,8 @@ of f(n) would lose every significant digit long before that.
 terms formed once; ``exp_sum`` is its one-row case, so both share one
 summation path and agree bit for bit.
 
-``weyl_bound`` evaluates the explicit-constant majorant obtained by squaring
-the sum k-1 times (kappa = 2**(k-1)):
+``weyl_bounds`` evaluates the explicit-constant majorant obtained by squaring
+the sum k-1 times (kappa = 2**(k-1)) for every prefix of one interval:
 
     |S|**kappa <= 2**(2 kappa) N**(kappa-1)
                 + 2**kappa N**(kappa-k) * sum min(N, 1/||alpha k! r_1...r_{k-1}||)
@@ -22,7 +22,9 @@ integer column of distinct values with their multiplicities.  For
 alpha = u/v the distance is the residue res = P u k! mod v folded to
 min(res, v - res), so the term is N exactly when that residue vanishes or
 N*num <= v, and v/num otherwise, all in integers at the ``exact_columns``
-width, never by dividing by a float zero.
+width, never by dividing by a float zero.  Every row comes from one product
+column at the full length: the rounds carry each product's largest factor,
+so row L takes the products of factors below L, each term capped at L.
 
 The kernel half of the module implements phi(x) = (sin(pi x) / (2x))**2,
 its triangular Fourier transform, the truncated Poisson identity
@@ -157,39 +159,63 @@ def weyl_kappa(k: int, N: int) -> int:
     return kappa
 
 
-def weyl_bound(phase: PolynomialPhase, interval: Interval) -> float:
-    """Explicit majorant for |S|**kappa from k-1 rounds of differencing.
-
-    For N = 1 the r-sum is empty and the bound degenerates to 2**(2 kappa).
-    """
+def weyl_bounds(phase: PolynomialPhase, interval: Interval, first: int = 1) -> list[float]:
+    """Explicit majorants for |S_L|**kappa from k-1 rounds of differencing, S_L
+    the sum over the interval's first L integers, for L = first..length, every
+    row from one product column.  For L = 1 the r-sum is empty and the bound
+    degenerates to 2**(2 kappa)."""
     k = phase.degree
     _, N = interval
     if N < 1:
         raise ValueError("interval length must be >= 1")
+    if not 1 <= first <= N:
+        raise ValueError(f"need 1 <= first <= length = {N}, got first {first}")
     kappa = weyl_kappa(k, N)
     u, v = phase.leading.as_integer_ratio()
 
-    # distinct products r_1 * ... * r_j with multiplicities, round j at the width of
-    # (N-1)**j; the last width also covers the residue products v*v and N*v
-    prods, mult = [1], np.ones(1)
+    # distinct (product r_1...r_j, largest factor) pairs as keys P*N + top, with
+    # multiplicities; round j at the width of N**(j+1)
+    keys, mult = [N], np.ones(1)
     for j in range(1, k):
-        if len(prods) * (N - 1) > WEYL_CELL_GUARD:
-            raise ValueError(f"at k={k}, N={N} a differencing round forms {len(prods) * (N - 1)} "
+        if len(keys) * (N - 1) > WEYL_CELL_GUARD:
+            raise ValueError(f"at k={k}, N={N} a differencing round forms {len(keys) * (N - 1)} "
                              f"product cells, over the guard {WEYL_CELL_GUARD}; reduce k or N")
-        prods, r = exact_columns(prods, np.arange(1, N), bound=(N - 1) ** j)
-        prods, inv = np.unique(np.multiply.outer(prods, r).ravel(), return_inverse=True)
+        keys, r = exact_columns(keys, np.arange(1, N), bound=N ** (j + 1))
+        pairs = np.multiply.outer(keys // N, r) * N + np.maximum.outer(keys % N, r)
+        keys, inv = np.unique(pairs.ravel(), return_inverse=True)
         mult = np.bincount(inv, weights=np.repeat(mult, len(r)))
-    (prods,) = exact_columns(prods, bound=max((N - 1) ** (k - 1), v * v, N * v))
+    # keys ascend, so a product's pairs are one run, its smallest top first; in the
+    # order of that top, row L's products are a prefix
+    prods, tops = keys // N, (keys % N).astype(np.int64)
+    start = np.diff(prods, prepend=0) != 0
+    order = np.argsort(tops[start], kind="stable")
+    run = np.argsort(order)[np.cumsum(start) - 1]
+    present = np.searchsorted(tops[start][order], np.arange(N + 1)).tolist()
 
-    # min(N, 1/||alpha k! P||) per distinct product
+    # min(N, 1/||alpha k! P||) once per distinct product, at a width that also
+    # covers v*v and N*v; row L's term is min(term, L)
+    (prods,) = exact_columns(prods[start][order], bound=max((N - 1) ** (k - 1), v * v, N * v))
     res = prods % v * (u * math.factorial(k) % v) % v
     num = np.minimum(res, v - res)
     capped = (num == 0) | (N * num <= v)
     terms = np.where(capped, N, v / np.where(capped, 1, num)).astype(np.float64)
-    rsum = fsum(memoryview(mult * terms))  # Python floats, not numpy scalars, into fsum
-    return float(2 ** (2 * kappa)) * N ** (kappa - 1) + float(2 ** kappa) * N ** (
-        kappa - k
-    ) * rsum
+
+    # row L adds the pairs whose top is below L to a running multiplicity per product
+    by_top = np.argsort(tops, kind="stable")
+    run, mult, cut = run[by_top], mult[by_top], np.searchsorted(tops[by_top], range(N + 1))
+    lead, scale = float(2 ** (2 * kappa)), float(2 ** kappa)
+    running, bounds, lo = np.zeros(len(terms)), [], 0
+    for L in range(first, N + 1):
+        np.add.at(running, run[lo:cut[L]], mult[lo:cut[L]])
+        lo, d = cut[L], present[L]
+        rsum = fsum(memoryview(running[:d] * np.minimum(terms[:d], L)))  # Python floats
+        bounds.append(lead * L ** (kappa - 1) + scale * L ** (kappa - k) * rsum)
+    return bounds
+
+
+def weyl_bound(phase: PolynomialPhase, interval: Interval) -> float:
+    """Explicit majorant for |S|**kappa: the one-row case of ``weyl_bounds``."""
+    return weyl_bounds(phase, interval, first=interval[1])[0]
 
 
 def fejer_phi(x):

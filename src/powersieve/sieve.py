@@ -220,11 +220,15 @@ def _gram(instance: SieveInstance, side: str) -> np.ndarray:
 
 def _toeplitz_matvec(c: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     """x -> G x for the real symmetric Toeplitz G[n, m] = c[|m - n|], the leading
-    block of the length-2N circulant with the real, even first column
-    [c, 0, c[:0:-1]]: its spectrum is real, and one rfft/irfft pair applies G."""
-    L = 2 * len(c)
-    spectrum = np.fft.rfft(np.concatenate((c, [0], c[:0:-1])).astype(np.float64)).real
-    return lambda x: np.fft.irfft(spectrum * np.fft.rfft(x, L), L)[: len(c)]
+    block of the length-L circulant with the real, even first column
+    [c, 0 ... 0, c[:0:-1]]: its spectrum is real, and one rfft/irfft pair applies G.
+    Any L >= 2N - 1 embeds G; numpy's FFT slows by about 3x on a length with a
+    large prime factor, so L is the smallest 2**a 3**b 5**c >= 2N."""
+    N = len(c)
+    odd = [3 ** i * 5 ** j for i in range(N.bit_length() + 1) for j in range(N.bit_length())]
+    L = min(p << (-(-2 * N // p) - 1).bit_length() for p in odd if p < 4 * N)
+    spectrum = np.fft.rfft(np.concatenate((c, np.zeros(L - 2 * N + 1), c[:0:-1]))).real
+    return lambda x: np.fft.irfft(spectrum * np.fft.rfft(x, L), L)[:N]
 
 
 def _lanczos(apply: Callable[[np.ndarray], np.ndarray], N: int) -> tuple[float, np.ndarray, int]:

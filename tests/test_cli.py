@@ -184,8 +184,8 @@ def indent2(doc: dict) -> str:
 
 
 class TestJsonLayout:
-    """JSON reports are json.dumps(doc, indent=2) byte for byte, their rows
-    spliced in from one C-encoder call."""
+    """JSON reports are json.dumps(doc, indent=2) byte for byte, each top-level
+    list of dicts (rows, bounds) spliced in from one C-encoder call."""
 
     def test_every_subcommand_is_listed(self):
         assert {argv[0] for argv in EVERY_SUBCOMMAND} == set(cli._COMMANDS)
@@ -233,8 +233,11 @@ class TestJsonLayout:
          "fit": {"rows": [], "slope": 0.5}},
         {"rows": [], "violations": 0},
         {"error": "no rows at all"},
+        {"Q": 2, "bounds": [{"name": "a", "value": float("inf"), "assertable": True},
+                            {"name": "b", "value": 2.0, "assertable": False}],
+         "running_max": [3, 4], "rows": [{"M": 1}], "last": [{"note": '\n  "rows": []'}]},
     ], ids=["strings", "nonfinite", "one_row", "one_key_row", "one_key_rows", "empty_rows",
-            "no_rows"])
+            "no_rows", "lists_of_dicts"])
     def test_hand_made_payloads(self, payload, tmp_path, capsys):
         out, expected = self.emitted(payload, tmp_path, capsys)
         assert out == expected
@@ -646,7 +649,7 @@ class TestBenchmarkTracing:
         undo = spans.install(spans.Tracer())
         spans.uninstall(undo)
         patched = {attr for owner, attr, _ in undo if owner is cli}
-        assert {"enumerate_set", "conjecture_scan", "gauss_sum", "spacing_count_fast",
+        assert {"enumerate_set", "conjecture_scan", "gauss_sum", "weyl_bound", "spacing_count_fast",
                 "spacing_count_bruteforce", "sieve_ratio_experiment"} <= patched
         assert dict(vars(cli)) == before
         for owner, attr, original in undo:

@@ -20,6 +20,7 @@ from powersieve.expsum import (
     v_kernel,
     v_kernel_series,
     weyl_bound,
+    weyl_bounds,
 )
 
 
@@ -394,8 +395,8 @@ class TestWeylReference:
 
     def test_each_round_takes_its_own_width(self, monkeypatch):
         # at k = 7, N = 2000 the last round's bound 1999**6 needs Python
-        # integers, but round 2's products stay below 1999**2: that round runs
-        # in int64, and the guard refuses round 3 (1,917,606,717 cells)
+        # integers, but round 2's pair keys stay below 2000**3: that round runs
+        # in int64, and the guard refuses round 3 (1,999,000 pairs x 1999 cells)
         widths = []
         width_rule = expsum.exact_columns
 
@@ -409,6 +410,65 @@ class TestWeylReference:
         with pytest.raises(ValueError, match="at k=7, N=2000 a differencing round forms"):
             weyl_bound(phase, (1, 2000))
         assert widths == [np.dtype(np.int64)] * 2
+
+
+class TestWeylBounds:
+    """Every row of ``weyl_bounds`` equals the per-row Fraction majorant bit for
+    bit, from one differencing pass at the full length."""
+
+    @pytest.mark.parametrize(
+        "alpha, k, N, start",
+        [
+            (Fraction(1, 7), 2, 60, 1),
+            (Fraction(-3, 97), 3, 30, -4),
+            (Fraction(5, 11), 4, 12, 1),
+            (0.1, 2, 45, -7),
+            (math.sqrt(2), 3, 25, 0),
+            (math.sqrt(3), 4, 10, -3),
+            (Fraction(3_000_000_019, 2 ** 40 + 15), 2, 50, 1),  # object residues
+            (Fraction(3_000_000_019, 2 ** 40 + 15), 3, 30, -2),
+            (3, 3, 20, 1),
+            (Fraction(1, 7), 5, 7, 1),
+        ],
+    )
+    def test_every_row_equals_reference(self, alpha, k, N, start):
+        phase = PolynomialPhase.monomial(alpha, k)
+        expected = [reference_weyl_bound(phase, (start, L)) for L in range(1, N + 1)]
+        assert weyl_bounds(phase, (start, N)) == expected
+        assert weyl_bounds(phase, (start, N), N) == expected[-1:]
+        assert weyl_bounds(phase, (start, N), N // 2 + 1) == expected[N // 2:]
+
+    @pytest.mark.parametrize("alpha, k, N", [(Fraction(3, 97), 3, 20), (0.1, 4, 9)])
+    def test_object_columns_give_the_same_rows(self, monkeypatch, alpha, k, N):
+        # every column in Python integers, the path of pair keys past 2**62
+        monkeypatch.setattr(expsum, "exact_columns",
+                            lambda *cols, bound: tuple(np.asarray(c, dtype=object) for c in cols))
+        phase = PolynomialPhase.monomial(alpha, k)
+        expected = [reference_weyl_bound(phase, (-2, L)) for L in range(1, N + 1)]
+        assert weyl_bounds(phase, (-2, N)) == expected
+
+    @pytest.mark.parametrize("k, N", [(2, 1), (2, 17), (3, 2), (3, 23), (4, 9)])
+    def test_weyl_bound_is_the_one_row_case(self, k, N):
+        phase = PolynomialPhase.monomial(Fraction(2, 13), k)
+        assert weyl_bound(phase, (-5, N)) == weyl_bounds(phase, (-5, N), N)[0]
+
+    @pytest.mark.parametrize("first", [0, 6])
+    def test_first_outside_1_to_length_refused(self, first):
+        with pytest.raises(ValueError, match=f"need 1 <= first <= length = 5, got first {first}"):
+            weyl_bounds(PolynomialPhase.monomial(Fraction(1, 7), 2), (1, 5), first)
+
+    def test_guard_counts_the_pairs_a_round_multiplies(self, monkeypatch):
+        # k = 4, N = 12: round 3 multiplies the distinct (r1 r2, max) pairs by r
+        pairs = len({(a * b, max(a, b)) for a in range(1, 12) for b in range(1, 12)})
+        assert pairs > len({a * b for a in range(1, 12) for b in range(1, 12)})
+        phase = PolynomialPhase.monomial(Fraction(1, 7), 4)
+        bound = weyl_bound(phase, (1, 12))
+        monkeypatch.setattr(expsum, "WEYL_CELL_GUARD", pairs * 11)
+        assert weyl_bound(phase, (1, 12)) == bound
+        monkeypatch.setattr(expsum, "WEYL_CELL_GUARD", pairs * 11 - 1)
+        with pytest.raises(ValueError, match=f"at k=4, N=12 a differencing round forms "
+                                             f"{pairs * 11} product cells"):
+            weyl_bound(phase, (1, 12))
 
 
 class TestFejerKernel:

@@ -323,6 +323,39 @@ class TestLanczos:
         assert spec.lambda_max == pytest.approx(dense_lambda_max(inst), rel=1e-12, abs=0)
         assert spec.residual <= 1e-10 * max(1.0, spec.lambda_max)
 
+    @staticmethod
+    def fft_lengths(monkeypatch):
+        """The lengths numpy's rfft is called with, as the matvec calls it."""
+        lengths, rfft = [], np.fft.rfft
+
+        def spy(a, n=None):
+            lengths.append(len(a) if n is None else n)
+            return rfft(a, n)
+
+        monkeypatch.setattr(np.fft, "rfft", spy)
+        return lengths
+
+    @pytest.mark.parametrize("N, L", [(1, 2), (8, 16), (13, 27), (27, 54), (97, 200), (343, 720)])
+    def test_matvec_on_a_smooth_length_equals_dense(self, monkeypatch, N, L):
+        # the circulant takes the smallest 2**a 3**b 5**c >= 2N: 2N itself when it
+        # is one (2, 16, 54), else the next (27 for 26, 200 for 194, 720 for 686)
+        lengths = self.fft_lengths(monkeypatch)
+        rng = np.random.default_rng(N)
+        c, x = rng.integers(-50, 51, N), rng.standard_normal(N)
+        Gx = sv._toeplitz_matvec(c)(x)
+        assert lengths == [L, L]
+        assert Gx.shape == (N,)
+        assert np.allclose(Gx, dense_toeplitz(c) @ x, rtol=0, atol=1e-12 * np.abs(c).sum() * N)
+
+    def test_smooth_length_instance_matches_dense(self, monkeypatch):
+        # S(7, 2) at N = 343: 2N = 2 * 7**3 runs at the circulant length 720
+        inst = SieveInstance.from_fraction_set(enumerate_set(7, 2), 343)
+        dense = np.linalg.eigvalsh(dense_toeplitz(inst.gram_symbol()))[-1]
+        lengths = self.fft_lengths(monkeypatch)
+        lam = gram_lambda_max(inst, "frequencies").lambda_max
+        assert set(lengths) == {720}
+        assert lam == pytest.approx(dense, rel=1e-12, abs=0)
+
     @pytest.mark.parametrize("N", [1, 2, 27, 64, 125])
     def test_persymmetric_halves_hold_the_whole_spectrum(self, N):
         G = dense_toeplitz(SieveInstance.from_fraction_set(enumerate_set(4, 2), N).gram_symbol())

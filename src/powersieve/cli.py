@@ -10,12 +10,12 @@ table diffing.  Exit codes: 0 success, 1 usage, guard or file-system error,
 
 ``table1`` is the quadratic scan statistic: the spacing count over S(Q, 2)
 at N = Q**3, that is 2 * ||x - x'|| < Q**-3.  Handlers pass each set to the
-spacing, scan and sieve entry points, which read Q and k off it.
+spacing and scan entry points, which read Q and k off it; ``sieve-ratio``
+passes Q, N and k alone and enumerates no set.
 
-Fraction sets are cached per (Q, k) in a cache directory (flag
-``--cache-dir`` or environment variable POWERSIEVE_CACHE_DIR, on the
-subcommands that take the flag) using the compact binary format, so range
-scans do not re-enumerate.
+Fraction sets are cached per (Q, k) in a cache directory (``--cache-dir``
+or environment variable POWERSIEVE_CACHE_DIR, on table1, spacing and
+conjecture) in the compact binary format, so range scans do not re-enumerate.
 """
 
 from __future__ import annotations
@@ -164,9 +164,8 @@ def _cmd_conjecture(args: argparse.Namespace) -> tuple[dict, int]:
 
 
 def _cmd_sieve_ratio(args: argparse.Namespace) -> tuple[dict, int]:
-    fs = _cached_set(args.Q, args.k, args.cache_dir)
     try:
-        rec = sieve_ratio_experiment(fs, args.N, epsilon=args.epsilon)
+        rec = sieve_ratio_experiment(args.Q, args.N, args.k, args.epsilon)
     except SieveBoundViolation as exc:
         return {"error": str(exc)}, EXIT_ASSERTION
     return rec, EXIT_OK
@@ -287,7 +286,7 @@ def build_parser() -> _Parser:
     p.add_argument("--q-min", type=int, default=1)
     p.add_argument("--q-max", type=int, required=True)
 
-    command("sieve-ratio", "lambda_max against the bound catalog", Q, N, k, epsilon, cache, seed)
+    command("sieve-ratio", "lambda_max against the bound catalog", Q, N, k, epsilon, seed)
     command("bounds", "evaluate the closed-form bound catalog", Q, N, k, epsilon)
 
     p = command("weyl", "differencing bound tightness rows", N, k)

@@ -1,8 +1,7 @@
 """Large-sieve Gram spectra and the catalog of closed-form majorants.
 
 For a point set {x_1..x_K} on the torus and the frequency window
-n = M+1..M+N, the sieve matrix is T[j, n] = e(x_j n).  The optimal constant
-in
+n = M+1..M+N, the sieve matrix is T[j, n] = e(x_j n).  The optimal constant in
 
     sum_j | sum_n a_n e(x_j n) |**2 <= D * sum_n |a_n|**2
 
@@ -11,11 +10,11 @@ computable on either side (T*T over frequencies, TT* over points); equality
 of the two spectral norms is the operator-norm duality that the test suite
 asserts numerically.  The two sides are built independently: TT* from the
 sieve matrix, and T*T, which depends only on m - n, as a Toeplitz matrix
-over the symbol c[h] = sum_j e(x_j h).  For a FractionSet, always the full
-S(Q, k), the symbol is a sum of Ramanujan sums, an integer vector, and T*T
-is real symmetric; its lambda_max comes from Lanczos on an FFT circulant
-matvec, and no N x N matrix is formed.  The points side and point sequences
-take one dense Hermitian eigensolve (numpy.linalg.eigh) of their Gram matrix.
+over the symbol c[h] = sum_j e(x_j h).  For the full S(Q, k) the symbol is a
+sum of Ramanujan sums, an integer vector built from (Q, k) alone, and T*T is
+real symmetric; its lambda_max comes from Lanczos on an FFT circulant matvec,
+with no N x N matrix and no point set formed.  The points side and point
+sequences take one dense Hermitian eigensolve (numpy.linalg.eigh).
 Every point is rational: a float enters as its exact binary value (0.1 has
 denominator 2**55; one tenth is Fraction("0.1")), so the phases x_j n mod 1
 and the minimal gap are reduced in integers for every instance.
@@ -29,14 +28,11 @@ Two kinds of upper bounds are tracked:
   constant (the coarse Q**2k + N and Q(Q**k + N) forms, the dyadic
   differencing bound with its log factor, the half-power form, and the
   conjectured optimum).  These are never asserted, only emitted as ratios.
-
-``sieve_ratio_experiment`` takes a ``FractionSet`` and N and reads Q and k
-off the set, so the ceiling and the catalog are always those of the points
-whose lambda_max they are compared with.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -46,7 +42,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .arith import factorize
-from .rationals import FractionSet, PowerFraction, _checked_power, exact_columns
+from .rationals import (FractionSet, PowerFraction, _checked_power, exact_columns,
+                        expected_cardinality)
 
 # cell guard for gram experiments: K*N for T and d*d for the Gram matrix solved
 GRAM_CELL_GUARD = 10 ** 7
@@ -58,10 +55,8 @@ _BLOCK_CELLS = 2 ** 12
 # largest residual |Gv - lambda v| / max(1, lambda) accepted from the eigensolver
 RESIDUAL_TOL = 1e-10
 
-# basis guard on the N x stored vectors x 8 bytes of a Lanczos run, whose
-# basis is allocated _BASIS_BLOCK vectors at a time
+# basis guard on the bytes of a Lanczos run's stored vectors and FFT buffers
 LANCZOS_BASIS_BYTES = 2 ** 30
-_BASIS_BLOCK = 32
 
 
 class ConvergenceError(RuntimeError):
@@ -96,21 +91,20 @@ class BoundFormula:
 
 
 def _check_basis(vectors: int, N: int) -> None:
-    """Refuse a Lanczos basis past the basis guard, before it is allocated."""
-    if vectors * N * 8 > LANCZOS_BASIS_BYTES:
-        raise ValueError(f"a Lanczos basis of {vectors} vectors of length N = {N} holds "
-                         f"{vectors * N * 8} bytes, over the basis guard {LANCZOS_BASIS_BYTES}; "
-                         "reduce Q or N")
+    """Refuse a Lanczos run past the basis guard before its next vector is kept:
+    ``vectors`` of N floats and six of the FFT matvec (L >= 2N): the spectrum,
+    and the padded input and its rfft, or the product and its irfft."""
+    held = (vectors + 6) * N * 8
+    if held > LANCZOS_BASIS_BYTES:
+        raise ValueError(f"a Lanczos run keeping {vectors} vector(s) of length N = {N} holds "
+                         f"{held} bytes with its FFT buffers, over the basis guard "
+                         f"{LANCZOS_BASIS_BYTES}; reduce Q or N")
 
 
-def _check_gram_guard(K: int, N: int, side: str, full_set: bool) -> None:
-    """Refuse a solve past its guard before anything is formed: a full set's
-    frequencies side, Lanczos, needs its first basis block within the basis
-    guard; otherwise the gram guard bounds the K*N sieve-matrix cells and
-    the d*d cells of the dense Gram matrix solved, d = K or N."""
-    if side == "frequencies" and full_set:
-        _check_basis(min(N, _BASIS_BLOCK), N)
-        return
+def _check_gram_guard(K: int, N: int, side: str) -> None:
+    """Refuse a dense solve past the gram guard before anything is formed: it
+    bounds the K*N sieve-matrix cells and the d*d cells of the Gram matrix
+    solved, d = K or N."""
     if K * N > GRAM_CELL_GUARD:
         raise ValueError(f"K*N = {K * N} exceeds the gram guard {GRAM_CELL_GUARD}; reduce Q or N")
     d = K if side == "points" else N
@@ -132,37 +126,48 @@ def _point_columns(points: Sequence) -> tuple[list, list]:
 class SieveInstance:
     """A finite torus point set plus the frequency window (M, M+N].
 
-    Points are a FractionSet, exactly S(Q, k) ascending, whose columns are
-    taken as they are, or a sequence of PowerFractions, Fractions, ints and
-    floats, distinct mod 1.  A float is its exact binary value: 0.1 is
-    3602879701896397/2**55, and one tenth is Fraction(1, 10) or
-    Fraction("0.1").  Points are held ascending in [0, 1) as reduced integer
-    columns ``nums``, ``dens`` at the ``exact_columns`` width of dens**2.
-    ``full_set`` is (Q, k) for a FractionSet, else None.
+    Points are a sequence of PowerFractions, Fractions, ints and floats,
+    distinct mod 1 (a float is its exact binary value: 0.1 is
+    3602879701896397/2**55, one tenth Fraction("0.1")); or a FractionSet,
+    the full S(Q, k) with ``full_set`` (Q, k).  They are held ascending in
+    [0, 1) as the columns ``nums``, ``dens`` at the ``exact_columns`` width of
+    dens**2.  ``set_free`` gives S(Q, k) by (Q, k) alone, with no columns.
     """
 
     def __init__(self, points: FractionSet | Sequence, M: int, N: int):
         if N < 1:
             raise ValueError(f"N must be >= 1, got {N}")
-        self.full_set = None
-        if isinstance(points, FractionSet):
-            nums, dens = points.numerators, points.denominators()
+        self.M, self.N, self.full_set = int(M), int(N), None
+        if isinstance(points, FractionSet):  # int64: every set has (2Q)**(2k) <= 2**48
             self.full_set = (points.Q, points.k)
+            nums, dens = points.numerators, points.denominators()
         else:
             nums, dens = _point_columns(points)
-        if len(nums) == 0:
-            raise ValueError("instance needs at least one point")
-        dmax = int(np.max(dens))
-        self.nums, self.dens = exact_columns(nums, dens, bound=dmax * dmax)
-        self.M, self.N = int(M), int(N)
+            if not nums:
+                raise ValueError("instance needs at least one point")
+            nums, dens = exact_columns(nums, dens, bound=max(dens) ** 2)
+        self.nums, self.dens, self.K = nums, dens, len(nums)
 
     @classmethod
     def from_fraction_set(cls, fs: FractionSet, N: int, M: int = 0) -> "SieveInstance":
         return cls(fs, M, N)
 
-    @property
-    def K(self) -> int:
-        return len(self.nums)
+    @classmethod
+    def set_free(cls, Q: int, k: int, N: int, M: int = 0) -> "SieveInstance":
+        """S(Q, k) by (Q, k) alone, with no set: the points side's columns are refused."""
+        if N < 1:
+            raise ValueError(f"N must be >= 1, got {N}")
+        inst = cls.__new__(cls)
+        inst.M, inst.N, inst.full_set = int(M), int(N), (Q, k)
+        return inst
+
+    def _no_columns(self):
+        raise ValueError(f"S{self.full_set} was given by (Q, k) alone and has no point columns")
+
+    # set in __init__; a set-free instance has no columns and counts K in closed form
+    nums = functools.cached_property(lambda self: self._no_columns())
+    dens = functools.cached_property(lambda self: self._no_columns())
+    K = functools.cached_property(lambda self: expected_cardinality(*self.full_set))
 
     def _row_blocks(self, n: np.ndarray):
         """(rows, e(x_j n) for j in rows) over row blocks of about _BLOCK_CELLS
@@ -176,7 +181,7 @@ class SieveInstance:
 
     def matrix(self) -> np.ndarray:
         """The K x N sieve matrix e(x_j n), refused where the points side is."""
-        _check_gram_guard(self.K, self.N, "points", self.full_set is not None)
+        _check_gram_guard(self.K, self.N, "points")
         n = np.arange(self.M + 1, self.M + self.N + 1, dtype=np.int64)
         T = np.empty((self.K, self.N), dtype=np.complex128)
         for rows, e in self._row_blocks(n):
@@ -188,12 +193,17 @@ class SieveInstance:
 
         For the full S(Q, k) it is exact int64, the sum over q of the Ramanujan
         sums c_{q**k}(h): mu(s) d for each d = q**k/s dividing h, s | rad(q)
-        squarefree (so c[0] = K).  Otherwise it is summed over row blocks.
+        squarefree (so c[0] = K).  A base adds 2**omega(q) <= q terms of size at
+        most q**k, so every partial sum is at most Q (2Q)**(k+1) = (2Q)**(k+2)/2:
+        (Q, k) is refused unless (2Q)**(k+2) < 2**63, as every FractionSet has
+        it.  Otherwise it is summed over row blocks.
         """
         if self.full_set is None:
             h = np.arange(self.N, dtype=np.int64)
             return sum(e.sum(axis=0) for _, e in self._row_blocks(h))
         Q, k = self.full_set
+        _checked_power(2 * Q, k + 2, 63, f"the symbol of S({Q}, {k}) sums terms up to "
+                       "(2Q)**(k+2)/2, which needs (2Q)**(k+2) < 2**63 for int64")
         c = np.zeros(self.N, dtype=np.int64)
         for q in range(Q + 1, 2 * Q + 1):
             squarefree = [(1, 1)]  # (s, mu(s)) over the divisors s of rad(q)
@@ -232,32 +242,29 @@ def _toeplitz_matvec(c: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
 
 
 def _lanczos(apply: Callable[[np.ndarray], np.ndarray], N: int) -> tuple[float, np.ndarray, int]:
-    """(theta, Ritz vector, steps m) for the top eigenpair of the real symmetric
-    operator ``apply`` on R**N: Lanczos (Golub and Van Loan, Matrix Computations),
-    each new vector projected off the whole basis twice, from a fixed-seed
-    pseudo-random start; a start with no component along the top eigenvector
-    (one symmetric under n -> N-1-n where that vector is antisymmetric) would
-    converge to a lower pair.  The run stops when the top Ritz pair (theta, s)
-    of T_m has residual |beta_m s_m| <= RESIDUAL_TOL / 10 * max(1, theta).  It is
-    formed at step 8, then as many steps on as the residual would take to get
-    there at 0.4 decades a step (2 to 16), and whenever beta_m is that small."""
+    """(theta, unit Ritz vector, steps m) for the top eigenpair of the real
+    symmetric operator ``apply`` on R**N: the three-term Lanczos recurrence
+    from a fixed-seed pseudo-random start (a start with no component along the
+    top eigenvector, one symmetric under n -> N-1-n where that vector is
+    antisymmetric, would converge to a lower pair).  The basis loses
+    orthogonality only along converged Ritz vectors (Paige, 1980), so the first
+    converged top pair needs no reorthogonalisation.  The run stops once the
+    top Ritz pair (theta, s) of T_m has |beta_m s_m| <= RESIDUAL_TOL / 10 *
+    max(1, theta); it is formed at step 8, then as many steps on as the
+    residual would take to get there at 0.4 decades a step (2 to 16), and
+    whenever beta_m is that small."""
     v = np.random.default_rng(20050803).standard_normal(N)
     v /= np.linalg.norm(v)
     tol = RESIDUAL_TOL / 10
-    blocks, alpha, beta, check = [], [], [], 8
+    basis, alpha, beta, check = [], [], [], 8
     for j in range(N):
-        if j % _BASIS_BLOCK == 0:
-            _check_basis(j + min(_BASIS_BLOCK, N - j), N)
-            blocks.append(np.empty((min(_BASIS_BLOCK, N - j), N)))
-        blocks[-1][j % _BASIS_BLOCK] = v
+        _check_basis(j + 1, N)
+        basis.append(v)
         w = apply(v)
-        alpha.append(0.0)
-        for _ in range(2):
-            for i, block in enumerate(blocks):
-                V = block[: j + 1 - i * _BASIS_BLOCK]
-                h = V @ w
-                w -= h @ V
-            alpha[-1] += h[-1]
+        if j:
+            w -= beta[-1] * basis[-2]
+        alpha.append(float(v @ w))
+        w -= alpha[-1] * v
         b = math.sqrt(w @ w)
         if b <= tol * max(1.0, alpha[-1]) or j + 1 == check or j == N - 1:
             theta, S = np.linalg.eigh(np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1))
@@ -267,9 +274,8 @@ def _lanczos(apply: Callable[[np.ndarray], np.ndarray], N: int) -> tuple[float, 
             check = j + 1 + min(16, max(2, math.ceil(2.5 * math.log10(r / tol))))
         beta.append(b)
         v = w / b
-    y = sum(block[: j + 1 - i * _BASIS_BLOCK].T @ S[i * _BASIS_BLOCK: (i + 1) * _BASIS_BLOCK, -1]
-            for i, block in enumerate(blocks))
-    return float(theta[-1]), y, j + 1
+    y = sum(s * u for s, u in zip(S[:, -1], basis))  # not stacked: that doubles the peak
+    return float(theta[-1]), y / np.linalg.norm(y), j + 1
 
 
 def gram_lambda_max(
@@ -286,11 +292,12 @@ def gram_lambda_max(
     """
     if side not in ("points", "frequencies"):
         raise ValueError(f"unknown side {side!r}")
-    _check_gram_guard(instance.K, instance.N, side, instance.full_set is not None)
     if side == "frequencies" and instance.full_set is not None:
+        _check_basis(1, instance.N)  # what every run holds at its first matvec, before the symbol
         apply = _toeplitz_matvec(instance.gram_symbol())
         lam, v, steps = _lanczos(apply, instance.N)
     else:
+        _check_gram_guard(instance.K, instance.N, side)
         G = _gram(instance, side)
         eigenvalues, eigenvectors = np.linalg.eigh(G)
         lam, v, steps, apply = float(eigenvalues[-1]), eigenvectors[:, -1], 1, G.__matmul__
@@ -302,9 +309,7 @@ def gram_lambda_max(
 
 def duality_check(instance: SieveInstance) -> tuple[float, float]:
     """lambda_max on both sides; equal spectral norms up to rounding."""
-    lhs = gram_lambda_max(instance, "frequencies").lambda_max
-    rhs = gram_lambda_max(instance, "points").lambda_max
-    return lhs, rhs
+    return tuple(gram_lambda_max(instance, side).lambda_max for side in ("frequencies", "points"))
 
 
 def min_torus_gap(instance: SieveInstance) -> Fraction:
@@ -399,20 +404,15 @@ def bound_catalog(Q: int, N: int, k: int = 2, epsilon: float = 0.0) -> list[dict
     return rows
 
 
-def sieve_ratio_experiment(fs: FractionSet, N: int, epsilon: float = 0.0) -> dict:
-    """lambda_max over the set S(Q, k) ``fs`` against every cataloged bound.
+def sieve_ratio_experiment(Q: int, N: int, k: int = 2, epsilon: float = 0.0) -> dict:
+    """lambda_max of S(Q, k) over N frequencies against every cataloged bound.
 
-    Q and k are read off ``fs``.  Asserts only the explicit-constant per-q
-    aggregate; everything else is reported as a ratio.  The returned record
-    is JSON-ready.
+    The frequencies side reads (Q, k) alone, so no set is enumerated.  Asserts
+    only the explicit-constant per-q aggregate; everything else is reported
+    as a ratio.  The returned record is JSON-ready.
     """
-    Q, k = fs.Q, fs.k
-    # the dense complex K x K points solve from N = 2K, Lanczos below it
-    side = "points" if 2 * len(fs) <= N else "frequencies"
-    _check_gram_guard(len(fs), N, side, full_set=True)  # before the instance is built
-    catalog = bound_catalog(Q, N, k, epsilon)  # and so is a bad epsilon
-    inst = SieveInstance.from_fraction_set(fs, N)
-    spec = gram_lambda_max(inst, side)
+    catalog = bound_catalog(Q, N, k, epsilon)
+    spec = gram_lambda_max(SieveInstance.set_free(Q, k, N), "frequencies")
     ceiling = per_q_exact_ceiling(Q, N, k)
     if spec.lambda_max > ceiling + 1e-6 * max(1.0, ceiling):
         raise SieveBoundViolation(

@@ -238,7 +238,7 @@ def test_criterion_9_report_only_ratios(data_dir):
         baselines = json.load(fh)
     print("  Q   N  k    lambda_max      ratios (report-only)")
     for base in baselines:
-        rec = sieve_ratio_experiment(enumerate_set(base["Q"], base["k"]), base["N"])
+        rec = sieve_ratio_experiment(base["Q"], base["N"], base["k"])
         assert rec["lambda_max"] == pytest.approx(base["lambda_max"], rel=1e-6)
         for b in rec["bounds"]:
             assert b["ratio"] == pytest.approx(

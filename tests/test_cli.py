@@ -26,7 +26,7 @@ from powersieve.cli import (
     main,
 )
 from powersieve.characters import build_character_table, gauss_sum
-from powersieve.rationals import expected_cardinality
+from powersieve.rationals import FractionSet, expected_cardinality
 
 
 def run_cli(argv, capsys):
@@ -109,8 +109,20 @@ class TestExitCodes:
             assert f"unrecognized arguments: --k {k}" in captured.err
 
     def test_guard_violation_maps_to_usage(self, capsys):
-        # gram guard: K*N too large
-        assert main(["sieve-ratio", "--Q", "40", "--N", "1000000"]) == EXIT_USAGE
+        # basis guard: the start vector and the FFT buffers, seven vectors of
+        # N = 2 * 10**7 floats, are over 1 GiB; refused before any is formed
+        assert main(["sieve-ratio", "--Q", "40", "--N", str(2 * 10 ** 7)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("powersieve sieve-ratio: a Lanczos run keeping 1 vector(s) of "
+                                "length N = 20000000 holds 1120000000 bytes with its FFT buffers, "
+                                "over the basis guard 1073741824; reduce Q or N\n")
+        # symbol width: (2Q)**(k+2) = 2**63 at Q = 1, k = 61
+        assert main(["sieve-ratio", "--Q", "1", "--N", "4", "--k", "61"]) == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "powersieve sieve-ratio: q**k = 2**63 has at least 64 bits, more than 63: the symbol "
+            "of S(1, 61) sums terms up to (2Q)**(k+2)/2, which needs (2Q)**(k+2) < 2**63 for "
+            "int64\n")
 
     def test_assertion_exit_on_violated_check(self, capsys, monkeypatch):
         # force a fake ceiling violation through the transfer inequality path
@@ -270,6 +282,20 @@ class TestCsvLayout:
 
 
 class TestSubcommands:
+    def test_sieve_ratio_past_twice_the_set_size(self, capsys, monkeypatch):
+        # N = 20000 >= 2|S(10, 2)| = 3056, and K*N past the gram guard: Lanczos
+        # on the (Q, k) symbol solves it, and no FractionSet is built
+        def refuse(*args, **kwargs):
+            raise AssertionError("FractionSet built by sieve-ratio")
+
+        monkeypatch.setattr(cli, "enumerate_set", refuse)
+        monkeypatch.setattr(FractionSet, "__init__", refuse)
+        code, out = run_cli(["sieve-ratio", "--Q", "10", "--N", "20000"], capsys)
+        assert code == EXIT_OK
+        doc = json.loads(out)
+        assert doc["lambda_max"] == pytest.approx(39539.05118682, rel=1e-10, abs=0)
+        assert doc["residual"] <= 1e-10 * doc["lambda_max"]
+
     def test_weyl_rows_and_validity(self, capsys):
         code, out = run_cli(
             ["weyl", "--alpha", "1/7", "--k", "3", "--N", "12", "--n-min", "8"], capsys
@@ -478,7 +504,7 @@ class TestCache:
 
     @pytest.mark.parametrize("argv", [["spacing", "--Q", "3", "--N", "27"],
                                       ["conjecture", "--q-min", "3", "--q-max", "3"],
-                                      ["sieve-ratio", "--Q", "3", "--N", "27"]])
+                                      ["table1", "--q-max", "3"]])
     @pytest.mark.parametrize("i, a, q", [(8, 8, 6), (0, 1, 7), (39, 37, 6)])
     def test_cache_with_non_member_record_refused(self, tmp_path, capsys, argv, i, a, q):
         # each record keeps the order: non-reduced 8/6**2, base 7 outside
@@ -532,7 +558,7 @@ FLAGS = {
     "table1": "--q-max --cache-dir",
     "spacing": "--Q --N --k --engine --cache-dir",
     "conjecture": "--q-min --q-max --k --cache-dir",
-    "sieve-ratio": "--Q --N --k --epsilon --cache-dir --seed",
+    "sieve-ratio": "--Q --N --k --epsilon --seed",
     "bounds": "--Q --N --k --epsilon",
     "weyl": "--alpha --N --n-min --start --k",
     "poisson": "--N --tail",
@@ -562,6 +588,7 @@ class TestFlagSets:
         ["bounds", "--Q", "2", "--N", "16", "--seed", "1"],
         ["weyl", "--alpha", "1/7", "--N", "5", "--epsilon", "0.1"],
         ["conjecture", "--q-max", "3", "--seed", "1"],
+        ["sieve-ratio", "--Q", "2", "--N", "8", "--cache-dir", "d"],
     ])
     def test_removed_flag_exits_1(self, argv, capsys):
         with pytest.raises(SystemExit) as err:

@@ -3,6 +3,7 @@
 import json
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -10,8 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from powersieve import rationals
 from powersieve import sieve as sv
-from powersieve.rationals import enumerate_set, strictly_increasing
+from powersieve.rationals import FractionSet, enumerate_set, strictly_increasing
 from powersieve.sieve import (
     ConvergenceError,
     SieveInstance,
@@ -383,28 +385,105 @@ class TestLanczos:
 
     @pytest.mark.parametrize("Q, lam", [(20, 49930.432795), (30, 224750.887643)])
     def test_reference_values_past_the_dense_range(self, Q, lam):
-        rec = sieve_ratio_experiment(enumerate_set(Q, 2), Q ** 3)
+        rec = sieve_ratio_experiment(Q, Q ** 3)
         assert round(rec["lambda_max"], 6) == lam
         assert rec["residual"] <= 1e-10 * lam
 
-    def test_basis_guard_refuses_the_block_it_would_allocate(self, monkeypatch):
-        # S(6, 2) at N = 216 takes more than one block of 32 vectors; a guard
-        # of exactly one block admits the first and refuses the second
-        inst = SieveInstance.from_fraction_set(enumerate_set(6, 2), 216)
-        assert gram_lambda_max(inst, "frequencies").iterations > 32
-        monkeypatch.setattr(sv, "LANCZOS_BASIS_BYTES", 32 * 216 * 8)
-        with pytest.raises(ValueError, match="a Lanczos basis of 64 vectors of length N = 216 "
-                                             "holds 110592 bytes, over the basis guard 55296"):
+    def test_basis_guard_admits_exactly_its_vectors(self, monkeypatch):
+        # S(6, 2) at N = 216 keeps one vector a step, and its FFT matvec holds
+        # six more: a guard of exactly m + 6 vectors admits the run's m, and
+        # one of m + 5 refuses the m-th
+        inst = SieveInstance.set_free(6, 2, 216)
+        spec = gram_lambda_max(inst, "frequencies")
+        m = spec.iterations
+        monkeypatch.setattr(sv, "LANCZOS_BASIS_BYTES", (m + 6) * 216 * 8)
+        assert gram_lambda_max(inst, "frequencies") == spec
+        monkeypatch.setattr(sv, "LANCZOS_BASIS_BYTES", (m + 5) * 216 * 8)
+        with pytest.raises(ValueError, match=rf"^a Lanczos run keeping {m} vector\(s\) of length "
+                                             rf"N = 216 holds {(m + 6) * 1728} bytes with its FFT "
+                                             rf"buffers, over the basis guard {(m + 5) * 1728}; "
+                                             r"reduce Q or N$"):
             gram_lambda_max(inst, "frequencies")
 
-    def test_basis_guard_checked_before_instance_build(self, monkeypatch):
-        def refuse(self, *args, **kwargs):
-            raise AssertionError("instance built for a guarded experiment")
+    @pytest.mark.parametrize("guard, N", [(7 * 216 * 8, 216), (None, 2 ** 30 // 56)],
+                             ids=["patched-guard", "default-guard"])
+    def test_basis_guard_checked_before_the_symbol(self, monkeypatch, guard, N):
+        # every run holds its start vector, the circulant spectrum and one
+        # matvec's buffers, seven vectors: at the guard's last N the symbol is
+        # reached, and one past it is refused before anything of size N
+        class Reached(Exception):
+            pass
 
-        monkeypatch.setattr(sv, "LANCZOS_BASIS_BYTES", 32 * 216 * 8 - 1)
-        monkeypatch.setattr(SieveInstance, "__init__", refuse)
-        with pytest.raises(ValueError, match="a Lanczos basis of 32 vectors .* basis guard 55295"):
-            sieve_ratio_experiment(enumerate_set(6, 2), 216)
+        def spy(self):
+            raise Reached
+
+        if guard is not None:
+            monkeypatch.setattr(sv, "LANCZOS_BASIS_BYTES", guard)
+        monkeypatch.setattr(SieveInstance, "gram_symbol", spy)
+        with pytest.raises(Reached):
+            sieve_ratio_experiment(6, N)
+        held = 7 * 8 * (N + 1)
+        with pytest.raises(ValueError, match=rf"^a Lanczos run keeping 1 vector\(s\) of length "
+                                             rf"N = {N + 1} holds {held} bytes with its FFT "
+                                             rf"buffers, over the basis guard {guard or 2 ** 30};"):
+            sieve_ratio_experiment(6, N + 1)
+
+    def test_solve_peak_memory_is_the_basis_and_a_few_vectors(self):
+        # the basis is m vectors of 8N bytes; the symbol, the circulant spectrum,
+        # the FFT buffers and the Ritz vector add a few more: a stacked copy
+        # of the basis would add m more
+        N = 27000
+        inst = SieveInstance.set_free(30, 2, N)
+        m = gram_lambda_max(inst, "frequencies").iterations
+        tracemalloc.start()
+        try:
+            gram_lambda_max(inst, "frequencies")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert m > 30
+        assert m * 8 * N < peak <= (m + 16) * 8 * N
+
+    @pytest.mark.parametrize("Q, k", [(1, 60), (1, 61), (2, 29), (2, 30), (3104, 3), (3105, 3)])
+    def test_symbol_width_guard(self, Q, k):
+        # every partial sum of the symbol is at most (2Q)**(k+2)/2, so (Q, k) is
+        # admitted exactly while (2Q)**(k+2) < 2**63; refused before the symbol
+        if (2 * Q) ** (k + 2) < 2 ** 63:
+            inst = SieveInstance.set_free(Q, k, 3)
+            c = inst.gram_symbol()
+            assert c[0] == inst.K and c.dtype == np.int64
+            if Q == 1:  # S(1, k) is the odd a/2**k: G = K I below N = 2**(k-1)
+                lam = sieve_ratio_experiment(Q, 3, k)["lambda_max"]
+                assert lam == pytest.approx(2 ** (k - 1), rel=1e-15, abs=0)
+        else:
+            with pytest.raises(OverflowError, match=rf"more than 63: the symbol of S\({Q}, {k}\) "
+                                                    r"sums terms up to \(2Q\)\*\*\(k\+2\)/2"):
+                sieve_ratio_experiment(Q, 3, k)
+
+    def test_ritz_vector_has_unit_length(self):
+        # the basis is not orthonormal, so the residual certificate is taken
+        # on the Ritz vector scaled to unit length
+        apply = sv._toeplitz_matvec(SieveInstance.set_free(3, 3, 81).gram_symbol())
+        lam, y, steps = sv._lanczos(apply, 81)
+        assert steps > 40
+        assert np.linalg.norm(y) == pytest.approx(1.0, rel=0, abs=1e-14)
+        assert np.linalg.norm(apply(y) - lam * y) <= sv.RESIDUAL_TOL * lam
+
+    def test_set_free_instance_has_no_columns(self, monkeypatch):
+        # K comes from the closed form, once; the points side, matrix and gap
+        # need columns, which only a FractionSet or a point list carries
+        calls = []
+        count = sv.expected_cardinality
+        monkeypatch.setattr(sv, "expected_cardinality", lambda *a: calls.append(a) or count(*a))
+        inst = SieveInstance.set_free(3, 2, 27)
+        assert inst.full_set == (3, 2) and inst.K == inst.K == 40 and calls == [(3, 2)]
+        for read in (lambda: gram_lambda_max(inst, "points"), inst.matrix,
+                     lambda: min_torus_gap(inst)):
+            with pytest.raises(ValueError, match=r"^S\(3, 2\) was given by \(Q, k\) alone"):
+                read()
+        full = SieveInstance(enumerate_set(3, 2), 0, 27)
+        assert full.full_set == (3, 2) and full.K == 40
+        assert gram_lambda_max(inst, "frequencies") == gram_lambda_max(full, "frequencies")
 
 
 class TestSpectralProperties:
@@ -578,14 +657,14 @@ class TestBoundCatalog:
 
 class TestRatioExperiment:
     def test_smallest_instance(self):
-        rec = sieve_ratio_experiment(enumerate_set(1, 2), 4)
+        rec = sieve_ratio_experiment(1, 4)
         assert rec["lambda_max"] == pytest.approx(4.0, rel=1e-9)
         assert rec["lambda_max"] <= cohen_selberg_ceiling(
             SieveInstance.from_fraction_set(enumerate_set(1, 2), 4)
         )
 
     def test_cubic_window_regression(self):
-        rec = sieve_ratio_experiment(enumerate_set(4, 2), 64)
+        rec = sieve_ratio_experiment(4, 64)
         names = {b["name"] for b in rec["bounds"]}
         assert {"per_q_exact", "weyl_dyadic", "conjectured_optimal"} <= names
         for b in rec["bounds"]:
@@ -593,24 +672,24 @@ class TestRatioExperiment:
                 assert rec["lambda_max"] <= b["value"] + 1e-6
 
     def test_power_three_window(self):
-        rec = sieve_ratio_experiment(enumerate_set(2, 3), 8)
+        rec = sieve_ratio_experiment(2, 8, 3)
         assert rec["lambda_max"] <= per_q_exact_ceiling(2, 8, 3) + 1e-6
         assert rec["k"] == 3
 
     def test_reports_the_q_and_k_of_its_set(self):
-        # Q and k come from the set alone: S(4, 2) at N = 27 is labelled Q = 4
-        # and ratioed against the Q = 4 ceiling
-        rec = sieve_ratio_experiment(enumerate_set(4, 2), 27)
+        # S(4, 2) at N = 27 is labelled Q = 4 and ratioed against the Q = 4
+        # ceiling, and solved on the same set as its FractionSet instance
+        rec = sieve_ratio_experiment(4, 27)
         assert (rec["Q"], rec["N"], rec["k"]) == (4, 27, 2)
         ceiling = {b["name"]: b["value"] for b in rec["bounds"]}["per_q_exact"]
         assert ceiling == per_q_exact_ceiling(4, 27, 2)
         inst = SieveInstance.from_fraction_set(enumerate_set(4, 2), 27)
         assert rec["lambda_max"] == gram_lambda_max(inst, "frequencies").lambda_max
 
-    @pytest.mark.parametrize("N, dtype", [(79, np.float64), (80, np.complex128)])
-    def test_points_side_only_from_twice_the_set_size(self, monkeypatch, N, dtype):
-        # |S(3, 2)| = 40: Lanczos on the real symbol serves N < 2K = 80, the
-        # dense complex points solve N >= 80
+    @pytest.mark.parametrize("N", [79, 80, 200])
+    def test_every_window_takes_lanczos(self, monkeypatch, N):
+        # |S(3, 2)| = 40: every N, below 2K = 80 or not, is Lanczos on the real
+        # symbol, and it agrees with the dense complex points solve
         seen = []
         eigh, lanczos = np.linalg.eigh, sv._lanczos
 
@@ -625,16 +704,25 @@ class TestRatioExperiment:
 
         monkeypatch.setattr(np.linalg, "eigh", spy_eigh)
         monkeypatch.setattr(sv, "_lanczos", spy_lanczos)
-        rec = sieve_ratio_experiment(enumerate_set(3, 2), N)
-        assert seen == [(dtype, N if dtype == np.float64 else 40)]
+        rec = sieve_ratio_experiment(3, N)
+        assert seen == [(np.float64, N)]
         inst = SieveInstance.from_fraction_set(enumerate_set(3, 2), N)
-        other = "points" if dtype == np.float64 else "frequencies"
-        assert rec["lambda_max"] == pytest.approx(gram_lambda_max(inst, other).lambda_max,
+        assert rec["lambda_max"] == pytest.approx(gram_lambda_max(inst, "points").lambda_max,
                                                   rel=1e-12, abs=0)
 
     def test_guard_rejects_oversized(self):
-        with pytest.raises(ValueError, match="guard"):
-            sieve_ratio_experiment(enumerate_set(40, 2), 10 ** 6)
+        # the start vector and the FFT buffers, 7 * 8N bytes, pass 2**30 at N = 2 * 10**7
+        with pytest.raises(ValueError, match="a Lanczos run keeping 1 vector.* basis guard"):
+            sieve_ratio_experiment(40, 2 * 10 ** 7)
+
+    def test_builds_no_fraction_set(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("FractionSet built for a set-free experiment")
+
+        monkeypatch.setattr(rationals, "enumerate_set", refuse)
+        monkeypatch.setattr(FractionSet, "__init__", refuse)
+        rec = sieve_ratio_experiment(6, 216)
+        assert rec["lambda_max"] == pytest.approx(884.2102893353879, rel=1e-12, abs=0)
 
     def test_fraction_set_instance_builds_no_fraction(self, monkeypatch):
         fs = enumerate_set(6, 2)
@@ -648,16 +736,6 @@ class TestRatioExperiment:
         lhs, rhs = duality_check(inst)
         assert abs(lhs - rhs) <= 1e-8 * max(lhs, rhs)
 
-    def test_guard_checked_before_instance_build(self, monkeypatch):
-        fs = enumerate_set(40, 2)
-
-        def refuse(self, *args, **kwargs):
-            raise AssertionError("instance built for a guarded experiment")
-
-        monkeypatch.setattr(SieveInstance, "__init__", refuse)
-        with pytest.raises(ValueError, match=r"K\*N = 92278000000 exceeds the gram guard"):
-            sieve_ratio_experiment(fs, 10 ** 6)
-
     def test_frequencies_side_is_guarded_on_the_cells_it_forms(self, monkeypatch):
         # |S(3, 2)| = 40 at N = 30 takes the frequencies side: its 30 x 30 Gram
         # comes from the Ramanujan-sum symbol, and none of the K*N = 1200
@@ -666,7 +744,7 @@ class TestRatioExperiment:
         inst = SieveInstance.from_fraction_set(fs, 30)
         expected = gram_lambda_max(inst, "frequencies").lambda_max
         monkeypatch.setattr(sv, "GRAM_CELL_GUARD", 1000)
-        assert sieve_ratio_experiment(fs, 30)["lambda_max"] == expected
+        assert sieve_ratio_experiment(3, 30)["lambda_max"] == expected
         with pytest.raises(ValueError, match=r"K\*N = 1200 exceeds the gram guard 1000"):
             gram_lambda_max(inst, "points")
 

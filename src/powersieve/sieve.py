@@ -10,11 +10,11 @@ computable on either side (T*T over frequencies, TT* over points); equality
 of the two spectral norms is the operator-norm duality that the test suite
 asserts numerically.  The two sides are built independently: TT* from the
 sieve matrix, and T*T, which depends only on m - n, as a Toeplitz matrix
-over the symbol c[h] = sum_j e(x_j h).  For the full S(Q, k) the symbol is a
-sum of Ramanujan sums, an integer vector built from (Q, k) alone, and T*T is
-real symmetric; its lambda_max comes from Lanczos on an FFT circulant matvec,
-with no N x N matrix and no point set formed.  The points side and point
-sequences take one dense Hermitian eigensolve (numpy.linalg.eigh).
+over the symbol c[h] = sum_j e(x_j h), whose lambda_max comes from Lanczos on
+an FFT circulant matvec with no N x N matrix formed.  For the full S(Q, k) the
+symbol is a sum of Ramanujan sums, an integer vector built from (Q, k) alone
+with no point set formed; a point sequence sums a complex one over row blocks
+of T.  TT* takes one dense Hermitian eigensolve (numpy.linalg.eigh).
 Every point is rational: a float enters as its exact binary value (0.1 has
 denominator 2**55; one tenth is Fraction("0.1")), so the phases x_j n mod 1
 and the minimal gap are reduced in integers for every instance.
@@ -39,13 +39,12 @@ from fractions import Fraction
 from typing import Callable, Literal, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .arith import factorize
 from .rationals import (FractionSet, PowerFraction, _checked_power, exact_columns,
                         expected_cardinality)
 
-# cell guard for gram experiments: K*N for T and d*d for the Gram matrix solved
+# cell guard for gram experiments: K*N for T or a point sequence's symbol, K*K for TT*
 GRAM_CELL_GUARD = 10 ** 7
 
 # about this many cells of the sieve matrix are formed at once; small blocks
@@ -90,27 +89,23 @@ class BoundFormula:
     evaluate: Callable[[int, int, int, float], float]
 
 
-def _check_basis(vectors: int, N: int) -> None:
+def _check_basis(vectors: int, N: int, itemsize: int) -> None:
     """Refuse a Lanczos run past the basis guard before its next vector is kept:
-    ``vectors`` of N floats and six of the FFT matvec (L >= 2N): the spectrum,
-    and the padded input and its rfft, or the product and its irfft."""
-    held = (vectors + 6) * N * 8
+    ``vectors`` of N entries of ``itemsize`` bytes and six of the FFT matvec
+    (L >= 2N): the spectrum, and the padded input and its transform, or the
+    product and its inverse."""
+    held = (vectors + 6) * N * itemsize
     if held > LANCZOS_BASIS_BYTES:
         raise ValueError(f"a Lanczos run keeping {vectors} vector(s) of length N = {N} holds "
                          f"{held} bytes with its FFT buffers, over the basis guard "
                          f"{LANCZOS_BASIS_BYTES}; reduce Q or N")
 
 
-def _check_gram_guard(K: int, N: int, side: str) -> None:
-    """Refuse a dense solve past the gram guard before anything is formed: it
-    bounds the K*N sieve-matrix cells and the d*d cells of the Gram matrix
-    solved, d = K or N."""
+def _check_gram_guard(K: int, N: int) -> None:
+    """Refuse the K*N cells of the sieve matrix, or of a point sequence's
+    row-block symbol, past the gram guard before any is formed."""
     if K * N > GRAM_CELL_GUARD:
         raise ValueError(f"K*N = {K * N} exceeds the gram guard {GRAM_CELL_GUARD}; reduce Q or N")
-    d = K if side == "points" else N
-    if d * d > GRAM_CELL_GUARD:
-        raise ValueError(f"{side} Gram has {d * d} cells, over the gram guard {GRAM_CELL_GUARD}; "
-                         "reduce Q or N")
 
 
 def _point_columns(points: Sequence) -> tuple[list, list]:
@@ -180,8 +175,12 @@ class SieveInstance:
             yield rows, np.exp(2j * np.pi * phases)
 
     def matrix(self) -> np.ndarray:
-        """The K x N sieve matrix e(x_j n), refused where the points side is."""
-        _check_gram_guard(self.K, self.N, "points")
+        """The K x N sieve matrix e(x_j n), refused past the gram guard on its
+        K*N cells or on the K*K cells of the points side's Gram TT*."""
+        _check_gram_guard(self.K, self.N)
+        if self.K ** 2 > GRAM_CELL_GUARD:
+            raise ValueError(f"points Gram has {self.K ** 2} cells, over the gram guard "
+                             f"{GRAM_CELL_GUARD}; reduce Q or N")
         n = np.arange(self.M + 1, self.M + self.N + 1, dtype=np.int64)
         T = np.empty((self.K, self.N), dtype=np.complex128)
         for rows, e in self._row_blocks(n):
@@ -196,9 +195,10 @@ class SieveInstance:
         squarefree (so c[0] = K).  A base adds 2**omega(q) <= q terms of size at
         most q**k, so every partial sum is at most Q (2Q)**(k+1) = (2Q)**(k+2)/2:
         (Q, k) is refused unless (2Q)**(k+2) < 2**63, as every FractionSet has
-        it.  Otherwise it is summed over row blocks.
+        it.  A point sequence's is complex128, summed over row blocks of T.
         """
         if self.full_set is None:
+            _check_gram_guard(self.K, self.N)
             h = np.arange(self.N, dtype=np.int64)
             return sum(e.sum(axis=0) for _, e in self._row_blocks(h))
         Q, k = self.full_set
@@ -215,58 +215,51 @@ class SieveInstance:
         return c
 
 
-def _gram(instance: SieveInstance, side: str) -> np.ndarray:
-    """The dense Gram matrix of one side: TT* (K x K) or a point list's T*T.
-
-    (T*T)[n, m] = c[m - n] with c[-h] = conj(c[h]), so the frequencies side
-    is a strided view over the 2N - 1 symbol values and never holds T.
-    """
-    if side == "points":
-        T = instance.matrix()
-        return T @ T.conj().T
-    c = instance.gram_symbol()
-    return sliding_window_view(np.concatenate((np.conj(c[:0:-1]), c)), instance.N)[::-1]
-
-
 def _toeplitz_matvec(c: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-    """x -> G x for the real symmetric Toeplitz G[n, m] = c[|m - n|], the leading
-    block of the length-L circulant with the real, even first column
-    [c, 0 ... 0, c[:0:-1]]: its spectrum is real, and one rfft/irfft pair applies G.
+    """x -> G x for the Hermitian Toeplitz G[n, m] = c[m - n], c[-h] = conj(c[h]),
+    the leading block of the length-L circulant with G's Hermitian first column
+    [conj(c), 0 ... 0, c[:0:-1]]: its spectrum is real, and one FFT pair applies
+    G, rfft/irfft on a real symbol (G real symmetric) and fft/ifft on a complex one.
     Any L >= 2N - 1 embeds G; numpy's FFT slows by about 3x on a length with a
     large prime factor, so L is the smallest 2**a 3**b 5**c >= 2N."""
     N = len(c)
     odd = [3 ** i * 5 ** j for i in range(N.bit_length() + 1) for j in range(N.bit_length())]
     L = min(p << (-(-2 * N // p) - 1).bit_length() for p in odd if p < 4 * N)
-    spectrum = np.fft.rfft(np.concatenate((c, np.zeros(L - 2 * N + 1), c[:0:-1]))).real
-    return lambda x: np.fft.irfft(spectrum * np.fft.rfft(x, L), L)[:N]
+    fft, ifft = (np.fft.rfft, np.fft.irfft) if np.isrealobj(c) else (np.fft.fft, np.fft.ifft)
+    spectrum = fft(np.concatenate((np.conj(c), np.zeros(L - 2 * N + 1), c[:0:-1]))).real
+    return lambda x: ifft(spectrum * fft(x, L), L)[:N]
 
 
 def _lanczos(apply: Callable[[np.ndarray], np.ndarray], N: int) -> tuple[float, np.ndarray, int]:
-    """(theta, unit Ritz vector, steps m) for the top eigenpair of the real
-    symmetric operator ``apply`` on R**N: the three-term Lanczos recurrence
-    from a fixed-seed pseudo-random start (a start with no component along the
-    top eigenvector, one symmetric under n -> N-1-n where that vector is
-    antisymmetric, would converge to a lower pair).  The basis loses
-    orthogonality only along converged Ritz vectors (Paige, 1980), so the first
-    converged top pair needs no reorthogonalisation.  The run stops once the
-    top Ritz pair (theta, s) of T_m has |beta_m s_m| <= RESIDUAL_TOL / 10 *
-    max(1, theta); it is formed at step 8, then as many steps on as the
-    residual would take to get there at 0.4 decades a step (2 to 16), and
-    whenever beta_m is that small."""
+    """(theta, unit Ritz vector, steps m) for the top eigenpair of the Hermitian
+    operator ``apply`` on C**N (R**N for a real one): the three-term Lanczos
+    recurrence, with real alpha and beta, from a fixed-seed pseudo-random start
+    (a start with no component along the top eigenvector, one symmetric under
+    n -> N-1-n where that vector is antisymmetric, would converge to a lower
+    pair).  The basis loses orthogonality only along converged Ritz vectors
+    (Paige, 1980), so the first converged top pair needs no reorthogonalisation.
+    The run stops once the top Ritz pair (theta, s) of T_m has |beta_m s_m| <=
+    RESIDUAL_TOL / 10 * max(1, theta); it is formed at step 8, then as many
+    steps on as the residual would take to get there at 0.4 decades a step (2
+    to 16), and whenever beta_m is that small.  A Krylov space that ends
+    between two checks (at step K + 1 when N > K, as T*T has rank at most K)
+    leaves the recurrence on rounding noise, where the top pair passes and
+    fails by turns: past step N, the end in exact arithmetic, every step is
+    checked, up to 2N."""
     v = np.random.default_rng(20050803).standard_normal(N)
     v /= np.linalg.norm(v)
     tol = RESIDUAL_TOL / 10
     basis, alpha, beta, check = [], [], [], 8
-    for j in range(N):
-        _check_basis(j + 1, N)
+    for j in range(2 * N):
+        _check_basis(j + 1, N, v.itemsize)
         basis.append(v)
         w = apply(v)
         if j:
             w -= beta[-1] * basis[-2]
-        alpha.append(float(v @ w))
+        alpha.append(float(np.vdot(v, w).real))
         w -= alpha[-1] * v
-        b = math.sqrt(w @ w)
-        if b <= tol * max(1.0, alpha[-1]) or j + 1 == check or j == N - 1:
+        b = math.sqrt(np.vdot(w, w).real)
+        if b <= tol * max(1.0, alpha[-1]) or j + 1 == check or j >= N - 1:
             theta, S = np.linalg.eigh(np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1))
             r = abs(b * S[-1, -1]) / max(1.0, theta[-1])
             if r <= tol:
@@ -285,20 +278,22 @@ def gram_lambda_max(
     """Largest eigenvalue of the chosen Gram contraction.
 
     This value is exactly the best sieve constant for the instance: the
-    quadratic form attains it and no smaller constant works.  A full set's
-    frequencies side is Lanczos on the FFT matvec of its integer symbol
-    (``iterations`` counts its steps), every other solve one dense Hermitian
-    eigh (``iterations`` 1); the top eigenpair is checked by its residual.
+    quadratic form attains it and no smaller constant works.  The frequencies
+    side is Lanczos on the FFT matvec of the symbol, integer for a full set and
+    complex for a point sequence (``iterations`` counts its steps); the points
+    side one dense Hermitian eigh of TT* (``iterations`` 1).  The top eigenpair
+    is checked by its residual.
     """
     if side not in ("points", "frequencies"):
         raise ValueError(f"unknown side {side!r}")
-    if side == "frequencies" and instance.full_set is not None:
-        _check_basis(1, instance.N)  # what every run holds at its first matvec, before the symbol
+    if side == "frequencies":
+        # what every run holds at its first matvec, at its int64 or complex128 symbol's width
+        _check_basis(1, instance.N, 8 if instance.full_set else 16)
         apply = _toeplitz_matvec(instance.gram_symbol())
         lam, v, steps = _lanczos(apply, instance.N)
     else:
-        _check_gram_guard(instance.K, instance.N, side)
-        G = _gram(instance, side)
+        T = instance.matrix()
+        G = T @ T.conj().T
         eigenvalues, eigenvectors = np.linalg.eigh(G)
         lam, v, steps, apply = float(eigenvalues[-1]), eigenvectors[:, -1], 1, G.__matmul__
     residual = float(np.linalg.norm(apply(v) - lam * v))
@@ -384,7 +379,8 @@ def bound_catalog(Q: int, N: int, k: int = 2, epsilon: float = 0.0) -> list[dict
     form exists only for quadratic denominators and is skipped for k > 2.
     """
     if Q < 1 or N < 1 or k < 2 or not 0 <= epsilon < math.inf:
-        raise ValueError(f"need Q, N >= 1, k >= 2, finite epsilon >= 0; got epsilon {epsilon}")
+        raise ValueError(f"need Q, N >= 1, k >= 2, finite epsilon >= 0; "
+                         f"got Q={Q}, N={N}, k={k}, epsilon={epsilon}")
     # the largest int a form converts to float, Q**(2k) or (2Q)**k at Q = 1,
     # is refused past float64 range (1024 bits) before it is formed
     _checked_power(max(Q * Q, 2 * Q), k, 1024,
@@ -408,16 +404,16 @@ def sieve_ratio_experiment(Q: int, N: int, k: int = 2, epsilon: float = 0.0) -> 
     """lambda_max of S(Q, k) over N frequencies against every cataloged bound.
 
     The frequencies side reads (Q, k) alone, so no set is enumerated.  Asserts
-    only the explicit-constant per-q aggregate; everything else is reported
-    as a ratio.  The returned record is JSON-ready.
+    only the catalog's assertable rows, those with explicit constants;
+    everything else is reported as a ratio.  The returned record is JSON-ready.
     """
     catalog = bound_catalog(Q, N, k, epsilon)
     spec = gram_lambda_max(SieveInstance.set_free(Q, k, N), "frequencies")
-    ceiling = per_q_exact_ceiling(Q, N, k)
-    if spec.lambda_max > ceiling + 1e-6 * max(1.0, ceiling):
-        raise SieveBoundViolation(
-            f"lambda_max {spec.lambda_max} exceeds the per-q ceiling {ceiling}"
-        )
+    for b in catalog:
+        if b["assertable"] and spec.lambda_max > b["value"] + 1e-6 * max(1.0, b["value"]):
+            raise SieveBoundViolation(
+                f"lambda_max {spec.lambda_max} exceeds the {b['name']} bound {b['value']}"
+            )
     bounds = [{"name": b["name"], "value": b["value"],
                "ratio": spec.lambda_max / b["value"] if b["value"] > 0 else math.inf,
                "assertable": b["assertable"]} for b in catalog]

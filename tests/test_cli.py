@@ -16,7 +16,7 @@ import time
 import numpy as np
 import pytest
 
-from powersieve import __version__, cli
+from powersieve import __version__, cli, sieve
 from powersieve.cli import (
     EXIT_ASSERTION,
     EXIT_OK,
@@ -134,6 +134,21 @@ class TestExitCodes:
         monkeypatch.setattr(cli_mod, "mult_transfer_check", broken)
         code, _ = run_cli(["transfer", "--q", "3", "--N", "5"], capsys)
         assert code == EXIT_ASSERTION
+
+    def test_sieve_ratio_over_its_asserted_bound_exits_2(self, capsys, monkeypatch):
+        # ten times the Gram form of S(2, 2) at N = 8 has lambda >= 10 K = 140,
+        # over per_q_exact = 39, the catalog's assertable row; the residual
+        # check passes, since the scaled matvec is a Hermitian operator too
+        matvec = sieve._toeplitz_matvec
+        monkeypatch.setattr(sieve, "_toeplitz_matvec", lambda c: (lambda x, G=matvec(c): 10 * G(x)))
+        assert main(["sieve-ratio", "--Q", "2", "--N", "8"]) == EXIT_ASSERTION
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        payload = payload_of(captured.out)
+        assert set(payload) == {"header", "error"}
+        lam = float(re.fullmatch(r"lambda_max (\S+) exceeds the per_q_exact bound 39\.0",
+                                 payload["error"])[1])
+        assert lam >= 140
 
 
 class TestReports:
@@ -353,7 +368,18 @@ class TestSubcommands:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == (f"powersieve {subcommand}: need Q, N >= 1, k >= 2, "
-                                f"finite epsilon >= 0; got epsilon {float(epsilon)}\n")
+                                f"finite epsilon >= 0; got Q=2, N=8, k=2, "
+                                f"epsilon={float(epsilon)}\n")
+
+    @pytest.mark.parametrize("subcommand", ["bounds", "sieve-ratio"])
+    @pytest.mark.parametrize("Q, N, k", [(3, 27, 1), (0, 27, 2), (3, 0, 2)])
+    def test_out_of_range_parameters_refused_as_given(self, capsys, subcommand, Q, N, k):
+        argv = [subcommand, "--Q", str(Q), "--N", str(N), "--k", str(k)]
+        assert main(argv) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"powersieve {subcommand}: need Q, N >= 1, k >= 2, "
+                                f"finite epsilon >= 0; got Q={Q}, N={N}, k={k}, epsilon=0.0\n")
 
     @pytest.mark.parametrize("subcommand, epsilon", [("bounds", "2000"), ("sieve-ratio", "700")])
     def test_epsilon_past_float_range_refused(self, capsys, subcommand, epsilon):

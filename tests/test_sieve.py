@@ -143,18 +143,18 @@ class TestLambdaMax:
         ],
     )
     def test_toeplitz_frequency_gram_matches_dense(self, points, M):
+        # the complex circulant matvec on every unit vector gives every entry of T*T
         inst = SieveInstance(points, M, 30)
         T = inst.matrix()
-        if inst.nums is not None:
-            phases = [
-                [float(Fraction(a, d) * n % 1) for n in range(M + 1, M + 31)]
-                for a, d in zip(inst.nums.tolist(), inst.dens.tolist())
-            ]
-            assert np.allclose(T, np.exp(2j * np.pi * np.array(phases)), rtol=0, atol=1e-12)
-        dense = T.conj().T @ T
-        toeplitz = sv._gram(inst, "frequencies")
-        assert toeplitz.shape == dense.shape
-        assert np.allclose(toeplitz, dense, rtol=0, atol=1e-12 * inst.K)
+        phases = [
+            [float(Fraction(a, d) * n % 1) for n in range(M + 1, M + 31)]
+            for a, d in zip(inst.nums.tolist(), inst.dens.tolist())
+        ]
+        assert np.allclose(T, np.exp(2j * np.pi * np.array(phases)), rtol=0, atol=1e-12)
+        apply = sv._toeplitz_matvec(inst.gram_symbol())
+        G = np.column_stack([apply(e) for e in np.eye(30)])
+        assert G.dtype == np.complex128
+        assert np.allclose(G, T.conj().T @ T, rtol=0, atol=1e-12 * inst.K)
 
     def test_perturbed_eigenpair_raises_convergence_error(self, monkeypatch):
         # a full set's Lanczos pair is checked with the FFT matvec: its value
@@ -188,10 +188,16 @@ class TestLambdaMax:
         assert err.value.residual == pytest.approx(1e-3, rel=1e-6)
 
     def test_guard_on_solved_gram_cells(self):
+        # only the points side solves a dense Gram, K x K: N = 4000 > 3162 solves
+        # on both sides, and K = 3163 points refuse the points side alone
         inst = SieveInstance([Fraction(1, 3)], 0, 4000)
-        with pytest.raises(ValueError, match="guard"):
-            gram_lambda_max(inst, side="frequencies")
-        assert gram_lambda_max(inst, side="points").lambda_max == pytest.approx(4000)
+        for side in ("frequencies", "points"):
+            assert gram_lambda_max(inst, side).lambda_max == pytest.approx(4000, rel=1e-12)
+        inst = SieveInstance([Fraction(a, 3163) for a in range(3163)], 0, 3)
+        assert gram_lambda_max(inst, "frequencies").lambda_max == pytest.approx(3163, rel=1e-12)
+        with pytest.raises(ValueError, match=r"^points Gram has 10004569 cells, over the gram "
+                                             r"guard 10000000; reduce Q or N$"):
+            gram_lambda_max(inst, "points")
 
 
 class TestDuality:
@@ -214,6 +220,33 @@ class TestDuality:
         lhs, rhs = duality_check(inst)
         assert abs(lhs - rhs) <= 1e-8 * max(lhs, rhs)
 
+    @pytest.mark.parametrize("points, N", [
+        ([Fraction(1, 9), Fraction(4, 25), Fraction(7, 16)], 5000),
+        ([0.1, 0.35, 0.82, 0.8201], 3000),
+        ([Fraction(a, 257) for a in (3, 40, 41, 99, 180, 256)], 20000),
+    ])
+    def test_point_list_past_the_dense_frequencies_range(self, points, N):
+        # N*N > 10**7: a point list's frequencies side is Lanczos on its complex symbol
+        lhs, rhs = duality_check(SieveInstance(points, 0, N))
+        assert abs(lhs - rhs) <= 1e-12 * rhs
+
+    @pytest.mark.parametrize("points, N", [
+        ([0, Fraction(1, 2), Fraction(1, 4), Fraction(3, 4), Fraction(1, 11), Fraction(2, 3),
+          Fraction(1, 3), Fraction(1, 5)], 18),
+        ([Fraction(10, 137), Fraction(6, 47), Fraction(70, 281), Fraction(4, 13),
+          Fraction(11, 30), Fraction(3, 7), Fraction(21, 40), Fraction(182, 279),
+          Fraction(52, 73)], 16),
+    ])
+    def test_krylov_space_exhausted_between_checks(self, points, N):
+        # T*T has rank K < N: the Krylov space ends at step K + 1, between the
+        # checks at steps 8 and 24, and the pair formed at step N fails its
+        # residual; the run goes on past N, checked at every step
+        inst = SieveInstance(points, 0, N)
+        spec = gram_lambda_max(inst, "frequencies")
+        assert N < spec.iterations <= 2 * N
+        assert spec.lambda_max == pytest.approx(gram_lambda_max(inst, "points").lambda_max,
+                                                rel=1e-12, abs=0)
+
 
 def point_list(fs):
     """The points of a fraction set as a plain list: the float-symbol route."""
@@ -222,7 +255,9 @@ def point_list(fs):
 
 class TestIntegerSymbol:
     """A FractionSet, always the full S(Q, k), takes the strided Ramanujan-sum
-    symbol and a real symmetric solve; point sequences keep the complex symbol."""
+    symbol, whose Toeplitz Gram is real symmetric and applied by rfft/irfft;
+    a point sequence sums the complex symbol, applied by fft/ifft.  Lanczos
+    solves both."""
 
     @pytest.mark.parametrize(
         "Q, k, N", [(4, 2, 64), (8, 2, 512), (6, 2, 216), (12, 2, 1728), (3, 3, 81), (4, 3, 256)]
@@ -257,9 +292,9 @@ class TestIntegerSymbol:
             cplx = gram_lambda_max(SieveInstance(point_list(fs), 0, base["N"]), "frequencies")
             assert real.lambda_max == pytest.approx(cplx.lambda_max, rel=1e-12, abs=0)
 
-    def test_eigh_sees_real_matrix_only_for_full_set(self, monkeypatch):
-        # a full set's solve hands eigh only Lanczos's real tridiagonals, one
-        # row per step; a point list's is one complex N x N Gram
+    def test_eigh_sees_real_tridiagonals_only(self, monkeypatch):
+        # the frequencies side hands eigh only Lanczos's real tridiagonals, one
+        # row per step, for a full set and for a point list alike
         seen = []
         eigh = np.linalg.eigh
 
@@ -273,8 +308,8 @@ class TestIntegerSymbol:
         steps = gram_lambda_max(inst, "frequencies").iterations
         assert seen and all(dtype == np.float64 and n <= steps for dtype, n in seen)
         seen.clear()
-        gram_lambda_max(SieveInstance(point_list(fs), 0, 27), "frequencies")
-        assert seen == [(np.complex128, 27)]
+        steps = gram_lambda_max(SieveInstance(point_list(fs), 0, 27), "frequencies").iterations
+        assert seen and all(dtype == np.float64 and n <= steps for dtype, n in seen)
         T = inst.matrix()
         x = np.random.default_rng(5).standard_normal(27)
         Gx = sv._toeplitz_matvec(inst.gram_symbol())(x)
@@ -404,6 +439,38 @@ class TestLanczos:
                                              rf"buffers, over the basis guard {(m + 5) * 1728}; "
                                              r"reduce Q or N$"):
             gram_lambda_max(inst, "frequencies")
+
+    def test_complex_basis_guard_counts_16_bytes_an_entry(self, monkeypatch):
+        # a point list's symbol is complex: every vector and FFT buffer takes
+        # 16 bytes an entry, so a guard of exactly m + 6 such vectors admits
+        # the run's m, and one of m + 5 refuses the m-th; one of 7 reaches the
+        # symbol at N = 216 and refuses N = 217 before it
+        points = [Fraction(a, 257) for a in (3, 40, 41, 99, 180, 256)]
+        inst = SieveInstance(points, 0, 216)
+        spec = gram_lambda_max(inst, "frequencies")
+        m = spec.iterations
+        monkeypatch.setattr(sv, "LANCZOS_BASIS_BYTES", (m + 6) * 216 * 16)
+        assert gram_lambda_max(inst, "frequencies") == spec
+        monkeypatch.setattr(sv, "LANCZOS_BASIS_BYTES", (m + 5) * 216 * 16)
+        with pytest.raises(ValueError, match=rf"^a Lanczos run keeping {m} vector\(s\) of length "
+                                             rf"N = 216 holds {(m + 6) * 3456} bytes with its FFT "
+                                             rf"buffers, over the basis guard {(m + 5) * 3456}; "
+                                             r"reduce Q or N$"):
+            gram_lambda_max(inst, "frequencies")
+
+        class Reached(Exception):
+            pass
+
+        def spy(self):
+            raise Reached
+
+        monkeypatch.setattr(sv, "LANCZOS_BASIS_BYTES", 7 * 3456)
+        monkeypatch.setattr(SieveInstance, "gram_symbol", spy)
+        with pytest.raises(Reached):
+            gram_lambda_max(inst, "frequencies")
+        with pytest.raises(ValueError, match=r"^a Lanczos run keeping 1 vector\(s\) of length "
+                                             r"N = 217 holds 24304 bytes"):
+            gram_lambda_max(SieveInstance(points, 0, 217), "frequencies")
 
     @pytest.mark.parametrize("guard, N", [(7 * 216 * 8, 216), (None, 2 ** 30 // 56)],
                              ids=["patched-guard", "default-guard"])
@@ -707,6 +774,17 @@ class TestRatioExperiment:
         rec = sieve_ratio_experiment(3, N)
         assert seen == [(np.float64, N)]
         inst = SieveInstance.from_fraction_set(enumerate_set(3, 2), N)
+        assert rec["lambda_max"] == pytest.approx(gram_lambda_max(inst, "points").lambda_max,
+                                                  rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("N", [20, 21, 22, 25])
+    def test_krylov_space_exhausted_between_checks(self, N):
+        # |S(2, 2)| = 14 < N: the Krylov space ends at step 15, between the
+        # checks at steps 8 and 24, and a run stopped at step N fails its
+        # residual; past N every step is checked
+        rec = sieve_ratio_experiment(2, N)
+        inst = SieveInstance.from_fraction_set(enumerate_set(2, 2), N)
+        assert rec["iterations"] > N
         assert rec["lambda_max"] == pytest.approx(gram_lambda_max(inst, "points").lambda_max,
                                                   rel=1e-12, abs=0)
 

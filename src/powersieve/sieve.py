@@ -230,7 +230,8 @@ def _toeplitz_matvec(c: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     return lambda x: ifft(spectrum * fft(x, L), L)[:N]
 
 
-def _lanczos(apply: Callable[[np.ndarray], np.ndarray], N: int) -> tuple[float, np.ndarray, int]:
+def _lanczos(apply: Callable[[np.ndarray], np.ndarray], N: int,
+             K: int) -> tuple[float, np.ndarray, int]:
     """(theta, unit Ritz vector, steps m) for the top eigenpair of the Hermitian
     operator ``apply`` on C**N (R**N for a real one): the three-term Lanczos
     recurrence, with real alpha and beta, from a fixed-seed pseudo-random start
@@ -241,11 +242,11 @@ def _lanczos(apply: Callable[[np.ndarray], np.ndarray], N: int) -> tuple[float, 
     The run stops once the top Ritz pair (theta, s) of T_m has |beta_m s_m| <=
     RESIDUAL_TOL / 10 * max(1, theta); it is formed at step 8, then as many
     steps on as the residual would take to get there at 0.4 decades a step (2
-    to 16), and whenever beta_m is that small.  A Krylov space that ends
-    between two checks (at step K + 1 when N > K, as T*T has rank at most K)
-    leaves the recurrence on rounding noise, where the top pair passes and
-    fails by turns: past step N, the end in exact arithmetic, every step is
-    checked, up to 2N."""
+    to 16), and whenever beta_m is that small.  T*T has rank at most K, so the
+    Krylov space ends by step min(N, K + 1), which is checked too, leaving the
+    schedule as it is; a space that ends before it leaves the recurrence on
+    rounding noise, where the top pair passes and fails by turns, so from
+    step N, the end in exact arithmetic, every step is checked, up to 2N."""
     v = np.random.default_rng(20050803).standard_normal(N)
     v /= np.linalg.norm(v)
     tol = RESIDUAL_TOL / 10
@@ -259,12 +260,13 @@ def _lanczos(apply: Callable[[np.ndarray], np.ndarray], N: int) -> tuple[float, 
         alpha.append(float(np.vdot(v, w).real))
         w -= alpha[-1] * v
         b = math.sqrt(np.vdot(w, w).real)
-        if b <= tol * max(1.0, alpha[-1]) or j + 1 == check or j >= N - 1:
+        if b <= tol * max(1.0, alpha[-1]) or j + 1 in (check, K + 1) or j >= N - 1:
             theta, S = np.linalg.eigh(np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1))
             r = abs(b * S[-1, -1]) / max(1.0, theta[-1])
             if r <= tol:
                 break
-            check = j + 1 + min(16, max(2, math.ceil(2.5 * math.log10(r / tol))))
+            if j + 1 == check:  # a failed check at K + 1 moves no scheduled one
+                check = j + 1 + min(16, max(2, math.ceil(2.5 * math.log10(r / tol))))
         beta.append(b)
         v = w / b
     y = sum(s * u for s, u in zip(S[:, -1], basis))  # not stacked: that doubles the peak
@@ -289,8 +291,9 @@ def gram_lambda_max(
     if side == "frequencies":
         # what every run holds at its first matvec, at its int64 or complex128 symbol's width
         _check_basis(1, instance.N, 8 if instance.full_set else 16)
-        apply = _toeplitz_matvec(instance.gram_symbol())
-        lam, v, steps = _lanczos(apply, instance.N)
+        c = instance.gram_symbol()  # c[0] = K exactly, at either width
+        apply = _toeplitz_matvec(c)
+        lam, v, steps = _lanczos(apply, instance.N, int(c[0].real))
     else:
         T = instance.matrix()
         G = T @ T.conj().T

@@ -7,11 +7,10 @@ The central quantity is, for a point set S on R/Z and a threshold t,
 with t = 1/(2N) in the standard parameterization.  Two engines compute it:
 
 * a brute-force oracle that decides every pair in one blocked O(n^2) sweep,
-  rows of one denominator at a time, with no sortedness assumptions: the
-  columns go in runs, a class of ``_LARGE_CLASS`` points or more alone (its
-  products and floors are scalars) and a stretch of smaller classes
-  together, and the hits of a block row or column, at most n, are summed
-  at the narrowest unsigned width that holds n, and
+  rows of one denominator at a time, with no sortedness assumptions: a
+  block of rows meets every column from its first row on, and the hits of
+  a block row or column, at most n, are summed at the narrowest unsigned
+  width that holds n, and
 * a fast path over a sorted set that finds each point's forward arc on the
   circle (wrapping the seam at 0/1) and reads the backward neighbors off
   those same arcs.
@@ -39,7 +38,7 @@ parameterized by an exact rational threshold serves every convention.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable
@@ -53,9 +52,6 @@ BRUTEFORCE_MAX_POINTS = 50_000
 
 # cells in one block of the oracle's sweep
 _BLOCK_CELLS = 2 ** 17
-
-# a denominator class of this many points is a column run of its own in the oracle
-_LARGE_CLASS = 64
 
 
 @dataclass(eq=False)
@@ -100,20 +96,6 @@ def _oracle_columns(nums, dens, u_max: int):
     return (*exact_columns(nums, dens, bound=cap), cap)
 
 
-def _column_runs(ends):
-    """The oracle's column runs [start, end) over classes ending at ``ends``: a
-    class of ``_LARGE_CLASS`` points or more alone, a maximal stretch of
-    consecutive smaller classes together."""
-    runs, small = [], False
-    for c, end in zip([0, *ends], ends):
-        if small and end - c < _LARGE_CLASS:
-            runs[-1][1] = end
-        else:
-            runs.append([c, end])
-        small = end - c < _LARGE_CLASS
-    return runs
-
-
 def neighbor_counts_bruteforce(nums, dens, t_num, t_den) -> np.ndarray:
     """Per-point neighbor counts by exhaustive pairwise comparison.
 
@@ -124,16 +106,12 @@ def neighbor_counts_bruteforce(nums, dens, t_num, t_den) -> np.ndarray:
     per class, at the cells' width: h is 0 for every v >= cap = max(u) dmax**2 + 1,
     so v is clamped to cap, as the sorted engine does.
 
-    The columns go in runs (``_column_runs``): a large class alone, a stretch
-    of small classes together.  Each run meets the class's rows in blocks of
-    up to ``_BLOCK_CELLS`` cells, in buffers allocated once.  |x| and p are
-    symmetric, so a block meets its own run from its first row on and the
-    later runs whole, and a hit counts for its row and, past the block, for
-    its column; the self pair is a hit and is subtracted.  On a run of one
-    class d', p and each h are scalars and x is one ``subtract.outer(a d', d b)``;
-    a run of several classes takes the vectors and a cell costs one more
-    multiply.  Hits land in a uint8 mask, and a block row or column holds at
-    most n of them, so they are summed at ``np.min_scalar_type(n)``.
+    Each class's rows go in blocks of up to ``_BLOCK_CELLS`` cells, in buffers
+    allocated once.  |x| and p are symmetric, so a block meets the columns
+    from its first row on, and a hit counts for its row and, past the block,
+    for its column; the self pair is a hit and is subtracted.  Hits land in a
+    uint8 mask, and a block row or column holds at most n of them, so they
+    are summed at ``np.min_scalar_type(n)``.
 
     Scalar ``t_num, t_den`` give an ``(n,)`` array; equal-length sequences
     give ``(T, n)`` from one sweep.  Above t = 1/2 every other point counts.
@@ -148,35 +126,22 @@ def neighbor_counts_bruteforce(nums, dens, t_num, t_den) -> np.ndarray:
         cells, other = np.empty((2, max(_BLOCK_CELLS, n)), dtype=nums.dtype)
         hits, acc = np.empty(len(cells), dtype=np.uint8), np.min_scalar_type(n)
         ends = [*np.flatnonzero(dens[1:] != dens[:-1]) + 1, n]
-        runs = _column_runs(ends)
-        run_ends = [end for _, end in runs]
         for c, end in zip([0, *ends], ends):  # the class of rows [c, end)
             p, db = dens[c] * dens[c:], dens[c] * nums[c:]
             hs = [(u * p - 1) // min(v, cap) for _, u, v in rows]  # 0 for v >= cap
-            for start, stop in runs[bisect_right(run_ends, c) :]:
-                step = max(1, _BLOCK_CELLS // (stop - max(start, c)))
-                for lo in range(c, end, step):  # a block of rows against the run
-                    b = min(step, end - lo)
-                    a = nums[lo : lo + b]
-                    first = max(start, lo)  # the rows' own run from the block on,
-                    own = b if first == lo else 0  # where the block's own columns count by row
-                    s = slice(first - c, stop - c)
-                    x, y, hit = (buf[: b * (stop - first)].reshape(b, -1)
-                                 for buf in (cells, other, hits))
-                    if dens[first] == dens[stop - 1]:  # one class: p and h are scalars
-                        np.subtract.outer(a * dens[first], db[s], out=x)
-                        ps, hss = p[first - c], [h[first - c] for h in hs]
-                    else:
-                        np.multiply.outer(a, dens[first:stop], out=x)
-                        np.subtract(x, db[s], out=x)
-                        ps, hss = p[s], [h[s] for h in hs]
-                    np.abs(x, out=x)
-                    np.subtract(ps, x, out=y)
-                    np.minimum(x, y, out=x)
-                    for (r, _, _), h in zip(rows, hss):
-                        np.less_equal(x, h, out=hit.view(bool))
-                        counts[r, lo : lo + b] += hit.sum(axis=1, dtype=acc)
-                        counts[r, first + own : stop] += hit[:, own:].sum(axis=0, dtype=acc)
+            step = max(1, _BLOCK_CELLS // (n - c))
+            for lo in range(c, end, step):  # a block of rows against the columns from lo on
+                b = min(step, end - lo)
+                x, y, hit = (buf[: b * (n - lo)].reshape(b, -1) for buf in (cells, other, hits))
+                np.multiply.outer(nums[lo : lo + b], dens[lo:], out=x)
+                np.subtract(x, db[lo - c :], out=x)
+                np.abs(x, out=x)
+                np.subtract(p[lo - c :], x, out=y)
+                np.minimum(x, y, out=x)
+                for (r, _, _), h in zip(rows, hs):
+                    np.less_equal(x, h[lo - c :], out=hit.view(bool))
+                    counts[r, lo : lo + b] += hit.sum(axis=1, dtype=acc)
+                    counts[r, lo + b :] += hit[:, b:].sum(axis=0, dtype=acc)
         counts[:, order] = counts.copy()  # back from class order
     return counts if np.ndim(t_num) else counts[0]
 

@@ -163,8 +163,8 @@ class TestLambdaMax:
         steps = gram_lambda_max(inst, "frequencies").iterations
         lanczos = sv._lanczos
 
-        def perturbed(apply, N):
-            lam, v, m = lanczos(apply, N)
+        def perturbed(apply, N, K):
+            lam, v, m = lanczos(apply, N, K)
             return lam + 1e-3, v, m
 
         monkeypatch.setattr(sv, "_lanczos", perturbed)
@@ -239,11 +239,22 @@ class TestDuality:
     ])
     def test_krylov_space_exhausted_between_checks(self, points, N):
         # T*T has rank K < N: the Krylov space ends at step K + 1, between the
-        # checks at steps 8 and 24, and the pair formed at step N fails its
-        # residual; the run goes on past N, checked at every step
+        # checks at steps 8 and 24, where a pair formed at step N fails its
+        # residual; step K + 1 is checked too, and the run stops there
         inst = SieveInstance(points, 0, N)
         spec = gram_lambda_max(inst, "frequencies")
-        assert N < spec.iterations <= 2 * N
+        assert spec.iterations == len(points) + 1 < N
+        assert spec.lambda_max == pytest.approx(gram_lambda_max(inst, "points").lambda_max,
+                                                rel=1e-12, abs=0)
+
+    def test_check_at_krylov_end_keeps_the_schedule(self):
+        # the check at step K + 1 = 7 fails and the one scheduled at step 8
+        # passes; rescheduled from step 7, the run would go on to step 12
+        points = [0, Fraction(9, 56), Fraction(3, 13), Fraction(5, 13), Fraction(3, 5),
+                  Fraction(38, 51)]
+        inst = SieveInstance(points, 0, 27)
+        spec = gram_lambda_max(inst, "frequencies")
+        assert spec.iterations == 8
         assert spec.lambda_max == pytest.approx(gram_lambda_max(inst, "points").lambda_max,
                                                 rel=1e-12, abs=0)
 
@@ -530,8 +541,9 @@ class TestLanczos:
     def test_ritz_vector_has_unit_length(self):
         # the basis is not orthonormal, so the residual certificate is taken
         # on the Ritz vector scaled to unit length
-        apply = sv._toeplitz_matvec(SieveInstance.set_free(3, 3, 81).gram_symbol())
-        lam, y, steps = sv._lanczos(apply, 81)
+        c = SieveInstance.set_free(3, 3, 81).gram_symbol()
+        apply = sv._toeplitz_matvec(c)
+        lam, y, steps = sv._lanczos(apply, 81, int(c[0]))
         assert steps > 40
         assert np.linalg.norm(y) == pytest.approx(1.0, rel=0, abs=1e-14)
         assert np.linalg.norm(apply(y) - lam * y) <= sv.RESIDUAL_TOL * lam
@@ -765,9 +777,9 @@ class TestRatioExperiment:
                 seen.append((G.dtype, len(G)))
             return eigh(G)
 
-        def spy_lanczos(apply, n):
+        def spy_lanczos(apply, n, K):
             seen.append((np.float64, n))
-            return lanczos(apply, n)
+            return lanczos(apply, n, K)
 
         monkeypatch.setattr(np.linalg, "eigh", spy_eigh)
         monkeypatch.setattr(sv, "_lanczos", spy_lanczos)
@@ -777,14 +789,14 @@ class TestRatioExperiment:
         assert rec["lambda_max"] == pytest.approx(gram_lambda_max(inst, "points").lambda_max,
                                                   rel=1e-12, abs=0)
 
-    @pytest.mark.parametrize("N", [20, 21, 22, 25])
+    @pytest.mark.parametrize("N", [20, 21, 22, 25, 40])
     def test_krylov_space_exhausted_between_checks(self, N):
         # |S(2, 2)| = 14 < N: the Krylov space ends at step 15, between the
-        # checks at steps 8 and 24, and a run stopped at step N fails its
-        # residual; past N every step is checked
+        # checks at steps 8 and 24, where a run stopped at step N fails its
+        # residual; step K + 1 = 15 is checked too, and the run stops there
         rec = sieve_ratio_experiment(2, N)
         inst = SieveInstance.from_fraction_set(enumerate_set(2, 2), N)
-        assert rec["iterations"] > N
+        assert rec["iterations"] == 15
         assert rec["lambda_max"] == pytest.approx(gram_lambda_max(inst, "points").lambda_max,
                                                   rel=1e-12, abs=0)
 

@@ -535,8 +535,9 @@ def class_points(classes, rng):
 
 
 class TestOracleRuns:
-    """The oracle's column runs: a class of ``_LARGE_CLASS`` points or more
-    alone, stretches of smaller classes together, hits summed narrow."""
+    """The oracle's one sweep: each class's rows in blocks of up to
+    ``_BLOCK_CELLS`` cells against every column from the block on, hits
+    summed narrow."""
 
     # large classes 101, 103 and 107 around small ones, and a small stretch at each end
     MIXED = [(5, 4), (7, 6), (11, 1), (101, 80), (102, 3), (103, 70), (107, 64),
@@ -549,17 +550,10 @@ class TestOracleRuns:
         pts, nums, dens = class_points(cls.MIXED, random.Random(1))
         return pts, nums, dens, [fraction_counts(pts, t) for t in cls.THRESHOLDS]
 
-    def test_runs_split_large_classes_from_small_stretches(self):
-        sizes = [3, 70, 2, 5, 64, 1, 63, 64]
-        ends = np.cumsum(sizes).tolist()
-        assert spacing._column_runs(ends) == [
-            [0, 3], [3, 73], [73, 80], [80, 144], [144, 208], [208, 272]]
-        assert spacing._column_runs([5]) == [[0, 5]]
-
     @pytest.mark.parametrize("block_cells", [1, 7, 64, 150, 2 ** 17])
     def test_mixed_classes_at_any_block_size(self, monkeypatch, block_cells):
-        # small blocks split each class's rows, and a run's first block meets
-        # the columns from inside the class on
+        # small blocks split each class's rows, and a block past a class's
+        # first row meets the columns from inside the class on
         monkeypatch.setattr(spacing, "_BLOCK_CELLS", block_cells)
         pts, nums, dens, expected = self.mixed_case()
         t_nums, t_dens = zip(*((t.numerator, t.denominator) for t in self.THRESHOLDS))
@@ -570,7 +564,7 @@ class TestOracleRuns:
     @pytest.mark.parametrize("n, one_class", [(255, True), (256, True), (256, False)])
     def test_rows_of_more_than_255_hits(self, n, one_class):
         # every pair is closer than t, so the first row of the sweep holds n
-        # hits in one run: 255 fit a uint8 sum, 256 need a uint16
+        # hits in one block: 255 fit a uint8 sum, 256 need a uint16
         if one_class:
             pts = [Fraction(a, 1009) for a in range(1, n + 1)]
         else:

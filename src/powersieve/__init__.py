@@ -46,7 +46,6 @@ from .sieve import (
     sieve_ratio_experiment,
 )
 from .spacing import (
-    SpacingResult,
     conjecture_scan,
     neighbor_counts_bruteforce,
     neighbor_counts_sorted,

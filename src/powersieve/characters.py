@@ -180,10 +180,7 @@ def _primitive_energy(table: CharacterTable, seq: Sequence[complex], M: int) -> 
     return float(np.sum(np.abs(sums[table.primitive]) ** 2))
 
 
-def mult_transfer_check(
-    q: int, k: int, seq: Sequence[complex], M: int = 0,
-    table: CharacterTable | None = None,
-) -> tuple[float, float]:
+def mult_transfer_check(q: int, k: int, seq: Sequence[complex], M: int = 0) -> tuple[float, float]:
     """Both sides of the multiplicative-to-additive transfer at modulus q**k.
 
     Returns (lhs, rhs) with
@@ -194,7 +191,7 @@ def mult_transfer_check(
     where S(a) is the additive window sum.  The inequality lhs <= rhs has
     explicit constants and is asserted by the test suite, not here.
     """
-    t = table if table is not None else build_character_table(q, k)
+    t = build_character_table(q, k)
     rhs = (totient(t.modulus) / t.modulus) * _additive_energy(q, k, seq, M)
     return _primitive_energy(t, seq, M), rhs
 

@@ -134,29 +134,14 @@ def _emit(args: argparse.Namespace, payload: dict, wall: float) -> None:
 
 
 def _cmd_table1(args: argparse.Namespace) -> tuple[dict, int]:
-    rows = [{"Q": fs.Q, "M": spacing_count_fast(fs, fs.Q ** 3).count}
+    rows = [{"Q": fs.Q, "M": spacing_count_fast(fs, fs.Q ** 3)["M"]}
             for fs in _cached_sets(1, args.q_max, 2, args.cache_dir)]
     return {"rows": rows}, EXIT_OK
 
 
 def _cmd_spacing(args: argparse.Namespace) -> tuple[dict, int]:
-    fs = _cached_set(args.Q, args.k, args.cache_dir)
     engine = spacing_count_bruteforce if args.engine == "brute" else spacing_count_fast
-    res = engine(fs, args.N)
-    payload = {
-        "rows": [
-            {
-                "Q": args.Q,
-                "k": args.k,
-                "N": args.N,
-                "M": res.count,
-                "witness_a": res.witness.a,
-                "witness_q": res.witness.q,
-                "set_size": len(fs),
-            }
-        ]
-    }
-    return payload, EXIT_OK
+    return {"rows": [engine(_cached_set(args.Q, args.k, args.cache_dir), args.N)]}, EXIT_OK
 
 
 def _cmd_conjecture(args: argparse.Namespace) -> tuple[dict, int]:

@@ -243,10 +243,9 @@ def _lanczos(apply: Callable[[np.ndarray], np.ndarray], N: int,
     RESIDUAL_TOL / 10 * max(1, theta); it is formed at step 8, then as many
     steps on as the residual would take to get there at 0.4 decades a step (2
     to 16), and whenever beta_m is that small.  T*T has rank at most K, so the
-    Krylov space ends by step min(N, K + 1), which is checked too, leaving the
-    schedule as it is; a space that ends before it leaves the recurrence on
-    rounding noise, where the top pair passes and fails by turns, so from
-    step N, the end in exact arithmetic, every step is checked, up to 2N."""
+    Krylov space ends by step min(N, K + 1) in exact arithmetic; past its end
+    the recurrence runs on rounding noise, where the top pair passes and fails
+    by turns, so every step from min(N, K + 1) on is checked, up to 2N."""
     v = np.random.default_rng(20050803).standard_normal(N)
     v /= np.linalg.norm(v)
     tol = RESIDUAL_TOL / 10
@@ -260,12 +259,12 @@ def _lanczos(apply: Callable[[np.ndarray], np.ndarray], N: int,
         alpha.append(float(np.vdot(v, w).real))
         w -= alpha[-1] * v
         b = math.sqrt(np.vdot(w, w).real)
-        if b <= tol * max(1.0, alpha[-1]) or j + 1 in (check, K + 1) or j >= N - 1:
+        if b <= tol * max(1.0, alpha[-1]) or j + 1 == check or j + 1 >= min(N, K + 1):
             theta, S = np.linalg.eigh(np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1))
             r = abs(b * S[-1, -1]) / max(1.0, theta[-1])
             if r <= tol:
                 break
-            if j + 1 == check:  # a failed check at K + 1 moves no scheduled one
+            if j + 1 == check:
                 check = j + 1 + min(16, max(2, math.ceil(2.5 * math.log10(r / tol))))
         beta.append(b)
         v = w / b

@@ -26,8 +26,10 @@ Thresholds are positive fractions ``t_num/t_den``; both engines refuse any
 other.  The counts over a whole set, ``spacing_count_fast`` and
 ``spacing_count_bruteforce``, take the ``FractionSet`` and N, and the range
 scan ``conjecture_scan`` takes the sets themselves: each reads Q and k off
-its set, so no second copy of them can disagree with the points.  The scan
-returns the JSON-ready record that the CLI's ``conjecture`` prints.
+its set, so no second copy of them can disagree with the points.  They
+return the JSON-ready records the CLI prints: the counts the ``spacing`` row
+{Q, k, N, M, witness_a, witness_q, set_size} and the scan the ``conjecture``
+record, each witness a/q**k the first point in value order attaining M.
 
 Threshold conventions.  The scan statistic published for quadratic
 denominators counts ``2 * ||x - x'|| < Q**-3``, which equals the
@@ -39,32 +41,18 @@ parameterized by an exact rational threshold serves every convention.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable
 
 import numpy as np
 
-from .rationals import FractionSet, PowerFraction, exact_columns, strictly_increasing
+from .rationals import FractionSet, exact_columns, strictly_increasing
 
 # Hard guard for the quadratic oracle.
 BRUTEFORCE_MAX_POINTS = 50_000
 
 # cells in one block of the oracle's sweep
 _BLOCK_CELLS = 2 ** 17
-
-
-@dataclass(eq=False)
-class SpacingResult:
-    """Outcome of a spacing count.
-
-    ``count`` is the maximum neighbor count, ``witness`` a point attaining
-    it, and ``counts`` the per-point counts, aligned with the sorted set.
-    """
-
-    count: int
-    witness: PowerFraction
-    counts: np.ndarray = field(repr=False)
 
 
 def _engine_columns(nums, dens, t_num: int):
@@ -236,23 +224,27 @@ def neighbor_counts_sorted(nums, dens, t_num, t_den) -> np.ndarray:
     return counts if np.ndim(t_num) else counts[0]
 
 
-def _result_from_counts(fs: FractionSet, counts: np.ndarray) -> SpacingResult:
+def _witness(fs: FractionSet, counts: np.ndarray) -> tuple[int, int, int]:
+    """(M, a, q): the maximum count and the point a/q**k of ``fs`` first attaining it."""
     w = int(np.argmax(counts))  # S(Q, k) is never empty
-    return SpacingResult(int(counts[w]), fs[w], counts)
+    return int(counts[w]), int(fs.numerators[w]), int(fs.bases[w])
 
 
-def _spacing_count(fs: FractionSet, N: int, engine) -> SpacingResult:
-    """The count at t = 1/(2N) over ``fs`` by ``engine``."""
+def _spacing_count(fs: FractionSet, N: int, engine) -> dict:
+    """The JSON-ready row {Q, k, N, M, witness_a, witness_q, set_size} that the
+    CLI's ``spacing`` prints: the count at t = 1/(2N) over ``fs`` by ``engine``."""
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
-    return _result_from_counts(fs, engine(fs.numerators, fs.denominators(), 1, 2 * N))
+    M, a, q = _witness(fs, engine(fs.numerators, fs.denominators(), 1, 2 * N))
+    return {"Q": fs.Q, "k": fs.k, "N": N, "M": M, "witness_a": a, "witness_q": q,
+            "set_size": len(fs)}
 
 
-def spacing_count_bruteforce(fs: FractionSet, N: int) -> SpacingResult:
+def spacing_count_bruteforce(fs: FractionSet, N: int) -> dict:
     """Quadratic-oracle spacing count; guarded to small sets.
 
     Counts, for each x in ``fs``, the x' != x with ||x - x'|| < 1/(2N)
-    exactly, and returns the maximum with a witness.
+    exactly, and returns the row of the maximum M with its first witness.
     """
     if len(fs) > BRUTEFORCE_MAX_POINTS:
         raise ValueError(
@@ -262,7 +254,7 @@ def spacing_count_bruteforce(fs: FractionSet, N: int) -> SpacingResult:
     return _spacing_count(fs, N, neighbor_counts_bruteforce)
 
 
-def spacing_count_fast(fs: FractionSet, N: int) -> SpacingResult:
+def spacing_count_fast(fs: FractionSet, N: int) -> dict:
     """Sorted sliding-window spacing count; same contract as the oracle."""
     return _spacing_count(fs, N, neighbor_counts_sorted)
 
@@ -285,14 +277,13 @@ def conjecture_scan(sets: Iterable[FractionSet]) -> dict:
         counts, open_counts = neighbor_counts_sorted(
             fs.numerators, fs.denominators(), [1, 1], [2 * N, N]
         )
-        res = _result_from_counts(fs, counts)
+        M, a, q = _witness(fs, counts)
         kappa = 2 ** (k - 1)  # epsilon = 0 form of the degree-k majorant
         denom = Q ** (k + 1) / N + Q ** ((kappa - 1) / kappa) + Q ** (
             (kappa + k) / kappa
         ) / N ** (1 / kappa)
-        rows.append({"Q": Q, "M": res.count, "M_open": int(open_counts.max()),
-                     "witness_a": res.witness.a, "witness_q": res.witness.q,
-                     "ratio": res.count / denom})
+        rows.append({"Q": Q, "M": M, "M_open": int(open_counts.max()),
+                     "witness_a": a, "witness_q": q, "ratio": M / denom})
     log_q = np.log(np.array([r["Q"] for r in rows], dtype=np.float64))
     ms = np.array([r["M"] for r in rows], dtype=np.float64)
     if len(rows) >= 2 and np.ptp(log_q) > 0:

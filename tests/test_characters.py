@@ -323,7 +323,7 @@ class TestTransfer:
         direct = sum(
             abs(np.dot(t.chi(j)[n], seq)) ** 2 for j in range(len(t)) if t.primitive[j]
         )
-        lhs, _ = mult_transfer_check(q, k, seq, M, table=t)
+        lhs, _ = mult_transfer_check(q, k, seq, M)
         assert lhs == pytest.approx(direct, rel=1e-12)
 
     @pytest.mark.parametrize("q,k,M", [(1, 2, 0), (3, 2, -5), (4, 3, 17), (10, 2, 250)])

@@ -128,7 +128,7 @@ class TestExitCodes:
         # force a fake ceiling violation through the transfer inequality path
         import powersieve.cli as cli_mod
 
-        def broken(q, k, seq, M=0, table=None):
+        def broken(q, k, seq, M=0):
             return 2.0, 1.0
 
         monkeypatch.setattr(cli_mod, "mult_transfer_check", broken)

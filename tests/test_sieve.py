@@ -240,7 +240,7 @@ class TestDuality:
     def test_krylov_space_exhausted_between_checks(self, points, N):
         # T*T has rank K < N: the Krylov space ends at step K + 1, between the
         # checks at steps 8 and 24, where a pair formed at step N fails its
-        # residual; step K + 1 is checked too, and the run stops there
+        # residual; every step from K + 1 on is checked, and the run stops there
         inst = SieveInstance(points, 0, N)
         spec = gram_lambda_max(inst, "frequencies")
         assert spec.iterations == len(points) + 1 < N
@@ -248,13 +248,22 @@ class TestDuality:
                                                 rel=1e-12, abs=0)
 
     def test_check_at_krylov_end_keeps_the_schedule(self):
-        # the check at step K + 1 = 7 fails and the one scheduled at step 8
-        # passes; rescheduled from step 7, the run would go on to step 12
+        # the check at step K + 1 = 7 fails and the one at step 8 passes
         points = [0, Fraction(9, 56), Fraction(3, 13), Fraction(5, 13), Fraction(3, 5),
                   Fraction(38, 51)]
         inst = SieveInstance(points, 0, 27)
         spec = gram_lambda_max(inst, "frequencies")
         assert spec.iterations == 8
+        assert spec.lambda_max == pytest.approx(gram_lambda_max(inst, "points").lambda_max,
+                                                rel=1e-12, abs=0)
+
+    def test_every_step_from_krylov_end_is_checked(self):
+        # K + 1 = 4 < 8 < N = 83: the pair at step 4 fails its residual and the
+        # one at step 5, neither scheduled nor past N, passes
+        inst = SieveInstance([Fraction(1, 28), Fraction(1, 6), Fraction(22, 45)], 0, 83)
+        spec = gram_lambda_max(inst, "frequencies")
+        assert spec.iterations == 5
+        assert spec.residual <= sv.RESIDUAL_TOL * spec.lambda_max
         assert spec.lambda_max == pytest.approx(gram_lambda_max(inst, "points").lambda_max,
                                                 rel=1e-12, abs=0)
 
@@ -793,7 +802,7 @@ class TestRatioExperiment:
     def test_krylov_space_exhausted_between_checks(self, N):
         # |S(2, 2)| = 14 < N: the Krylov space ends at step 15, between the
         # checks at steps 8 and 24, where a run stopped at step N fails its
-        # residual; step K + 1 = 15 is checked too, and the run stops there
+        # residual; every step from K + 1 = 15 on is checked, and the run stops there
         rec = sieve_ratio_experiment(2, N)
         inst = SieveInstance.from_fraction_set(enumerate_set(2, 2), N)
         assert rec["iterations"] == 15

@@ -3,6 +3,7 @@
 import csv
 import functools
 import itertools
+import json
 import math
 import random
 import tracemalloc
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from powersieve import rationals, spacing
+from powersieve import cli, rationals, spacing
 from powersieve.rationals import enumerate_set
 from powersieve.spacing import (
     BRUTEFORCE_MAX_POINTS,
@@ -35,7 +36,7 @@ def fraction_columns(points):
 
 def table1_count(Q):
     """The quadratic scan statistic of the ``table1`` report: N = Q**3 over S(Q, 2)."""
-    return spacing_count_fast(enumerate_set(Q, 2), Q ** 3).count
+    return spacing_count_fast(enumerate_set(Q, 2), Q ** 3)["M"]
 
 
 def scan_sets(q_min, q_max, k):
@@ -54,8 +55,7 @@ def fraction_counts(points, t):
 class TestKnownCounts:
     def test_singleton_window_boundary(self):
         # S(1,2) = {1/4, 3/4}: the only gap is exactly 1/2, strict < fails
-        res = spacing_count_bruteforce(enumerate_set(1, 2), 1)
-        assert res.count == 0
+        assert spacing_count_bruteforce(enumerate_set(1, 2), 1)["M"] == 0
 
     def test_self_exclusion_forced_by_singleton(self):
         # with the self pair included this would be 1, never 0
@@ -68,26 +68,53 @@ class TestKnownCounts:
         # N = 0 has no threshold 1/(2N) and is refused by both
         fs = enumerate_set(2, 2)
         for N, M in [(71, 1), (72, 0), (1000, 0)]:
-            assert spacing_count_bruteforce(fs, N).count == M
-            assert spacing_count_fast(fs, N).count == M
+            assert spacing_count_bruteforce(fs, N)["M"] == M
+            assert spacing_count_fast(fs, N)["M"] == M
         for count in (spacing_count_bruteforce, spacing_count_fast):
             with pytest.raises(ValueError, match="N must be >= 1, got 0"):
                 count(fs, 0)
 
     def test_witness_attains_the_count(self):
-        res = spacing_count_fast(enumerate_set(4, 2), 64)
-        points = [(p.a, p.q) for p in enumerate_set(4, 2)]
-        w = points.index((res.witness.a, res.witness.q))
-        assert res.counts[w] == res.count == res.counts.max()
+        fs = enumerate_set(4, 2)
+        row = spacing_count_fast(fs, 64)
+        counts = neighbor_counts_sorted(fs.numerators, fs.denominators(), 1, 2 * 64)
+        points = [(p.a, p.q) for p in fs]
+        w = points.index((row["witness_a"], row["witness_q"]))
+        assert counts[w] == row["M"] == counts.max()
         # the witness is a point of the set given, with its k
-        cubic = spacing_count_fast(enumerate_set(2, 3), 64).witness
-        assert cubic.k == 3 and 2 < cubic.q <= 4
+        cubic = enumerate_set(2, 3)
+        row = spacing_count_fast(cubic, 64)
+        assert row["k"] == 3 and 2 < row["witness_q"] <= 4
+        assert (row["witness_a"], row["witness_q"]) in [(p.a, p.q) for p in cubic]
 
     def test_bruteforce_guard(self):
         fs = enumerate_set(13, 3)
         with pytest.raises(ValueError, match="spacing_count_fast"):
             spacing_count_bruteforce(fs, 10)
         assert len(fs) > BRUTEFORCE_MAX_POINTS
+
+
+class TestSpacingRow:
+    """Both counts return the row the CLI's ``spacing`` prints, its witness the
+    first point in value order attaining M: the tie rule ``conjecture_scan`` shares."""
+
+    @pytest.mark.parametrize("Q,k", [(4, 2), (2, 3), (12, 2)])
+    def test_row_is_the_cli_row_with_the_first_maximum(self, Q, k, capsys):
+        fs = enumerate_set(Q, k)
+        for N in sorted({1, 10, Q ** 3, Q ** (k + 1), 2 * Q ** (k + 1)}):
+            row = spacing_count_fast(fs, N)
+            assert spacing_count_bruteforce(fs, N) == row
+            counts = neighbor_counts_bruteforce(fs.numerators, fs.denominators(), 1, 2 * N)
+            w = int(np.flatnonzero(counts == counts.max())[0])
+            assert row == {"Q": Q, "k": k, "N": N, "M": int(counts[w]), "witness_a": fs[w].a,
+                           "witness_q": fs[w].q, "set_size": len(fs)}
+            for engine in ("fast", "brute"):
+                argv = ["spacing", "--Q", str(Q), "--k", str(k), "--N", str(N), "--engine", engine]
+                assert cli.main(argv) == cli.EXIT_OK
+                assert json.loads(capsys.readouterr().out)["rows"] == [row]
+        scan = conjecture_scan([fs])["rows"][0]
+        row = spacing_count_fast(fs, Q ** (k + 1))
+        assert (scan["witness_a"], scan["witness_q"]) == (row["witness_a"], row["witness_q"])
 
 
 class TestOracleEquivalence:
@@ -104,9 +131,9 @@ class TestOracleEquivalence:
         )
         assert np.array_equal(fast_rows, brute_rows)  # one sweep each, point by point
         for N, brute_counts in zip(Ns, brute_rows):
-            fast = spacing_count_fast(fs, N)
-            assert fast.count == brute_counts.max()
-            assert np.array_equal(fast.counts, brute_counts)
+            assert spacing_count_fast(fs, N)["M"] == brute_counts.max()
+            fast_counts = neighbor_counts_sorted(fs.numerators, fs.denominators(), 1, 2 * N)
+            assert np.array_equal(fast_counts, brute_counts)
 
     def test_per_point_counts_agree(self):
         fs = enumerate_set(5, 2)
@@ -136,7 +163,7 @@ class TestMonotonicity:
         fs = enumerate_set(Q, k)
         prev = None
         for N in sorted({1, 2, 5, 10, 50, Q ** 3, 2 * Q ** 3, 10 * Q ** 3}):
-            m = spacing_count_fast(fs, N).count
+            m = spacing_count_fast(fs, N)["M"]
             if prev is not None:
                 assert m <= prev
             prev = m
@@ -972,4 +999,4 @@ class TestConjectureScan:
         assert rows[0] == rows[2]
         assert rows[0]["M"] == table1_count(4)
         assert rows[1] == conjecture_scan([enumerate_set(2, 3)])["rows"][0]
-        assert rows[1]["M"] == spacing_count_fast(enumerate_set(2, 3), 2 ** 4).count
+        assert rows[1]["M"] == spacing_count_fast(enumerate_set(2, 3), 2 ** 4)["M"]

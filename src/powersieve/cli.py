@@ -40,7 +40,7 @@ from .expsum import (PolynomialPhase, exp_sum, exp_sum_prefixes, poisson_identit
                      weyl_bound, weyl_bounds, weyl_kappa)
 from .rationals import FractionSet, _checked_size, enumerate_set
 from .sieve import SieveBoundViolation, bound_catalog, sieve_ratio_experiment
-from .spacing import conjecture_scan, spacing_count_bruteforce, spacing_count_fast
+from .spacing import check_spacing, conjecture_scan, spacing_count_bruteforce, spacing_count_fast
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -140,7 +140,9 @@ def _cmd_table1(args: argparse.Namespace) -> tuple[dict, int]:
 
 
 def _cmd_spacing(args: argparse.Namespace) -> tuple[dict, int]:
-    engine = spacing_count_bruteforce if args.engine == "brute" else spacing_count_fast
+    brute = args.engine == "brute"  # both refusals come before the set is built
+    check_spacing(args.N, _checked_size(args.Q, args.k), brute)
+    engine = spacing_count_bruteforce if brute else spacing_count_fast
     return {"rows": [engine(_cached_set(args.Q, args.k, args.cache_dir), args.N)]}, EXIT_OK
 
 

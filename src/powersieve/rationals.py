@@ -260,19 +260,17 @@ def enumerate_set(Q: int, k: int) -> FractionSet:
     fit int64, or of more than ``MAX_SET_POINTS`` points, are refused before
     anything is allocated.
     """
-    _checked_size(Q, k)  # loud failure naming the largest q**k and its bits
+    count = _checked_size(Q, k)  # loud failure naming the largest q**k and its bits
+    (nums, bases), den, o = np.empty((2, count), dtype=np.int64), np.empty(count), 0
+    for q in range(Q + 1, 2 * Q + 1):  # one block of rows m*q + r per base, in place
+        res, rows = coprime_residues(q), q ** (k - 1)
+        c = rows * len(res)
+        np.add.outer(np.arange(rows, dtype=np.int64) * q, res,
+                     out=nums[o : o + c].reshape(rows, -1))
+        bases[o : o + c], den[o : o + c] = q, q ** k
+        o += c
 
-    a_parts, q_parts = [], []
-    for q in range(Q + 1, 2 * Q + 1):
-        res = coprime_residues(q)
-        rows = q ** (k - 1)
-        a = (np.arange(rows, dtype=np.int64)[:, None] * q + res[None, :]).ravel()
-        a_parts.append(a)
-        q_parts.append(np.full(len(a), q, dtype=np.int64))
-    nums = np.concatenate(a_parts)
-    bases = np.concatenate(q_parts)
-
-    order = np.argsort(nums / bases.astype(np.float64) ** k)
+    order = np.argsort(nums / den)
     nums = nums[order]
     bases = bases[order]
 

@@ -11,9 +11,11 @@ with t = 1/(2N) in the standard parameterization.  Two engines compute it:
   block of rows meets every column from its first row on, and the hits of
   a block row or column, at most n, are summed at the narrowest unsigned
   width that holds n, and
-* a fast path over a sorted set that finds each point's forward arc on the
-  circle (wrapping the seam at 0/1) and reads the backward neighbors off
-  those same arcs.
+* a fast path over a sorted set: one sweep of rounds d = 1, 2, ..., shared
+  by every threshold, tests whether point i + d (past the seam at 0/1 too)
+  lies within t ahead of i and counts each hit twice, as i lies within t
+  behind i + d exactly then; round 1 also certifies the order, as a key
+  floor(v 2**s) that rises proves the value rises.
 
 Each answers any number of thresholds in one call and decides
 ``||x - x'|| < t = u/v`` by its own integer test against the floor
@@ -46,7 +48,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .rationals import FractionSet, exact_columns, strictly_increasing
+from .rationals import FractionSet, exact_columns
 
 # Hard guard for the quadratic oracle.
 BRUTEFORCE_MAX_POINTS = 50_000
@@ -134,93 +136,106 @@ def neighbor_counts_bruteforce(nums, dens, t_num, t_den) -> np.ndarray:
     return counts if np.ndim(t_num) else counts[0]
 
 
-def _band(inside, delta, hi: int) -> np.ndarray:  # the band lo <= delta <= hi
-    return np.flatnonzero(inside != (delta <= hi))
+def _within(nums, dens, delta, pairs, u: int, v: int, s: int) -> np.ndarray:
+    """w_p - v_i < t = u/v for keys ``delta`` apart, ``pairs(j)`` giving the (i, p)
+    of the pairs j in the band.  Each key floor(w 2**s) is off by under one, so
+    delta < floor(t 2**s) proves w_p - v_i < t, delta > ceil(t 2**s) refutes it,
+    and only the band between takes wn_p d_i - n_i wd_p <= (u d_i wd_p - 1) // v
+    (a v clamped to u dmax**2 + 1 leaves every floor as it is)."""
+    lo, hi = (u << s) // v, -(-(u << s) // v)
+    inside = delta < lo
+    i, p = pairs(band := np.flatnonzero(inside != (delta <= hi)))  # lo <= delta <= hi
+    n, di, wd = len(nums), dens[i], dens.take(p, mode="wrap")
+    x = (nums.take(p, mode="wrap") + (p >= n) * wd) * di - nums[i] * wd
+    inside[band] = x <= (u * (di * wd) - 1) // v
+    return inside
 
 
-def _forward_ends(nums, dens, wk, s: int, t_num: int, t_den: int) -> np.ndarray:
-    """For sorted points, each forward arc's end p_i: the largest p in
-    [i, i + n - 1] with w_p - v_i < t, so the arc holds p_i - i points.
-
-    ``wk`` holds the keys floor(w_p 2**s), w_p = v_p and past the seam v_{p-n} + 1
-    for the points below the largest threshold and one more, which no arc
-    reaches.  Each floor is off by under one, so a key gap delta < floor(t 2**s)
-    proves w_p - v_i < t, delta > ceil(t 2**s) refutes it, and only the band
-    between takes wn_p d_i - n_i wd_p <= (t_num d_i wd_p - 1) // t_den (a t_den
-    clamped to t_num dmax**2 + 1 leaves every floor as it is).  Rounds d = 1, 2,
-    ... test whether arc i holds i + d on whole-column slices (w increases, so an
-    arc holding i + d holds every point before it).  A round costs O(n) and a
-    search O(log n) an arc, so the rounds stop once fewer than n / log2 n arcs
-    are open or the last round closed fewer than that.  A key search puts the
-    open arcs at their last point proven in; exact tests at p and p + 1 settle them.
-    """
-    n, lo, hi = len(nums), (t_num << s) // t_den, -(-(t_num << s) // t_den)
-
-    def lt(delta, pairs):  # w_p - v_i < t for keys delta apart; pairs(j) gives (i, p)
-        inside = delta < lo
-        i, p = pairs(band := _band(inside, delta, hi))
-        di, wd = dens[i], dens.take(p, mode="wrap")
-        x = (nums.take(p, mode="wrap") + (p >= n) * wd) * di - nums[i] * wd
-        inside[band] = x <= (t_num * (di * wd) - 1) // t_den
-        return inside
-
-    ends, lg, d, left, closed = np.arange(n), n.bit_length(), 0, n, n
-    while left * lg >= n and closed * lg >= n:  # round d: does arc i hold i + d?
-        d += 1
-        m = min(n, len(wk) - d)  # i + d past the extension lies beyond every arc
-        held = lt(wk[d : m + d] - wk[:m], lambda j: (j, j + d))  # the open arcs
-        ends[:m] += held
-        closed, left = left, np.count_nonzero(held)
-        closed -= left
-    i = np.flatnonzero(held)
-    p = np.clip(np.searchsorted(wk, wk[i] + lo) - 1, i + d, np.minimum(i + n - 1, len(wk) - 2))
+def _long_arcs(nums, dens, wk, row, held, d: int, u: int, v: int, s: int) -> None:
+    """Adds to ``row`` what the rounds left of the arcs i still ``held`` after round
+    d.  A key search puts each at its last point proven in, exact tests at p and
+    p + 1 settle its end p_i, and its p_i - i - d points past i + d count at i
+    and hold i behind them: one hit at a time while these tails total at most n
+    points, else through one difference array (t near 1/2 makes arcs of n/2)."""
+    n = len(nums)
+    i = arcs = np.flatnonzero(held)
+    p = np.clip(np.searchsorted(wk, wk[i] + (u << s) // v) - 1, i + d,
+                np.minimum(i + n - 1, len(wk) - 2))
+    ends = np.empty(n, dtype=np.int64)
     while i.size:
-        inside = lt(wk[p] - wk[i], lambda j: (i[j], p[j]))
-        beyond = lt(wk[p + 1] - wk[i], lambda j: (i[j], p[j] + 1))
+        inside = _within(nums, dens, wk[p] - wk[i], lambda j: (i[j], p[j]), u, v, s)
+        beyond = _within(nums, dens, wk[p + 1] - wk[i], lambda j: (i[j], p[j] + 1), u, v, s)
         done = inside & ~beyond
         ends[i[done]] = p[done]
         p += beyond
         p -= ~inside
         i, p = i[~done], p[~done]
-    return ends
+    stops = ends[arcs] + 1  # each tail is (i + d, p_i] of the doubled range [0, 2n)
+    tails = stops - arcs - d - 1
+    row[arcs] += tails
+    if (total := int(tails.sum())) <= n:  # one hit at a time
+        np.add.at(row, (np.repeat(stops - np.cumsum(tails), tails) + np.arange(total)) % n, 1)
+    else:  # one difference array over [0, 2n), folded at the seam before its cumsum
+        c = np.bincount(stops - tails, minlength=2 * n) - np.bincount(stops, minlength=2 * n)
+        row += np.cumsum(c[:n] + c[n:]) + c[:n].sum()
 
 
 def neighbor_counts_sorted(nums, dens, t_num, t_den) -> np.ndarray:
     """Per-point neighbor counts for a strictly increasing point sequence.
 
-    One forward pass gives each point i its forward arc, the positions
-    (i, p_i] of the doubled index range [0, 2n) whose points lie within
-    (v' - v) mod 1 < t: exact rounds over whole columns end the short arcs
-    and a key search the rest (``_forward_ends``).  The backward neighbors
-    of j are exactly the points whose forward arc covers j or j + n.  For
-    t <= 1/2 the forward and backward relations are disjoint for distinct
-    points ((v' - v) mod 1 and (v - v') mod 1 sum to 1, so at most one is
-    below 1/2), and an arc is shorter than n, so no point covers j twice.
-    With E(x) the number of arcs ending before x, j counts p_j - j + (j - E(j))
-    + (n - E(j + n)) = p_j + c - #{p_i mod n < j}, as the c arcs past the seam come last.
+    One sweep of rounds d = 1, 2, ... serves every threshold: round d forms the
+    key gaps wk[i + d] - wk[i] of the doubled index range [0, 2n) once, and each
+    threshold still open decides from them (``_within``) whether arc i holds
+    i + d, (v_{i+d} - v_i) mod 1 < t.  A hit counts for i and for (i + d) mod n:
+    i is a backward neighbor of i + d exactly when i + d is a forward neighbor
+    of i.  For t <= 1/2 the two relations are disjoint for distinct points (the
+    two distances mod 1 sum to 1) and an arc is shorter than n, so no pair
+    counts twice.  Values increase, so an arc holding i + d holds every point
+    before it.  A round costs O(n) and a search O(log n) an arc, so a
+    threshold's rounds stop once fewer than n / log2 n of its arcs are open or
+    its last round closed fewer; ``_long_arcs`` settles the rest.  Round 1
+    certifies the order: a key floor(v 2**s) that rises proves the value
+    rises, so only adjacent pairs whose keys do not rise take cross products.
 
     Thresholds follow the oracle, ``(n,)`` for a scalar and ``(T, n)`` for
-    sequences, and share one order certificate, one column of int64 keys and
-    one pair of columns, int64 while 2 dmax**2 max(t_num) < 2**62, whatever each t_den.
+    sequences, and share one column of int64 keys and one pair of columns,
+    int64 while 2 dmax**2 max(t_num) < 2**62, whatever each t_den.
     """
     n = len(nums)
     counts, rows = _thresholds(t_num, t_den, n)
     if n and rows:
         _, t_nums, _ = zip(*rows)
         nums, dens = _engine_columns(nums, dens, max(t_nums))
-        if not strictly_increasing(nums, dens):
-            raise ValueError("sorted engine requires strictly increasing values")
         s = 62 - min(int(np.max(dens)).bit_length(), 31)  # nums << s < 2**62
         cap = max(t_nums) * int(np.max(dens)) ** 2 + 1  # (u p - 1) // v is 0 for v >= cap
         t = max(Fraction(u, v) for _, u, v in rows)
         e = 1 + bisect_left(range(n), t, key=lambda i: Fraction(int(nums[i]), int(dens[i])))
         wk = np.asarray((nums << s) // dens, dtype=np.int64)  # floor(v 2**s)
         wk = np.concatenate([wk, wk[: min(n, e)] + (1 << s)])  # #{v < t} + 1 past the seam
-        for r, u, v in rows:
-            ends = _forward_ends(nums, dens, wk, s, u, min(v, cap))
-            c = np.count_nonzero(ends >= n)  # the last c arcs pass the seam
-            counts[r], ends[n - c :] = ends + c, ends[n - c :] - n
-            counts[r, 1:] -= np.cumsum(np.bincount(ends, minlength=n)[:-1])
+        # a round adds at most 2 to a point and a threshold runs at most lg + 1 <= 64
+        # rounds (each but its last closes n / lg arcs or more), so uint8 holds its hits
+        live = [(r, u, min(v, cap), n, np.zeros(n, dtype=np.uint8)) for r, u, v in rows]
+        lg, gaps, d = n.bit_length(), np.empty(n, dtype=np.int64), 0
+        while live:  # round d: does arc i hold i + d?
+            d += 1
+            m = min(n, len(wk) - d)  # i + d past the extension lies beyond every arc
+            delta = np.subtract(wk[d : m + d], wk[:m], out=gaps[:m])
+            if d == 1:  # the order: rising keys prove rising values, the rest take cross products
+                j = np.flatnonzero(delta[:-1] <= 0)
+                if np.any(nums[j] * dens[j + 1] >= nums[j + 1] * dens[j]):
+                    raise ValueError("sorted engine requires strictly increasing values")
+            rounds, live = live, []
+            for r, u, v, left, hits in rounds:
+                held = _within(nums, dens, delta, lambda j: (j, j + d), u, v, s)
+                hits[:m] += held  # forward at i, backward at (i + d) mod n
+                hits[d:] += held[: n - d]
+                hits[: m + d - n] += held[n - d :]
+                closed, left = left, np.count_nonzero(held)
+                if left * lg >= n and (closed - left) * lg >= n:
+                    live.append((r, u, v, left, hits))
+                else:
+                    counts[r] = hits
+                    _long_arcs(nums, dens, wk, counts[r], held, d, u, v, s)
     return counts if np.ndim(t_num) else counts[0]
 
 
@@ -230,11 +245,20 @@ def _witness(fs: FractionSet, counts: np.ndarray) -> tuple[int, int, int]:
     return int(counts[w]), int(fs.numerators[w]), int(fs.bases[w])
 
 
-def _spacing_count(fs: FractionSet, N: int, engine) -> dict:
-    """The JSON-ready row {Q, k, N, M, witness_a, witness_q, set_size} that the
-    CLI's ``spacing`` prints: the count at t = 1/(2N) over ``fs`` by ``engine``."""
+def check_spacing(N: int, size: int, brute: bool) -> None:
+    """The refusals of a spacing count, which need only N and |S|, so the CLI
+    makes them before it builds the set: the brute-force guard, then N >= 1."""
+    if brute and size > BRUTEFORCE_MAX_POINTS:
+        raise ValueError(f"|S| = {size} exceeds the brute-force guard "
+                         f"({BRUTEFORCE_MAX_POINTS}); use spacing_count_fast")
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
+
+
+def _spacing_count(fs: FractionSet, N: int, engine, brute: bool = False) -> dict:
+    """The JSON-ready row {Q, k, N, M, witness_a, witness_q, set_size} that the
+    CLI's ``spacing`` prints: the count at t = 1/(2N) over ``fs`` by ``engine``."""
+    check_spacing(N, len(fs), brute)
     M, a, q = _witness(fs, engine(fs.numerators, fs.denominators(), 1, 2 * N))
     return {"Q": fs.Q, "k": fs.k, "N": N, "M": M, "witness_a": a, "witness_q": q,
             "set_size": len(fs)}
@@ -246,12 +270,7 @@ def spacing_count_bruteforce(fs: FractionSet, N: int) -> dict:
     Counts, for each x in ``fs``, the x' != x with ||x - x'|| < 1/(2N)
     exactly, and returns the row of the maximum M with its first witness.
     """
-    if len(fs) > BRUTEFORCE_MAX_POINTS:
-        raise ValueError(
-            f"|S| = {len(fs)} exceeds the brute-force guard "
-            f"({BRUTEFORCE_MAX_POINTS}); use spacing_count_fast"
-        )
-    return _spacing_count(fs, N, neighbor_counts_bruteforce)
+    return _spacing_count(fs, N, neighbor_counts_bruteforce, brute=True)
 
 
 def spacing_count_fast(fs: FractionSet, N: int) -> dict:

@@ -351,6 +351,25 @@ class TestSubcommands:
                                 "forms 19999999 product cells, over the guard 10000000; "
                                 "reduce k or N\n")
 
+    @pytest.mark.parametrize("argv,message", [
+        (["--Q", "150", "--N", "0"], "N must be >= 1, got 0"),
+        (["--Q", "40", "--k", "3", "--N", "10", "--engine", "brute"],
+         "|S| = 5961042 exceeds the brute-force guard (50000); use spacing_count_fast"),
+    ])
+    def test_spacing_refuses_before_it_enumerates(self, argv, message, tmp_path, capsys,
+                                                  monkeypatch):
+        # S(150, 2) and S(40, 3) have millions of points; neither is built nor cached
+        def unbuilt(*args):
+            raise AssertionError("the set was built before the refusal")
+
+        monkeypatch.setattr(cli, "enumerate_set", unbuilt)
+        monkeypatch.setattr(FractionSet, "write_cache", unbuilt)
+        assert main(["spacing", *argv, "--cache-dir", str(tmp_path / "cache")]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"powersieve spacing: {message}\n"
+        assert expected_cardinality(40, 3) == 5961042
+
     @pytest.mark.parametrize("argv", [["--N", "10000000"], ["--N", "12", "--tail", "1000000000"]])
     def test_poisson_refuses_past_its_term_guard(self, capsys, argv):
         start = time.process_time()
@@ -707,3 +726,21 @@ class TestBenchmarkTracing:
         assert dict(vars(cli)) == before
         for owner, attr, original in undo:
             assert vars(owner)[attr] is original
+
+    def test_the_scan_engine_calls_are_traced(self, monkeypatch, capsys):
+        # three calls from table1, three from conjecture and one from spacing:
+        # the spacing.sorted_* metrics read the engine through the name spans.py patches
+        monkeypatch.syspath_prepend(str(pathlib.Path(__file__).parents[1] / "perfbench"))
+        spans = importlib.import_module("spans")
+        tracer = spans.Tracer()
+        undo = spans.install(tracer)
+        try:
+            for argv in (["table1", "--q-max", "3"], ["conjecture", "--q-max", "3"],
+                         ["spacing", "--Q", "3", "--N", "27"]):
+                assert main(argv) == EXIT_OK
+        finally:
+            spans.uninstall(undo)
+        capsys.readouterr()
+        metrics = spans.layer_metrics(tracer, 0)
+        assert metrics["spacing.sorted_calls"] == 7
+        assert metrics["spacing.sorted_s"] > 0

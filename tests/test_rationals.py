@@ -57,6 +57,16 @@ class TestEnumeration:
         vals = [p.as_fraction() for p in fs]
         assert all(a < b for a, b in zip(vals, vals[1:]))
 
+    @pytest.mark.parametrize("Q,k", [(1, 2), (2, 2), (5, 2), (7, 3), (1, 4), (3, 4)])
+    def test_columns_equal_an_independent_sort(self, Q, k):
+        # each base's block is written in place; the columns are the sorted set all the same
+        fs = enumerate_set(Q, k)
+        points = sorted((Fraction(a, q ** k), a, q) for q in range(Q + 1, 2 * Q + 1)
+                        for a in range(1, q ** k) if gcd(a, q) == 1)
+        assert fs.numerators.tolist() == [a for _, a, _ in points]
+        assert fs.bases.tolist() == [q for _, _, q in points]
+        assert fs.numerators.dtype == fs.bases.dtype == np.int64
+
     def test_all_elements_valid(self):
         for p in enumerate_set(3, 2):
             assert gcd(p.a, p.q) == 1

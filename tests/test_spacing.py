@@ -231,7 +231,7 @@ class TestEngineProperty:
     def test_sorted_equals_bruteforce_per_point(self, case, t_free, t_seq):
         pts, tie = case
         nums, dens = fraction_columns(pts)
-        # t = 1/2 is the largest threshold the cover count handles; at t = tie
+        # t = 1/2 is the largest threshold the sweep decides; at t = tie
         # the pair that set it sits exactly on the strict < boundary
         for t in (Fraction(1, 2), tie, t_free):
             fast = neighbor_counts_sorted(nums, dens, t.numerator, t.denominator)
@@ -662,13 +662,13 @@ class TestFloorWidth:
         below = sum(Fraction(int(a), int(d)) < Fraction(1, 9) for a, d in zip(nums, dens))
         assert Fraction(1, 9) in {p.as_fraction() for p in fs}
         extended = []
-        forward_ends = spacing._forward_ends
+        searchsorted = np.searchsorted
 
-        def spy(nums, dens, wk, *rest):
+        def spy(wk, *rest, **kwargs):  # each threshold's long-arc search runs on the keys
             extended.append(len(wk) - len(nums))
-            return forward_ends(nums, dens, wk, *rest)
+            return searchsorted(wk, *rest, **kwargs)
 
-        monkeypatch.setattr(spacing, "_forward_ends", spy)
+        monkeypatch.setattr(np, "searchsorted", spy)
         neighbor_counts_sorted(nums, dens, [1, 1], [9, 90])
         assert extended == [below + 1] * 2
 
@@ -855,14 +855,16 @@ def band_points(t, scale):
 @pytest.fixture
 def band_sizes(monkeypatch):
     """The number of pairs of every band the sorted engine sends to its floor test."""
-    sizes, band = [], spacing._band
+    sizes, within = [], spacing._within
 
-    def spy(*args):
-        out = band(*args)
-        sizes.append(len(out))
-        return out
+    def spy(nums, dens, delta, pairs, *rest):
+        def band_pairs(band):  # the pairs j whose key gap lies in the band
+            sizes.append(len(band))
+            return pairs(band)
 
-    monkeypatch.setattr(spacing, "_band", spy)
+        return within(nums, dens, delta, band_pairs, *rest)
+
+    monkeypatch.setattr(spacing, "_within", spy)
     return sizes
 
 
@@ -903,6 +905,89 @@ class TestKeyBand:
         counts = neighbor_counts_sorted(fs.numerators, fs.denominators(), 1, t_den)
         assert band_sizes and sum(band_sizes) < n / 1000
         assert counts.max() > 0
+
+
+@pytest.fixture
+def tail_paths(monkeypatch):
+    """The path each long-arc tail takes: "scatter" (one hit at a time, through
+    ``np.repeat``) or "cumsum" (one difference array, through ``np.bincount``)."""
+    paths, repeat, bincount = [], np.repeat, np.bincount
+
+    def scatter(*args, **kwargs):
+        paths.append("scatter")
+        return repeat(*args, **kwargs)
+
+    def cumsum(*args, **kwargs):
+        paths.append("cumsum")
+        return bincount(*args, **kwargs)
+
+    monkeypatch.setattr(np, "repeat", scatter)
+    monkeypatch.setattr(np, "bincount", cumsum)
+    return paths
+
+
+def cells(K, run=False):
+    """Points p/(3K) at the cells p with p % 3 != 2.  At t = 7/(6K) an arc holds
+    the points of the three cells after its own: two, one past round 1, so the
+    tails total n.  With ``run`` the points of cells 0 and 1 move to cells 2
+    and 5: the arcs of the run of four, cells 2-5, hold 3, 3, 3 and 2 points,
+    the two arcs behind the gap 1 and 0, and the tails total n + 1."""
+    return [Fraction(p, 3 * K) for p in range(3 * K)
+            if (p % 3 != 2 if p >= 6 or not run else p >= 2)]
+
+
+class TestSweep:
+    """One sweep of rounds serves every threshold: each hit counts forward and
+    backward, round 1 certifies the order, and the arcs left open take a tail."""
+
+    def test_equal_keys_in_and_out_of_order(self):
+        # 1/2**30 < 1/(2**30 - 1), and both keys floor(v 2**31) are 2: the key gap
+        # 0 proves nothing, so the cross product decides the order
+        s = 62 - (2 ** 30).bit_length()
+        assert s == 31 and (1 << s) // 2 ** 30 == (1 << s) // (2 ** 30 - 1) == 2
+        nums, dens = np.array([1, 1]), np.array([2 ** 30, 2 ** 30 - 1])
+        assert spacing._engine_columns(nums, dens, 1)[0].dtype == np.int64
+        assert neighbor_counts_sorted(nums, dens, [1, 1], [10, 2 ** 61]).tolist() == [[1, 1], [0, 0]]
+        with pytest.raises(ValueError, match="strictly increasing"):
+            neighbor_counts_sorted(nums[::-1], dens[::-1], [1, 1], [10, 2 ** 61])
+
+    @pytest.mark.parametrize("run,path", [(False, "scatter"), (True, "cumsum")])
+    def test_tails_at_the_boundary(self, run, path, tail_paths):
+        # round 1 closes at most one arc, so the rest go to the search after it;
+        # their tails total n points, one at a time, or n + 1, past the boundary
+        pts, t = cells(50, run), Fraction(7, 300)
+        n = len(pts)
+        assert slice_rounds(pts, t) == (1, n - run)
+        arcs = [sum(0 < (y - x) % 1 < t for y in pts) for x in pts]
+        assert sum(a - 1 for a in arcs if a > 1) == n + run
+        counts = neighbor_counts_sorted(*fraction_columns(pts), t.numerator, t.denominator)
+        assert set(tail_paths) == {path}
+        assert counts.tolist() == fraction_counts(pts, t)
+
+    def test_arcs_longer_than_the_rounds_at_and_just_below_half(self, tail_paths):
+        # about n/2 points an arc: round 1 closes none of them, and the tails
+        # total about n**2 / 2, past n, so they take the difference array
+        pts = sorted({Fraction(a, 997) for a in random.Random(3).sample(range(997), 60)})
+        thresholds = [Fraction(1, 2), Fraction(1, 2) - Fraction(1, 10 ** 6)]
+        nums, dens = fraction_columns(pts)
+        rows = neighbor_counts_sorted(nums, dens, [t.numerator for t in thresholds],
+                                      [t.denominator for t in thresholds])
+        assert set(tail_paths) == {"cumsum"}
+        assert rows.tolist() == [fraction_counts(pts, t) for t in thresholds]
+        assert min(rows[0]) > len(pts) / 3
+
+    def test_backward_hits_across_the_seam(self):
+        # the points just below 1 hold 0 and 1/100 in their arcs, which then
+        # count them behind: backward hits that wrap the seam in the rounds and,
+        # at t = 7/200, in the tails of 97/100 and 98/100
+        pts = [Fraction(0), Fraction(1, 100), Fraction(1, 2),
+               Fraction(97, 100), Fraction(98, 100), Fraction(99, 100)]
+        thresholds = [Fraction(1, 100) + Fraction(1, 10 ** 6), Fraction(3, 100), Fraction(7, 200)]
+        nums, dens = fraction_columns(pts)
+        rows = neighbor_counts_sorted(nums, dens, [t.numerator for t in thresholds],
+                                      [t.denominator for t in thresholds])
+        assert rows.tolist() == [fraction_counts(pts, t) for t in thresholds]
+        assert rows[:, 0].tolist() == [2, 3, 4]  # 1/100 ahead of 0, and 1 to 3 points behind it
 
 
 class TestOracleMemory:

@@ -8,8 +8,9 @@ i.e. all reduced fractions in (0, 1) whose denominator is the k-th power of
 a base drawn from the dyadic window (Q, 2Q].  Everything downstream (spacing
 statistics, sieve experiments) consumes these sets, so enumeration is
 columnar and exact: numerators and denominator bases are stored as integer
-arrays sorted ascending by value, where the sort order is certified by exact
-cross-multiplication, never by floating point alone.
+arrays sorted ascending by value.  S(Q, k) = 1 - S(Q, k), so only the half
+below 1/2 is sorted, on a packed integer key, and mirrored; the order of the
+whole is certified by exact cross-multiplication, never by floating point.
 
 Integer columns ``(nums, dens)`` are the one exact form of a point set:
 ``exact_columns`` is the width rule (int64 while every product the caller
@@ -42,11 +43,14 @@ MAX_DENOMINATOR_BITS = 64
 _INT64_PRODUCT_BITS = 62
 
 # enumerate_set refuses larger sets: S(150, 2) has 4,796,786 points and
-# peaks near 250 MB to enumerate, 330 MB through the sorted spacing engine
+# peaks near 140 MB to enumerate, 250 MB through `spacing` at N = Q**3
 MAX_SET_POINTS = 10 ** 7
 
 # adjacent pairs per block of the order certificate's cross products
 _CERTIFY_BLOCK = 2 ** 14
+
+# enumerate_set's sort key floor(a 2**_KEY_BITS / q**k) of a point a/q**k
+_KEY_BITS = 50
 
 _CACHE_MAGIC = b"PWFRSET1"
 _CACHE_HEADER = struct.Struct("<QQQ")
@@ -253,29 +257,35 @@ def enumerate_set(Q: int, k: int) -> FractionSet:
     are exactly a = m*q + r with 0 <= m < q**(k-1) and r a reduced residue,
     since gcd(a, q) depends on a mod q alone.
 
-    Sorting is a float64 argsort, then certified by exact cross products.
-    The floats cannot tie or swap: distinct points differ by at least
-    (2Q)**(-2k) >= 2**-48 in every set ``_checked_size`` admits, and each
-    float is within 2**-54 of its point.  Sets whose cross products would not
-    fit int64, or of more than ``MAX_SET_POINTS`` points, are refused before
-    anything is allocated.
+    a -> q**k - a maps the units mod q onto themselves, and 2a = q**k has no
+    unit solution, so the set is its lower half L (the first half of each
+    base's ascending block) then 1 - L reversed.  Only L is sorted, on one
+    int64 key floor(a 2**50 / q**k) << bits(Q - 1) | (q - Q - 1); the whole is
+    certified by exact cross products.  Admitted sets have q**k <= 2**24 and
+    (2Q)**(2k) <= 2**48, so the float product a (2**50 / q**k) is within 1/8
+    of a unit of the exact a 2**50 / q**k, distinct points are at least 4 units
+    apart, the key stays below 2**62, and with the base read off the low bits,
+    rint((key + 1/2) q**k / 2**50) is within 2**-26 of a.  Sets whose cross
+    products would not fit int64, or of more than ``MAX_SET_POINTS`` points,
+    are refused before anything is allocated.
     """
-    count = _checked_size(Q, k)  # loud failure naming the largest q**k and its bits
-    (nums, bases), den, o = np.empty((2, count), dtype=np.int64), np.empty(count), 0
-    for q in range(Q + 1, 2 * Q + 1):  # one block of rows m*q + r per base, in place
+    count, bits = _checked_size(Q, k), (Q - 1).bit_length()
+    h, keys, o = count // 2, np.empty(count // 2, dtype=np.int64), 0
+    for q in range(Q + 1, 2 * Q + 1):  # the first half of each base's block: 2a < q**k
         res, rows = coprime_residues(q), q ** (k - 1)
-        c = rows * len(res)
-        np.add.outer(np.arange(rows, dtype=np.int64) * q, res,
-                     out=nums[o : o + c].reshape(rows, -1))
-        bases[o : o + c], den[o : o + c] = q, q ** k
+        c = rows * len(res) // 2
+        a = np.add.outer(np.arange((rows + 1) // 2, dtype=np.int64) * q, res).ravel()[:c]
+        keys[o : o + c] = (a * (2.0 ** _KEY_BITS / q ** k)).astype(np.int64) << bits | (q - Q - 1)
         o += c
-
-    order = np.argsort(nums / den)
-    nums = nums[order]
-    bases = bases[order]
-
+    keys.sort()
+    nums, bases = np.empty((2, count), dtype=np.int64)
+    np.bitwise_and(keys, (1 << bits) - 1, out=bases[:h])
+    bases[:h] += Q + 1
+    nums[:h] = np.rint(((keys >> bits) + 0.5) * (bases[:h] ** k / 2.0 ** _KEY_BITS))
+    bases[h:] = bases[h - 1 :: -1]  # the mirror (q**k - a, q) of the lower half, reversed
+    nums[h:] = bases[h:] ** k - nums[h - 1 :: -1]
     if not strictly_increasing(nums, bases, k):
-        raise AssertionError(f"the float order of S({Q}, {k}) failed its certificate")
+        raise AssertionError(f"the key order of S({Q}, {k}) failed its certificate")
     return FractionSet(Q, k, nums, bases)
 
 

@@ -32,6 +32,11 @@ its set, so no second copy of them can disagree with the points.  They
 return the JSON-ready records the CLI prints: the counts the ``spacing`` row
 {Q, k, N, M, witness_a, witness_q, set_size} and the scan the ``conjecture``
 record, each witness a/q**k the first point in value order attaining M.
+``spacing_count_fast`` and the scan run the engine on a set's lower half L
+and its margins only (``_half_counts``): S(Q, k) = 1 - S(Q, k), so x and
+1 - x count alike, the first maximum lies in L, the n/2 points below 1/2,
+and L's neighbors within t lie in (-t, 1/2 + t) mod 1.  The oracle counts
+the whole set, so its agreement checks this mirror argument too.
 
 Threshold conventions.  The scan statistic published for quadratic
 denominators counts ``2 * ||x - x'|| < Q**-3``, which equals the
@@ -42,7 +47,7 @@ parameterized by an exact rational threshold serves every convention.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from typing import Iterable
 
@@ -255,11 +260,31 @@ def check_spacing(N: int, size: int, brute: bool) -> None:
         raise ValueError(f"N must be >= 1, got {N}")
 
 
-def _spacing_count(fs: FractionSet, N: int, engine, brute: bool = False) -> dict:
+def _half_counts(fs: FractionSet, t_num, t_den) -> np.ndarray:
+    """What ``neighbor_counts_sorted`` counts at the first n/2 points of ``fs``,
+    its lower half L, from the points E of S in (-t, 1/2 + t) mod 1 alone, t
+    the largest threshold: the prefix below 1/2 + t, which holds L, and the
+    suffix above 1 - t, or the whole set once they meet.  By the mirror, n
+    minus each cut counts the points of L at most 1/2 - t and below t, each
+    found by an exact search over L."""
+    n, h, a, q = len(fs), len(fs) // 2, fs.numerators, fs.bases
+    t = max(Fraction(int(u), int(v)) for u, v in zip(np.ravel(t_num), np.ravel(t_den)))
+    value = lambda i: Fraction(int(a[i]), int(q[i]) ** fs.k)
+    top = n - bisect_right(range(h), Fraction(1, 2) - t, key=value)  # #{x < 1/2 + t}
+    bottom = n - bisect_left(range(h), t, key=value)  # n - #{x > 1 - t}
+    if top < bottom:
+        a, q = np.concatenate([a[:top], a[bottom:]]), np.concatenate([q[:top], q[bottom:]])
+    return neighbor_counts_sorted(a, q ** fs.k, t_num, t_den)[..., :h]
+
+
+def _spacing_count(fs: FractionSet, N: int, brute: bool = False) -> dict:
     """The JSON-ready row {Q, k, N, M, witness_a, witness_q, set_size} that the
-    CLI's ``spacing`` prints: the count at t = 1/(2N) over ``fs`` by ``engine``."""
+    CLI's ``spacing`` prints: the count at t = 1/(2N) over ``fs``, by the oracle
+    over the whole set if ``brute``, else by ``_half_counts``."""
     check_spacing(N, len(fs), brute)
-    M, a, q = _witness(fs, engine(fs.numerators, fs.denominators(), 1, 2 * N))
+    counts = (neighbor_counts_bruteforce(fs.numerators, fs.denominators(), 1, 2 * N) if brute
+              else _half_counts(fs, 1, 2 * N))
+    M, a, q = _witness(fs, counts)
     return {"Q": fs.Q, "k": fs.k, "N": N, "M": M, "witness_a": a, "witness_q": q,
             "set_size": len(fs)}
 
@@ -270,12 +295,12 @@ def spacing_count_bruteforce(fs: FractionSet, N: int) -> dict:
     Counts, for each x in ``fs``, the x' != x with ||x - x'|| < 1/(2N)
     exactly, and returns the row of the maximum M with its first witness.
     """
-    return _spacing_count(fs, N, neighbor_counts_bruteforce, brute=True)
+    return _spacing_count(fs, N, brute=True)
 
 
 def spacing_count_fast(fs: FractionSet, N: int) -> dict:
     """Sorted sliding-window spacing count; same contract as the oracle."""
-    return _spacing_count(fs, N, neighbor_counts_sorted)
+    return _spacing_count(fs, N)
 
 
 def conjecture_scan(sets: Iterable[FractionSet]) -> dict:
@@ -283,7 +308,8 @@ def conjecture_scan(sets: Iterable[FractionSet]) -> dict:
 
     Each row reads Q and k off its set and takes the spacing count M at
     t = 1/(2 Q**(k+1)) (the convention behind the published quadratic table)
-    and M_open at the open-question variant t = 1/Q**(k+1).  ``sets`` is consumed
+    and M_open at the open-question variant t = 1/Q**(k+1), both from the
+    set's lower half by the mirror S = 1 - S.  ``sets`` is consumed
     one set at a time, so a generator never holds the whole range.  The
     JSON-ready record holds the rows {Q, M, M_open, witness_a, witness_q, ratio},
     the running maximum of M and a least-squares fit of M against log Q, for
@@ -293,9 +319,7 @@ def conjecture_scan(sets: Iterable[FractionSet]) -> dict:
     for fs in sets:
         Q, k = fs.Q, fs.k
         N = Q ** (k + 1)
-        counts, open_counts = neighbor_counts_sorted(
-            fs.numerators, fs.denominators(), [1, 1], [2 * N, N]
-        )
+        counts, open_counts = _half_counts(fs, [1, 1], [2 * N, N])
         M, a, q = _witness(fs, counts)
         kappa = 2 ** (k - 1)  # epsilon = 0 form of the degree-k majorant
         denom = Q ** (k + 1) / N + Q ** ((kappa - 1) / kappa) + Q ** (

@@ -67,6 +67,19 @@ class TestEnumeration:
         assert fs.bases.tolist() == [q for _, _, q in points]
         assert fs.numerators.dtype == fs.bases.dtype == np.int64
 
+    @pytest.mark.parametrize("Q,k", [*((Q, 2) for Q in range(1, 41)), (100, 2), (30, 3), (12, 4)])
+    def test_columns_equal_a_whole_set_float_sort(self, Q, k):
+        # only the lower half is sorted, on packed keys, and then mirrored;
+        # here the whole set is built from a gcd mask and sorted by float value
+        a, q = (np.concatenate(c) for c in zip(*[
+            (np.arange(1, b ** k), np.full(b ** k - 1, b)) for b in range(Q + 1, 2 * Q + 1)]))
+        a, q = a[np.gcd(a, q) == 1], q[np.gcd(a, q) == 1]
+        order = np.argsort(a / q ** k, kind="stable")
+        a, q, d = a[order], q[order], q[order] ** k
+        assert np.all(a[:-1] * d[1:] < a[1:] * d[:-1])
+        fs = enumerate_set(Q, k)
+        assert np.array_equal(fs.numerators, a) and np.array_equal(fs.bases, q)
+
     def test_all_elements_valid(self):
         for p in enumerate_set(3, 2):
             assert gcd(p.a, p.q) == 1
@@ -114,10 +127,9 @@ class TestEnumeration:
         rationals._checked_size.cache_clear()  # drop counts taken through the spy
 
     def test_admitted_points_are_at_least_2_to_the_minus_48_apart(self):
-        # enumerate_set's float argsort is exact because distinct points of an
-        # admitted S(Q, k) differ by (2Q)**(-2k), far above the 2**-54 rounding
-        # of each float; the widest admitted sets, S(2, 12) and S(1, 24), reach
-        # 2**-48
+        # enumerate_set's sort keys cannot tie or swap because distinct points
+        # of an admitted S(Q, k) differ by (2Q)**(-2k), 4 units of 2**-50 or
+        # more; the widest admitted sets, S(2, 12) and S(1, 24), reach 2**-48
         widest = []
         for k in range(2, 32):
             for Q in range(1, 200):
@@ -128,6 +140,27 @@ class TestEnumeration:
                 widest.append(((2 * Q) ** (2 * k), Q, k))
         assert max(widest)[0] == 2 ** 48
         assert sorted(w[1:] for w in widest if w[0] == 2 ** 48) == [(1, 24), (2, 12)]
+
+
+    def test_admitted_sets_meet_the_sort_key_premises(self):
+        # with no enumeration: for every admitted S(Q, k) the key
+        # floor(a 2**50 / q**k) of a point below 1/2 (under 2**49) packs its
+        # base into bits(Q - 1) low bits below 2**62, distinct points are 4
+        # key units apart or more, and q**k <= 2**24 puts the rebuilt a
+        # within 2**-26 of it
+        admitted = 0
+        for k in range(2, 32):
+            for Q in range(1, 200):
+                try:
+                    rationals._checked_size(Q, k)
+                except (ValueError, OverflowError):
+                    break
+                admitted += 1
+                assert (2 * Q) ** k <= 2 ** 24 and (2 * Q) ** (2 * k) <= 2 ** 48
+                assert (2 * Q) ** k * 2 ** 26 <= 2 ** rationals._KEY_BITS
+                assert 4 * (2 * Q) ** (2 * k) <= 2 ** rationals._KEY_BITS
+                assert 2 ** (rationals._KEY_BITS - 1) << (Q - 1).bit_length() <= 2 ** 62
+        assert admitted > 200
 
 
 class TestOrderCertificate:

@@ -117,6 +117,48 @@ class TestSpacingRow:
         assert (scan["witness_a"], scan["witness_q"]) == (row["witness_a"], row["witness_q"])
 
 
+class TestMirror:
+    """S(Q, k) = 1 - S(Q, k): counts of the lower half L, from the engine on
+    the points within the largest t of [0, 1/2], equal the whole set's."""
+
+    @pytest.mark.parametrize("Q,k", [(30, 2), (8, 3)])
+    def test_scan_thresholds(self, Q, k):
+        fs, N = enumerate_set(Q, k), Q ** (k + 1)
+        full = neighbor_counts_sorted(fs.numerators, fs.denominators(), [1, 1], [2 * N, N])
+        assert np.array_equal(full, full[:, ::-1])  # x and 1 - x count alike
+        half = spacing._half_counts(fs, [1, 1], [2 * N, N])
+        assert np.array_equal(half, full[:, : len(fs) // 2])
+        assert [int(np.argmax(c)) for c in half] == [int(np.argmax(c)) for c in full]
+        w = int(np.argmax(full[0]))  # the first maximum in value order
+        row = conjecture_scan([fs])["rows"][0]
+        assert (row["M"], row["M_open"], row["witness_a"], row["witness_q"]) == (
+            full[0, w], full[1].max(), fs[w].a, fs[w].q)
+        fast = spacing_count_fast(fs, N)
+        assert (fast["M"], fast["witness_a"], fast["witness_q"]) == (full[0, w], fs[w].a, fs[w].q)
+
+    @pytest.mark.parametrize("Q,k", [(3, 2), (5, 2), (2, 3), (4, 3)])
+    def test_wide_thresholds(self, Q, k):
+        # the cuts 1/2 + t and 1 - t meet near t = 1/4; past 1/2 E is the set
+        fs = enumerate_set(Q, k)
+        nums, dens, h = fs.numerators, fs.denominators(), len(fs) // 2
+        ts = [Fraction(1, 1000), Fraction(1, 5), Fraction(1, 4), Fraction(1, 3),
+              Fraction(3, 7), Fraction(1, 2), Fraction(2, 3)]
+        for t in ts:
+            u, v = t.numerator, t.denominator
+            full = neighbor_counts_bruteforce(nums, dens, u, v)
+            assert np.array_equal(full, neighbor_counts_sorted(nums, dens, u, v))
+            assert np.array_equal(spacing._half_counts(fs, u, v), full[:h])
+        u, v = [t.numerator for t in ts], [t.denominator for t in ts]
+        assert np.array_equal(spacing._half_counts(fs, u, v),
+                              neighbor_counts_bruteforce(nums, dens, u, v)[:, :h])
+        for N in (1, 2, 3):  # t = 1/2, 1/4, 1/6: the witness is the first maximum
+            counts = neighbor_counts_bruteforce(nums, dens, 1, 2 * N)
+            w = int(np.argmax(counts))
+            assert spacing_count_fast(fs, N) == {
+                "Q": Q, "k": k, "N": N, "M": int(counts[w]), "witness_a": fs[w].a,
+                "witness_q": fs[w].q, "set_size": len(fs)}
+
+
 class TestOracleEquivalence:
     @pytest.mark.parametrize("Q", range(1, 8))
     @pytest.mark.parametrize("k", [2, 3])
@@ -812,9 +854,10 @@ class TestSliceRounds:
 
     def test_long_arcs_go_straight_to_the_search(self, search_keys):
         # S(12, 2) at N = 10: each arc holds about n/20 points, round 1
-        # closes almost none, and nearly every arc is searched
+        # closes almost none, and nearly every arc is searched (the engine on
+        # the whole set: a spacing count runs it on about 0.55 n points)
         fs = enumerate_set(12, 2)
-        spacing_count_fast(fs, 10)
+        neighbor_counts_sorted(fs.numerators, fs.denominators(), 1, 20)
         assert sum(search_keys) >= 0.9 * len(fs)
 
 

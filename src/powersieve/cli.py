@@ -13,9 +13,9 @@ at N = Q**3, that is 2 * ||x - x'|| < Q**-3.  Handlers pass each set to the
 spacing and scan entry points, which read Q and k off it; ``sieve-ratio``
 passes Q, N and k alone and enumerates no set.
 
-Fraction sets are cached per (Q, k) in a cache directory (``--cache-dir``
-or environment variable POWERSIEVE_CACHE_DIR, on table1, spacing and
-conjecture) in the compact binary format, so range scans do not re-enumerate.
+Fraction sets are cached per (Q, k) in a cache directory (``--cache-dir`` or
+POWERSIEVE_CACHE_DIR, on table1, spacing and conjecture): the file holds the
+lower half below 1/2, and reading it certifies that half and mirrors the rest.
 """
 
 from __future__ import annotations
@@ -62,7 +62,7 @@ def _cached_set(Q: int, k: int, cache_dir: Optional[str]) -> FractionSet:
     if not cache_dir:
         return enumerate_set(Q, k)
     os.makedirs(cache_dir, exist_ok=True)
-    path = os.path.join(cache_dir, f"fracset_Q{Q}_k{k}.bin")
+    path = os.path.join(cache_dir, f"fracset_Q{Q}_k{k}.half.bin")
     if os.path.exists(path):
         fs = FractionSet.read_cache(path)  # certified to be S(fs.Q, fs.k)
         if (fs.Q, fs.k) != (Q, k):

@@ -8,9 +8,9 @@ i.e. all reduced fractions in (0, 1) whose denominator is the k-th power of
 a base drawn from the dyadic window (Q, 2Q].  Everything downstream (spacing
 statistics, sieve experiments) consumes these sets, so enumeration is
 columnar and exact: numerators and denominator bases are stored as integer
-arrays sorted ascending by value.  S(Q, k) = 1 - S(Q, k), so only the half
-below 1/2 is sorted, on a packed integer key, and mirrored; the order of the
-whole is certified by exact cross-multiplication, never by floating point.
+arrays sorted ascending by value.  S(Q, k) = 1 - S(Q, k), so only the half L
+below 1/2 is sorted (on a packed integer key), cached and certified (by exact
+cross-multiplication, never by floating point); ``_mirror`` builds the rest.
 
 Integer columns ``(nums, dens)`` are the one exact form of a point set:
 ``exact_columns`` is the width rule (int64 while every product the caller
@@ -52,7 +52,7 @@ _CERTIFY_BLOCK = 2 ** 14
 # enumerate_set's sort key floor(a 2**_KEY_BITS / q**k) of a point a/q**k
 _KEY_BITS = 50
 
-_CACHE_MAGIC = b"PWFRSET1"
+_CACHE_MAGIC = b"PWFRSET2"  # the records are the lower half only
 _CACHE_HEADER = struct.Struct("<QQQ")
 
 
@@ -144,7 +144,7 @@ class PowerFraction:
 class FractionSet:
     """Exactly S(Q, k), sorted ascending by value: an invariant this module
     establishes where a set is made, by construction in ``enumerate_set`` and
-    by certifying every record in ``read_cache``, so consumers trust it.  The
+    by certifying and mirroring the cached half in ``read_cache``, so consumers trust it.  The
     constructor refuses (Q, k) that ``enumerate_set`` would and any other count.
 
     Storage is columnar: ``numerators`` and ``bases`` are parallel int64
@@ -185,7 +185,7 @@ class FractionSet:
     # -- serialization ----------------------------------------------------
 
     def write_cache(self, path) -> None:
-        """Compact binary cache: header (Q, k, count) then (a, q) u64 pairs.
+        """Compact binary cache: header (Q, k, count) then L's (a, q) u64 pairs.
 
         Written to a temporary file in the target directory and renamed
         over ``path``, so readers never see a partial file.
@@ -195,8 +195,8 @@ class FractionSet:
             with open(tmp, "wb") as fh:
                 fh.write(_CACHE_MAGIC)
                 fh.write(_CACHE_HEADER.pack(self.Q, self.k, len(self)))
-                rec = np.empty((len(self), 2), dtype="<u8")
-                rec[:, 0], rec[:, 1] = self._a, self._q
+                rec = np.empty((len(self) // 2, 2), dtype="<u8")
+                rec[:, 0], rec[:, 1] = self._a[:len(rec)], self._q[:len(rec)]
                 rec.tofile(fh)
             os.replace(tmp, path)
         finally:
@@ -207,7 +207,7 @@ class FractionSet:
     def read_cache(cls, path) -> "FractionSet":
         """The S(Q, k) a cache file holds: the header's (Q, k) and count and
         the file size are checked before anything is allocated, then every
-        record by ``_certify``."""
+        record of L by ``_certify``; ``_mirror`` builds the rest."""
         try:
             with open(path, "rb") as fh:
                 if fh.read(len(_CACHE_MAGIC)) != _CACHE_MAGIC:
@@ -219,35 +219,46 @@ class FractionSet:
                 expected = _checked_size(Q, k)  # the header enumerate_set would refuse
                 if count != expected:
                     raise ValueError(f"header counts {count} points, S({Q}, {k}) has {expected}")
-                size = os.fstat(fh.fileno()).st_size - fh.tell()
-                if size != 16 * count:  # (a, q) u64 pairs
+                h, size = count // 2, os.fstat(fh.fileno()).st_size - fh.tell()
+                if size != 16 * h:  # (a, q) u64 pairs of L
                     raise ValueError(f"truncated or overlong cache: {size} bytes "
-                                     f"of records, expected {16 * count}")
-                rec = np.fromfile(fh, dtype="<u8", count=2 * count)
-            fs = cls(Q, k, rec[0::2].astype(np.int64), rec[1::2].astype(np.int64))
-            _certify(fs)
+                                     f"of records, expected {16 * h}")
+                cols = np.empty((2, count), dtype=np.int64)
+                cols[:, :h] = np.fromfile(fh, dtype="<u8", count=2 * h).reshape(h, 2).T
+            _certify(Q, k, *cols[:, :h])
         except (ValueError, OverflowError) as exc:
             raise type(exc)(f"{path}: {exc}") from None
-        return fs
+        return cls(Q, k, *_mirror(cols, k))
 
 
-def _certify(fs: FractionSet) -> None:
-    """ValueError unless every record of ``fs``, a block at a time, has its
-    base in (Q, 2Q], 1 <= a < q**k and a unit mod q (a lookup of a % q), and
-    the records pass the order certificate: distinct members, |S(Q, k)| of
-    them, are S(Q, k)."""
-    Q, k, a, q = fs.Q, fs.k, fs.numerators, fs.bases
+def _certify(Q: int, k: int, a: np.ndarray, q: np.ndarray) -> None:
+    """ValueError unless each cached record (a, q) of L, a block at a time, has
+    its base in (Q, 2Q], 1 <= a <= (q**k - 1) // 2 (2a < q**k, no 2a to wrap)
+    and a a unit mod q (a lookup of a % q), and the records pass the order
+    certificate.  S(Q, k) has exactly |S|/2 points below 1/2, so |S|/2 such
+    records are L, and L < 1/2 < 1 - L: its mirror needs no second certificate."""
     unit = (np.gcd.outer(np.arange(Q + 1, 2 * Q + 1), np.arange(2 * Q)) == 1).ravel()
     for lo in range(0, len(a), _CERTIFY_BLOCK):
         aa, qq = a[lo:lo + _CERTIFY_BLOCK], q[lo:lo + _CERTIFY_BLOCK]
         member = (Q < qq) & (qq <= 2 * Q)
         if member.all():
-            member = (1 <= aa) & (aa < qq ** k) & unit[(qq - (Q + 1)) * (2 * Q) + aa % qq]
+            member = ((1 <= aa) & (aa <= (qq ** k - 1) // 2)
+                      & unit[(qq - (Q + 1)) * (2 * Q) + aa % qq])
         if not member.all():
             i = lo + int(np.argmin(member))
-            raise ValueError(f"cache record {i}, {a[i]}/{q[i]}**{k}, is not in S({Q}, {k})")
+            raise ValueError(f"cache record {i}, {a[i]}/{q[i]}**{k}, "
+                             f"is not in S({Q}, {k}) below 1/2")
     if not strictly_increasing(a, q, k):  # bases certified, so q**k fits
         raise ValueError("cache records are not strictly increasing")
+
+
+def _mirror(cols: np.ndarray, k: int) -> np.ndarray:
+    """The (2, |S|) columns (a, q) holding L in their first half, with the
+    second filled in place by L's mirror (q**k - a, q), reversed."""
+    (nums, bases), h = cols, cols.shape[1] // 2
+    bases[h:] = bases[h - 1 :: -1]
+    nums[h:] = bases[h:] ** k - nums[h - 1 :: -1]
+    return cols
 
 
 def enumerate_set(Q: int, k: int) -> FractionSet:
@@ -259,15 +270,16 @@ def enumerate_set(Q: int, k: int) -> FractionSet:
 
     a -> q**k - a maps the units mod q onto themselves, and 2a = q**k has no
     unit solution, so the set is its lower half L (the first half of each
-    base's ascending block) then 1 - L reversed.  Only L is sorted, on one
-    int64 key floor(a 2**50 / q**k) << bits(Q - 1) | (q - Q - 1); the whole is
-    certified by exact cross products.  Admitted sets have q**k <= 2**24 and
-    (2Q)**(2k) <= 2**48, so the float product a (2**50 / q**k) is within 1/8
-    of a unit of the exact a 2**50 / q**k, distinct points are at least 4 units
-    apart, the key stays below 2**62, and with the base read off the low bits,
-    rint((key + 1/2) q**k / 2**50) is within 2**-26 of a.  Sets whose cross
-    products would not fit int64, or of more than ``MAX_SET_POINTS`` points,
-    are refused before anything is allocated.
+    base's ascending block) then 1 - L reversed (``_mirror``).  Only L is
+    sorted, on one int64 key floor(a 2**50 / q**k) << bits(Q - 1) | (q - Q - 1),
+    and certified by exact cross products, since L < 1/2 < 1 - L.  Admitted
+    sets have q**k <= 2**24 and (2Q)**(2k) <= 2**48, so the float product
+    a (2**50 / q**k) is within 1/8 of a unit of the exact a 2**50 / q**k,
+    distinct points are at least 4 units apart, the key stays below 2**62, and
+    with the base read off the low bits, rint((key + 1/2) q**k / 2**50) is
+    within 2**-26 of a.  Sets whose cross products would not fit int64, or of
+    more than ``MAX_SET_POINTS`` points, are refused before anything is
+    allocated.
     """
     count, bits = _checked_size(Q, k), (Q - 1).bit_length()
     h, keys, o = count // 2, np.empty(count // 2, dtype=np.int64), 0
@@ -278,15 +290,14 @@ def enumerate_set(Q: int, k: int) -> FractionSet:
         keys[o : o + c] = (a * (2.0 ** _KEY_BITS / q ** k)).astype(np.int64) << bits | (q - Q - 1)
         o += c
     keys.sort()
-    nums, bases = np.empty((2, count), dtype=np.int64)
-    np.bitwise_and(keys, (1 << bits) - 1, out=bases[:h])
-    bases[:h] += Q + 1
-    nums[:h] = np.rint(((keys >> bits) + 0.5) * (bases[:h] ** k / 2.0 ** _KEY_BITS))
-    bases[h:] = bases[h - 1 :: -1]  # the mirror (q**k - a, q) of the lower half, reversed
-    nums[h:] = bases[h:] ** k - nums[h - 1 :: -1]
+    cols = np.empty((2, count), dtype=np.int64)
+    nums, bases = cols[:, :h]
+    np.bitwise_and(keys, (1 << bits) - 1, out=bases)
+    bases += Q + 1
+    nums[:] = np.rint(((keys >> bits) + 0.5) * (bases ** k / 2.0 ** _KEY_BITS))
     if not strictly_increasing(nums, bases, k):
         raise AssertionError(f"the key order of S({Q}, {k}) failed its certificate")
-    return FractionSet(Q, k, nums, bases)
+    return FractionSet(Q, k, *_mirror(cols, k))
 
 
 def expected_cardinality(Q: int, k: int) -> int:

@@ -192,8 +192,9 @@ class SieveInstance:
 
         For the full S(Q, k) it is exact int64, the sum over q of the Ramanujan
         sums c_{q**k}(h): mu(s) d for each d = q**k/s dividing h, s | rad(q)
-        squarefree (so c[0] = K).  A base adds 2**omega(q) <= q terms of size at
-        most q**k, so every partial sum is at most Q (2Q)**(k+1) = (2Q)**(k+2)/2:
+        squarefree, so c[0] = K (closed form); d >= q**(k-1), so only bases with
+        q**(k-1) < N reach past c[0].  A base adds 2**omega(q) <= q terms of size
+        at most q**k, so every partial sum is at most Q (2Q)**(k+1) = (2Q)**(k+2)/2:
         (Q, k) is refused unless (2Q)**(k+2) < 2**63, as every FractionSet has
         it.  A point sequence's is complex128, summed over row blocks of T.
         """
@@ -205,13 +206,16 @@ class SieveInstance:
         _checked_power(2 * Q, k + 2, 63, f"the symbol of S({Q}, {k}) sums terms up to "
                        "(2Q)**(k+2)/2, which needs (2Q)**(k+2) < 2**63 for int64")
         c = np.zeros(self.N, dtype=np.int64)
+        c[0] = self.K
         for q in range(Q + 1, 2 * Q + 1):
+            if q ** (k - 1) >= self.N:
+                break
             squarefree = [(1, 1)]  # (s, mu(s)) over the divisors s of rad(q)
             for p, _ in factorize(q):
                 squarefree += [(s * p, -mu) for s, mu in squarefree]
             for s, mu in squarefree:
                 d = q ** k // s
-                c[::d] += mu * d
+                c[d::d] += mu * d
         return c
 
 

@@ -497,7 +497,7 @@ class TestCache:
         argv = ["spacing", "--Q", "4", "--N", "64", "--cache-dir", str(cache)]
         code, out1 = run_cli(argv, capsys)
         assert code == EXIT_OK
-        cached = list(cache.glob("fracset_Q4_k2.bin"))
+        cached = list(cache.glob("fracset_Q4_k2.half.bin"))
         assert len(cached) == 1
         stamp = cached[0].stat().st_mtime_ns
         code, out2 = run_cli(argv, capsys)
@@ -509,12 +509,12 @@ class TestCache:
         monkeypatch.setenv("POWERSIEVE_CACHE_DIR", str(tmp_path / "envcache"))
         code, _ = run_cli(["spacing", "--Q", "3", "--N", "27"], capsys)
         assert code == EXIT_OK
-        assert (tmp_path / "envcache" / "fracset_Q3_k2.bin").exists()
+        assert (tmp_path / "envcache" / "fracset_Q3_k2.half.bin").exists()
 
     def test_renamed_foreign_cache_rejected(self, tmp_path, capsys):
         cache = tmp_path / "cache"
         assert main(["spacing", "--Q", "3", "--N", "27", "--cache-dir", str(cache)]) == EXIT_OK
-        (cache / "fracset_Q3_k2.bin").rename(cache / "fracset_Q4_k2.bin")
+        (cache / "fracset_Q3_k2.half.bin").rename(cache / "fracset_Q4_k2.half.bin")
         with pytest.raises(ValueError, match="S\\(3, 2\\)"):
             _cached_set(4, 2, str(cache))
         argv = ["spacing", "--Q", "4", "--N", "64", "--cache-dir", str(cache)]
@@ -525,7 +525,7 @@ class TestCache:
         cache = tmp_path / "cache"
         argv = ["spacing", "--Q", "3", "--N", "27", "--cache-dir", str(cache)]
         assert main(argv) == EXIT_OK
-        path = cache / "fracset_Q3_k2.bin"
+        path = cache / "fracset_Q3_k2.half.bin"
         path.write_bytes(path.read_bytes()[:keep])
         with pytest.raises(ValueError, match="truncated"):
             _cached_set(3, 2, str(cache))
@@ -535,9 +535,9 @@ class TestCache:
         cache = tmp_path / "cache"
         argv = ["spacing", "--Q", "3", "--N", "27", "--cache-dir", str(cache)]
         assert main(argv) == EXIT_OK
-        path = cache / "fracset_Q3_k2.bin"
+        path = cache / "fracset_Q3_k2.half.bin"
         data = bytearray(path.read_bytes())
-        head = len(data) - 16 * expected_cardinality(3, 2)  # (a, q) u64 pairs
+        head = len(data) - 16 * (expected_cardinality(3, 2) // 2)  # L's (a, q) u64 pairs
         first, second = data[head:head + 16], data[head + 16:head + 32]
         data[head:head + 32] = second + first
         path.write_bytes(bytes(data))
@@ -550,16 +550,16 @@ class TestCache:
     @pytest.mark.parametrize("argv", [["spacing", "--Q", "3", "--N", "27"],
                                       ["conjecture", "--q-min", "3", "--q-max", "3"],
                                       ["table1", "--q-max", "3"]])
-    @pytest.mark.parametrize("i, a, q", [(8, 8, 6), (0, 1, 7), (39, 37, 6)])
+    @pytest.mark.parametrize("i, a, q", [(8, 8, 6), (0, 1, 7), (19, 37, 6)])
     def test_cache_with_non_member_record_refused(self, tmp_path, capsys, argv, i, a, q):
-        # each record keeps the order: non-reduced 8/6**2, base 7 outside
-        # (3, 6], numerator 37 past 6**2
+        # each record of L (the file's 20 records) keeps its order: non-reduced
+        # 8/6**2, base 7 outside (3, 6], numerator 37 past 6**2 at L's last record
         cache = tmp_path / "cache"
         argv = [*argv, "--cache-dir", str(cache)]
         assert main(argv) == EXIT_OK
-        path = cache / "fracset_Q3_k2.bin"
+        path = cache / "fracset_Q3_k2.half.bin"
         data = bytearray(path.read_bytes())
-        at = len(data) - 16 * (expected_cardinality(3, 2) - i)  # (a, q) u64 pairs
+        at = len(data) - 16 * (expected_cardinality(3, 2) // 2 - i)  # L's (a, q) u64 pairs
         data[at:at + 16] = struct.pack("<QQ", a, q)
         path.write_bytes(bytes(data))
         capsys.readouterr()
@@ -567,14 +567,14 @@ class TestCache:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == (f"powersieve {argv[0]}: {path}: cache record {i}, "
-                                f"{a}/{q}**2, is not in S(3, 2)\n")
+                                f"{a}/{q}**2, is not in S(3, 2) below 1/2\n")
 
     def test_huge_header_count_refused_before_records_are_read(self, tmp_path, capsys,
                                                                 monkeypatch):
         cache = tmp_path / "cache"
         argv = ["spacing", "--Q", "3", "--N", "27", "--cache-dir", str(cache)]
         assert main(argv) == EXIT_OK
-        path = cache / "fracset_Q3_k2.bin"
+        path = cache / "fracset_Q3_k2.half.bin"
         data = bytearray(path.read_bytes())
         data[8:32] = struct.pack("<QQQ", 3, 2, 10 ** 12)  # after the 8-byte magic
         path.write_bytes(bytes(data))
@@ -592,10 +592,32 @@ class TestCache:
         assert capsys.readouterr().err == (f"powersieve spacing: {path}: header counts "
                                            f"1000000000000 points, S(3, 2) has 40\n")
 
+    def test_earlier_format_file_neither_read_nor_overwritten(self, tmp_path, capsys):
+        # a whole-set PWFRSET1 file at the name the earlier format used, with
+        # records that would fail any read: the run never opens it
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        old = cache / "fracset_Q3_k2.bin"
+        data = b"PWFRSET1" + struct.pack("<QQQ", 3, 2, 40) + bytes(16 * 40)
+        old.write_bytes(data)
+        stamp = old.stat().st_mtime_ns
+        argv = ["spacing", "--Q", "3", "--N", "27"]
+        code, cold = run_cli([*argv, "--cache-dir", str(cache)], capsys)
+        assert code == EXIT_OK
+        code, warm = run_cli([*argv, "--cache-dir", str(cache)], capsys)
+        assert code == EXIT_OK
+        code, uncached = run_cli(argv, capsys)
+        assert code == EXIT_OK
+        assert payload_of(cold) == payload_of(warm)
+        assert json.loads(cold)["rows"] == json.loads(uncached)["rows"]
+        assert old.read_bytes() == data and old.stat().st_mtime_ns == stamp
+        assert sorted(p.name for p in cache.iterdir()) == ["fracset_Q3_k2.bin",
+                                                           "fracset_Q3_k2.half.bin"]
+
     def test_cache_write_leaves_no_temporary(self, tmp_path, capsys):
         cache = tmp_path / "cache"
         assert main(["spacing", "--Q", "2", "--N", "8", "--cache-dir", str(cache)]) == EXIT_OK
-        assert [p.name for p in cache.iterdir()] == ["fracset_Q2_k2.bin"]
+        assert [p.name for p in cache.iterdir()] == ["fracset_Q2_k2.half.bin"]
 
 
 # every subcommand also takes --format and --out

@@ -270,8 +270,12 @@ class TestSerialization:
         with pytest.raises(ValueError, match="not a fraction-set cache"):
             FractionSet.read_cache(path)
         # a header claiming S(3, 12), too wide for int64 columns
-        path.write_bytes(b"PWFRSET1" + struct.pack("<QQQ", 3, 12, 929_295_220))
+        path.write_bytes(rationals._CACHE_MAGIC + struct.pack("<QQQ", 3, 12, 929_295_220))
         with pytest.raises(OverflowError, match=r"q\*\*k = 2176782336"):
+            FractionSet.read_cache(path)
+        # a whole-set file of the earlier format, which held all |S| records
+        path.write_bytes(b"PWFRSET1" + struct.pack("<QQQ", 2, 2, 14) + bytes(16 * 14))
+        with pytest.raises(ValueError, match="not a fraction-set cache"):
             FractionSet.read_cache(path)
 
     @pytest.mark.parametrize("Q,k,message", [(3, 1, "k must be >= 2, got 1"),
@@ -279,7 +283,7 @@ class TestSerialization:
     def test_cache_refuses_headers_enumerate_set_refuses(self, tmp_path, Q, k, message):
         # a k = 1 header is refused here, not only by the CLI's (Q, k) match
         path = tmp_path / "bad.bin"
-        path.write_bytes(b"PWFRSET1" + struct.pack("<QQQ", Q, k, 0))
+        path.write_bytes(rationals._CACHE_MAGIC + struct.pack("<QQQ", Q, k, 0))
         with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
             FractionSet.read_cache(path)
         with pytest.raises(ValueError, match=message):
@@ -291,17 +295,35 @@ class TestSerialization:
         fs.write_cache(path)
         data = path.read_bytes()
         path.write_bytes(data[:-8])
-        with pytest.raises(ValueError, match="truncated"):
+        # S(2, 2) has 14 points: the file holds the 7 records of L, 112 bytes
+        with pytest.raises(ValueError, match="truncated or overlong cache: 104 bytes "
+                                             "of records, expected 112"):
             FractionSet.read_cache(path)
 
+    @pytest.mark.parametrize("Q,k", [(Q, 2) for Q in range(1, 51)]
+                             + [(Q, 3) for Q in range(1, 16)] + [(12, 4)])
+    def test_roundtrip_equals_enumeration(self, tmp_path, Q, k):
+        # the file holds L alone (S(1, 2) = {1/4, 3/4}: one record), and the
+        # read mirrors it back to the columns enumerate_set builds
+        fs = enumerate_set(Q, k)
+        path = tmp_path / "s.bin"
+        fs.write_cache(path)
+        assert path.stat().st_size == 8 + 24 + 16 * (len(fs) // 2)
+        back = FractionSet.read_cache(path)
+        assert (back.Q, back.k) == (Q, k)
+        assert back.numerators.dtype == back.bases.dtype == np.int64
+        assert np.array_equal(back.numerators, fs.numerators)
+        assert np.array_equal(back.bases, fs.bases)
 
-# records of S(3, 2) replaced by a non-member a/q**2 that keeps the order:
-# the order certificate alone passes each of them
+
+# records of L, the 20 points of S(3, 2) below 1/2 and all a cache file holds,
+# replaced by a non-member a/q**2 that keeps the order of L: the order
+# certificate alone passes each of them
 NON_MEMBERS = {
     "non_reduced": (8, 8, 6),            # 3/16 < 8/36 < 6/25, gcd(8, 6) = 2
     "base_outside_window": (0, 1, 7),    # 1/49 below the least point 1/36
     "base_below_window": (4, 1, 3),      # 2/25 < 1/9 < 5/36
-    "numerator_past_one": (39, 37, 6),   # 37/36 past the largest point 35/36
+    "numerator_past_one": (19, 37, 6),   # 37/36 past L's last point 12/25
 }
 
 
@@ -320,21 +342,56 @@ class TestCacheCertificate:
     def test_read_cache_refuses_non_member(self, tmp_path, case):
         i, a, q = NON_MEMBERS[case]
         tampered = with_record(enumerate_set(3, 2), i, a, q)
-        assert strictly_increasing(tampered.numerators, tampered.bases, 2)
+        assert strictly_increasing(tampered.numerators[:20], tampered.bases[:20], 2)
         path = tmp_path / "s32.bin"
         tampered.write_cache(path)
-        message = f"{path}: cache record {i}, {a}/{q}**2, is not in S(3, 2)"
+        message = f"{path}: cache record {i}, {a}/{q}**2, is not in S(3, 2) below 1/2"
         with pytest.raises(ValueError, match=re.escape(message)):
             FractionSet.read_cache(path)
 
+    def test_upper_half_record_refused_by_the_half_bound(self, tmp_path):
+        # 13/25 is in S(3, 2), a unit mod 5 and above L's record 18, 17/36:
+        # only 2a < q**k refuses it in place of L's last record 12/25
+        fs = enumerate_set(3, 2)
+        assert (fs.numerators[19], fs.bases[19]) == (12, 5) and len(fs) == 40
+        tampered = with_record(fs, 19, 13, 5)
+        assert strictly_increasing(tampered.numerators[:20], tampered.bases[:20], 2)
+        path = tmp_path / "s32.bin"
+        tampered.write_cache(path)
+        message = f"{path}: cache record 19, 13/5**2, is not in S(3, 2) below 1/2"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            FractionSet.read_cache(path)
+
+    def test_numerator_past_2_to_the_62_refused_as_non_member(self, tmp_path):
+        # 2a wraps int64 for a = 2**62 + 1, an odd unit mod 4; the bound must not
+        a = 2 ** 62 + 1
+        path = tmp_path / "s32.bin"
+        with_record(enumerate_set(3, 2), 0, a, 4).write_cache(path)
+        message = f"{path}: cache record 0, {a}/4**2, is not in S(3, 2) below 1/2"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            FractionSet.read_cache(path)
+
+    def test_last_pair_of_the_half_out_of_order_refused(self, tmp_path):
+        # records 18 and 19 of S(3, 2), 17/36 and 12/25, swapped: both stay
+        # members of L, and only the order certificate's last pair sees it
+        fs = enumerate_set(3, 2)
+        nums, bases = fs.numerators.copy(), fs.bases.copy()
+        nums[[18, 19]], bases[[18, 19]] = nums[[19, 18]], bases[[19, 18]]
+        path = tmp_path / "s32.bin"
+        FractionSet(3, 2, nums, bases).write_cache(path)
+        with pytest.raises(ValueError, match="cache records are not strictly increasing"):
+            FractionSet.read_cache(path)
+
     @pytest.mark.parametrize("i", [0, rationals._CERTIFY_BLOCK - 1, rationals._CERTIFY_BLOCK,
-                                   2 * rationals._CERTIFY_BLOCK + 5, 38_629])
+                                   2 * rationals._CERTIFY_BLOCK + 5, 38_629, 39_319])
     def test_non_member_named_in_any_block(self, tmp_path, i):
-        # S(30, 2) has 38,630 points, three blocks; a base of 61 is outside (30, 60]
-        fs = enumerate_set(30, 2)
-        path = tmp_path / "s302.bin"
-        with_record(fs, i, 1, 61).write_cache(path)
-        with pytest.raises(ValueError, match=re.escape(f"cache record {i}, 1/61**2, is not")):
+        # S(38, 2) has 78,640 points, so L's 39,320 records span three
+        # blocks, the last is 39,319; a base of 77 is outside (38, 76]
+        fs = enumerate_set(38, 2)
+        assert len(fs) // 2 == 39_320
+        path = tmp_path / "s382.bin"
+        with_record(fs, i, 1, 77).write_cache(path)
+        with pytest.raises(ValueError, match=re.escape(f"cache record {i}, 1/77**2, is not")):
             FractionSet.read_cache(path)
 
     def test_constructor_refuses_partial_and_inadmissible_sets(self):
@@ -351,7 +408,8 @@ class TestCacheCertificate:
 
         monkeypatch.setattr(np, "fromfile", refuse)
         path = tmp_path / "s32.bin"
-        path.write_bytes(b"PWFRSET1" + struct.pack("<QQQ", 3, 2, count) + bytes(16 * 39))
+        head = rationals._CACHE_MAGIC + struct.pack("<QQQ", 3, 2, count)
+        path.write_bytes(head + bytes(16 * 20))
         message = f"{path}: header counts {count} points, S(3, 2) has 40"
         with pytest.raises(ValueError, match=re.escape(message)):
             FractionSet.read_cache(path)
@@ -360,5 +418,5 @@ class TestCacheCertificate:
         path = tmp_path / "s22.bin"
         enumerate_set(2, 2).write_cache(path)
         path.write_bytes(path.read_bytes() + bytes(16))
-        with pytest.raises(ValueError, match="overlong cache: 240 bytes of records, expected 224"):
+        with pytest.raises(ValueError, match="overlong cache: 128 bytes of records, expected 112"):
             FractionSet.read_cache(path)

@@ -280,7 +280,8 @@ class TestIntegerSymbol:
     solves both."""
 
     @pytest.mark.parametrize(
-        "Q, k, N", [(4, 2, 64), (8, 2, 512), (6, 2, 216), (12, 2, 1728), (3, 3, 81), (4, 3, 256)]
+        "Q, k, N", [(4, 2, 64), (8, 2, 512), (6, 2, 216), (12, 2, 1728), (3, 3, 81), (4, 3, 256),
+                    (3, 2, 1), (3, 2, 2), (3, 2, 200)]
     )
     def test_strided_symbol_matches_float_symbol(self, Q, k, N):
         fs = enumerate_set(Q, k)
@@ -290,6 +291,17 @@ class TestIntegerSymbol:
         assert np.issubdtype(c.dtype, np.integer) and c[0] == inst.K == len(fs)
         reference = SieveInstance(point_list(fs), 0, N).gram_symbol()
         assert np.iscomplexobj(reference)
+        assert np.allclose(c, reference, rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize("N, bases", [(1, []), (5, [4]), (6, [4, 5]), (200, [4, 5, 6])])
+    def test_symbol_factorizes_only_bases_that_reach_past_c0(self, monkeypatch, N, bases):
+        # every d = q**k/s is at least q**(k-1), so a base of S(3, 2) with
+        # q >= N adds to c[0] = K alone, which is taken in closed form
+        seen, factorize = [], sv.factorize
+        monkeypatch.setattr(sv, "factorize", lambda q: seen.append(q) or factorize(q))
+        c = SieveInstance.set_free(3, 2, N).gram_symbol()
+        assert seen == bases
+        reference = SieveInstance(point_list(enumerate_set(3, 2)), 0, N).gram_symbol()
         assert np.allclose(c, reference, rtol=0, atol=1e-9)
 
     @pytest.mark.parametrize("Q, k, N, M", [(3, 2, 27, 0), (4, 2, 50, 7), (2, 3, 16, -3)])

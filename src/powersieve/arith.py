@@ -1,12 +1,14 @@
 """Small multiplicative-arithmetic helpers shared across the package.
 
-Everything here is desk-scale: trial-division factoring, Euler's totient,
-coprime-residue masks, and primitive roots of odd prime powers.  Inputs are
-plain Python ints; no arbitrary-precision tricks are needed because callers
-guard their own ranges.
+Everything here is desk-scale: trial-division factoring, Euler's totient (of
+one n, or of a window of them from one prime sieve), coprime-residue masks,
+and primitive roots of odd prime powers.  Inputs are plain Python ints; no
+arbitrary-precision tricks are needed because callers guard their own ranges.
 """
 
 from __future__ import annotations
+
+from math import isqrt
 
 import numpy as np
 
@@ -36,6 +38,24 @@ def totient(n: int) -> int:
     phi = 1
     for p, e in factorize(n):
         phi *= (p - 1) * p ** (e - 1)
+    return phi
+
+
+def totients(lo: int, hi: int) -> np.ndarray:
+    """Euler's totient of every n in [lo, hi), 1 <= lo <= hi, as int64: one
+    sieve of the primes below hi, then phi(n) -= phi(n) / p for each prime p
+    over its multiples in the window, with no factorization per n."""
+    if not 1 <= lo <= hi:
+        raise ValueError(f"totients needs 1 <= lo <= hi, got [{lo}, {hi})")
+    prime = np.ones(hi, dtype=bool)
+    prime[:2] = False
+    for p in range(2, isqrt(hi - 1) + 1):
+        if prime[p]:
+            prime[p * p :: p] = False
+    phi = np.arange(lo, hi, dtype=np.int64)
+    for p in np.flatnonzero(prime).tolist():
+        multiples = phi[-lo % p :: p]  # n = lo + (-lo % p) is the first multiple of p
+        multiples -= multiples // p
     return phi
 
 

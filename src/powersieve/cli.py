@@ -15,7 +15,7 @@ passes Q, N and k alone and enumerates no set.
 
 Fraction sets are cached per (Q, k) in a cache directory (``--cache-dir`` or
 POWERSIEVE_CACHE_DIR, on table1, spacing and conjecture): the file holds the
-lower half below 1/2, and reading it certifies that half and mirrors the rest.
+lower half below 1/2, as a set holds it, and reading it certifies that half.
 """
 
 from __future__ import annotations
@@ -134,9 +134,10 @@ def _emit(args: argparse.Namespace, payload: dict, wall: float) -> None:
 
 
 def _cmd_table1(args: argparse.Namespace) -> tuple[dict, int]:
-    rows = [{"Q": fs.Q, "M": spacing_count_fast(fs, fs.Q ** 3)["M"]}
-            for fs in _cached_sets(1, args.q_max, 2, args.cache_dir)]
-    return {"rows": rows}, EXIT_OK
+    # map holds no set while the next is built: one set of the range is alive at a time
+    counts = map(lambda fs: spacing_count_fast(fs, fs.Q ** 3),
+                 _cached_sets(1, args.q_max, 2, args.cache_dir))
+    return {"rows": [{"Q": row["Q"], "M": row["M"]} for row in counts]}, EXIT_OK
 
 
 def _cmd_spacing(args: argparse.Namespace) -> tuple[dict, int]:

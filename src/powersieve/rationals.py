@@ -9,8 +9,9 @@ a base drawn from the dyadic window (Q, 2Q].  Everything downstream (spacing
 statistics, sieve experiments) consumes these sets, so enumeration is
 columnar and exact: numerators and denominator bases are stored as integer
 arrays sorted ascending by value.  S(Q, k) = 1 - S(Q, k), so only the half L
-below 1/2 is sorted (on a packed integer key), cached and certified (by exact
-cross-multiplication, never by floating point); ``_mirror`` builds the rest.
+below 1/2 is sorted (on a packed integer key), stored, cached and certified
+(by exact cross-multiplication, never by floating point); the whole set is
+built from it on demand.
 
 Integer columns ``(nums, dens)`` are the one exact form of a point set:
 ``exact_columns`` is the width rule (int64 while every product the caller
@@ -34,7 +35,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .arith import coprime_residues, totient
+from .arith import coprime_residues, totients
 
 # PowerFraction refuses a q**k of 2**64 or more, before forming it.
 MAX_DENOMINATOR_BITS = 64
@@ -42,8 +43,9 @@ MAX_DENOMINATOR_BITS = 64
 # int64 columns need every product below 2**63; one safety bit is kept.
 _INT64_PRODUCT_BITS = 62
 
-# enumerate_set refuses larger sets: S(150, 2) has 4,796,786 points and
-# peaks near 140 MB to enumerate, 250 MB through `spacing` at N = Q**3
+# enumerate_set refuses larger sets: S(150, 2) has 4,796,786 points, holds
+# 38 MB (its lower half) and peaks near 86 MB to enumerate, 175 MB through
+# `spacing` at N = Q**3 (in-process peak RSS, the interpreter included)
 MAX_SET_POINTS = 10 ** 7
 
 # adjacent pairs per block of the order certificate's cross products
@@ -144,28 +146,38 @@ class PowerFraction:
 class FractionSet:
     """Exactly S(Q, k), sorted ascending by value: an invariant this module
     establishes where a set is made, by construction in ``enumerate_set`` and
-    by certifying and mirroring the cached half in ``read_cache``, so consumers trust it.  The
-    constructor refuses (Q, k) that ``enumerate_set`` would and any other count.
+    by certifying the cached half in ``read_cache``, so consumers trust it.  The
+    constructor takes the columns of L and refuses (Q, k) that ``enumerate_set``
+    would and any count but |S(Q, k)|/2.
 
-    Storage is columnar: ``numerators`` and ``bases`` are parallel int64
-    arrays, and ``denominators()`` gives the int64 column q**k; every cross
-    product of two points fits int64.  Individual elements materialize as
-    :class:`PowerFraction` on demand.
+    Only L is stored: ``lower`` is its pair of parallel int64 columns
+    (numerators, bases).  The whole set is L then its mirror (q**k - a, q)
+    reversed, and ``numerators``, ``bases`` and ``denominators()`` (the column
+    q**k) build its columns on each call; every cross product of two points
+    fits int64.  Individual elements materialize as :class:`PowerFraction`
+    on demand.
     """
 
     def __init__(self, Q: int, k: int, numerators: np.ndarray, bases: np.ndarray):
         self.Q, self.k = int(Q), int(k)
-        count = _checked_size(self.Q, self.k)
-        if not len(numerators) == len(bases) == count:
-            raise ValueError(f"S({Q}, {k}) has {count} points, not {len(numerators)} "
+        h = _checked_size(self.Q, self.k) // 2
+        if not len(numerators) == len(bases) == h:
+            raise ValueError(f"S({Q}, {k}) has {h} points below 1/2, not {len(numerators)} "
                              f"numerators and {len(bases)} bases")
-        self._a, self._q = numerators, bases
+        self.lower = (numerators, bases)
 
     def __len__(self) -> int:
-        return len(self._a)
+        return 2 * len(self.lower[0])
 
     def __getitem__(self, i: int) -> PowerFraction:
-        return PowerFraction(int(self._a[i]), int(self._q[i]), self.k)
+        (a, q), n = self.lower, len(self)
+        if not -n <= i < n:
+            raise IndexError(f"index {i} out of range for a set of {n} points")
+        i %= n
+        if i < n // 2:
+            return PowerFraction(int(a[i]), int(q[i]), self.k)
+        j = n - 1 - i  # the mirror of L's point j
+        return PowerFraction(int(q[j]) ** self.k - int(a[j]), int(q[j]), self.k)
 
     def __iter__(self) -> Iterator[PowerFraction]:
         for i in range(len(self)):
@@ -173,14 +185,17 @@ class FractionSet:
 
     @property
     def numerators(self) -> np.ndarray:
-        return self._a
+        a, q = self.lower
+        return np.concatenate([a, (q ** self.k - a)[::-1]])
 
     @property
     def bases(self) -> np.ndarray:
-        return self._q
+        q = self.lower[1]
+        return np.concatenate([q, q[::-1]])
 
     def denominators(self) -> np.ndarray:
-        return self._q ** self.k
+        d = self.lower[1] ** self.k
+        return np.concatenate([d, d[::-1]])
 
     # -- serialization ----------------------------------------------------
 
@@ -196,7 +211,7 @@ class FractionSet:
                 fh.write(_CACHE_MAGIC)
                 fh.write(_CACHE_HEADER.pack(self.Q, self.k, len(self)))
                 rec = np.empty((len(self) // 2, 2), dtype="<u8")
-                rec[:, 0], rec[:, 1] = self._a[:len(rec)], self._q[:len(rec)]
+                rec[:, 0], rec[:, 1] = self.lower
                 rec.tofile(fh)
             os.replace(tmp, path)
         finally:
@@ -207,7 +222,7 @@ class FractionSet:
     def read_cache(cls, path) -> "FractionSet":
         """The S(Q, k) a cache file holds: the header's (Q, k) and count and
         the file size are checked before anything is allocated, then every
-        record of L by ``_certify``; ``_mirror`` builds the rest."""
+        record of L by ``_certify``."""
         try:
             with open(path, "rb") as fh:
                 if fh.read(len(_CACHE_MAGIC)) != _CACHE_MAGIC:
@@ -223,12 +238,12 @@ class FractionSet:
                 if size != 16 * h:  # (a, q) u64 pairs of L
                     raise ValueError(f"truncated or overlong cache: {size} bytes "
                                      f"of records, expected {16 * h}")
-                cols = np.empty((2, count), dtype=np.int64)
-                cols[:, :h] = np.fromfile(fh, dtype="<u8", count=2 * h).reshape(h, 2).T
-            _certify(Q, k, *cols[:, :h])
+                cols = np.empty((2, h), dtype=np.int64)
+                cols[:] = np.fromfile(fh, dtype="<u8", count=2 * h).reshape(h, 2).T
+            _certify(Q, k, *cols)
         except (ValueError, OverflowError) as exc:
             raise type(exc)(f"{path}: {exc}") from None
-        return cls(Q, k, *_mirror(cols, k))
+        return cls(Q, k, *cols)
 
 
 def _certify(Q: int, k: int, a: np.ndarray, q: np.ndarray) -> None:
@@ -252,15 +267,6 @@ def _certify(Q: int, k: int, a: np.ndarray, q: np.ndarray) -> None:
         raise ValueError("cache records are not strictly increasing")
 
 
-def _mirror(cols: np.ndarray, k: int) -> np.ndarray:
-    """The (2, |S|) columns (a, q) holding L in their first half, with the
-    second filled in place by L's mirror (q**k - a, q), reversed."""
-    (nums, bases), h = cols, cols.shape[1] // 2
-    bases[h:] = bases[h - 1 :: -1]
-    nums[h:] = bases[h:] ** k - nums[h - 1 :: -1]
-    return cols
-
-
 def enumerate_set(Q: int, k: int) -> FractionSet:
     """Enumerate S(Q, k): reduced a/q**k with Q < q <= 2Q, sorted by value.
 
@@ -270,16 +276,16 @@ def enumerate_set(Q: int, k: int) -> FractionSet:
 
     a -> q**k - a maps the units mod q onto themselves, and 2a = q**k has no
     unit solution, so the set is its lower half L (the first half of each
-    base's ascending block) then 1 - L reversed (``_mirror``).  Only L is
+    base's ascending block) then 1 - L reversed.  Only L is built and
     sorted, on one int64 key floor(a 2**50 / q**k) << bits(Q - 1) | (q - Q - 1),
     and certified by exact cross products, since L < 1/2 < 1 - L.  Admitted
     sets have q**k <= 2**24 and (2Q)**(2k) <= 2**48, so the float product
     a (2**50 / q**k) is within 1/8 of a unit of the exact a 2**50 / q**k,
     distinct points are at least 4 units apart, the key stays below 2**62, and
     with the base read off the low bits, rint((key + 1/2) q**k / 2**50) is
-    within 2**-26 of a.  Sets whose cross products would not fit int64, or of
-    more than ``MAX_SET_POINTS`` points, are refused before anything is
-    allocated.
+    within 2**-26 of a; the decode runs in the keys' own buffer.  Sets whose
+    cross products would not fit int64, or of more than ``MAX_SET_POINTS``
+    points, are refused before anything is allocated.
     """
     count, bits = _checked_size(Q, k), (Q - 1).bit_length()
     h, keys, o = count // 2, np.empty(count // 2, dtype=np.int64), 0
@@ -290,16 +296,23 @@ def enumerate_set(Q: int, k: int) -> FractionSet:
         keys[o : o + c] = (a * (2.0 ** _KEY_BITS / q ** k)).astype(np.int64) << bits | (q - Q - 1)
         o += c
     keys.sort()
-    cols = np.empty((2, count), dtype=np.int64)
-    nums, bases = cols[:, :h]
+    nums, bases = np.empty((2, h), dtype=np.int64)
     np.bitwise_and(keys, (1 << bits) - 1, out=bases)
     bases += Q + 1
-    nums[:] = np.rint(((keys >> bits) + 0.5) * (bases ** k / 2.0 ** _KEY_BITS))
+    keys >>= bits
+    vals = keys.view(np.float64)  # (key + 1/2) q**k 2**-50 in the keys' buffer: one rounding
+    vals[:] = keys
+    vals += 0.5
+    vals *= np.power(bases, k, out=nums)
+    vals *= 2.0 ** -_KEY_BITS
+    nums[:] = np.rint(vals, out=vals)
     if not strictly_increasing(nums, bases, k):
         raise AssertionError(f"the key order of S({Q}, {k}) failed its certificate")
-    return FractionSet(Q, k, *_mirror(cols, k))
+    return FractionSet(Q, k, nums, bases)
 
 
 def expected_cardinality(Q: int, k: int) -> int:
-    """The closed-form count: sum of q**(k-1) * phi(q) over Q < q <= 2Q."""
-    return sum(q ** (k - 1) * totient(q) for q in range(Q + 1, 2 * Q + 1))
+    """The closed-form count: sum of q**(k-1) * phi(q) over Q < q <= 2Q, in
+    Python integers, phi of the window from one sieve (``arith.totients``)."""
+    return sum(q ** (k - 1) * f for q, f in
+               zip(range(Q + 1, 2 * Q + 1), totients(Q + 1, 2 * Q + 1).tolist()))

@@ -47,7 +47,7 @@ parameterized by an exact rational threshold serves every convention.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from fractions import Fraction
 from typing import Iterable
 
@@ -141,6 +141,13 @@ def neighbor_counts_bruteforce(nums, dens, t_num, t_den) -> np.ndarray:
     return counts if np.ndim(t_num) else counts[0]
 
 
+def _count_below(nums, bases, k: int, u: int, v: int, closed: bool = False) -> int:
+    """#{i : nums[i]/bases[i]**k < u/v} (<= u/v if ``closed``) over an increasing
+    sequence, v > 0, by bisection on exact Python-integer cross products a v, u q**k."""
+    return bisect_left(range(len(nums)), True,
+                       key=lambda i: int(nums[i]) * v - u * int(bases[i]) ** k >= closed)
+
+
 def _within(nums, dens, delta, pairs, u: int, v: int, s: int) -> np.ndarray:
     """w_p - v_i < t = u/v for keys ``delta`` apart, ``pairs(j)`` giving the (i, p)
     of the pairs j in the band.  Each key floor(w 2**s) is off by under one, so
@@ -163,26 +170,35 @@ def _long_arcs(nums, dens, wk, row, held, d: int, u: int, v: int, s: int) -> Non
     and hold i behind them: one hit at a time while these tails total at most n
     points, else through one difference array (t near 1/2 makes arcs of n/2)."""
     n = len(nums)
-    i = arcs = np.flatnonzero(held)
-    p = np.clip(np.searchsorted(wk, wk[i] + (u << s) // v) - 1, i + d,
-                np.minimum(i + n - 1, len(wk) - 2))
-    ends = np.empty(n, dtype=np.int64)
-    while i.size:
-        inside = _within(nums, dens, wk[p] - wk[i], lambda j: (i[j], p[j]), u, v, s)
-        beyond = _within(nums, dens, wk[p + 1] - wk[i], lambda j: (i[j], p[j] + 1), u, v, s)
-        done = inside & ~beyond
-        ends[i[done]] = p[done]
-        p += beyond
-        p -= ~inside
-        i, p = i[~done], p[~done]
-    stops = ends[arcs] + 1  # each tail is (i + d, p_i] of the doubled range [0, 2n)
-    tails = stops - arcs - d - 1
+    arcs = np.flatnonzero(held)
+    p = np.clip(np.searchsorted(wk, wk[arcs] + (u << s) // v) - 1, arcs + d,
+                np.minimum(arcs + n - 1, len(wk) - 2))  # per arc, then its end p_i in place
+    todo = slice(None)  # the arcs still open: all of them, then those the tests moved
+    while True:
+        i, pt = arcs[todo], p[todo]
+        ahead = wk[i]
+        inside = _within(nums, dens, wk[pt] - ahead, lambda j: (i[j], pt[j]), u, v, s)
+        beyond = _within(nums, dens, wk[pt + 1] - ahead, lambda j: (i[j], pt[j] + 1), u, v, s)
+        moved = np.flatnonzero(beyond | ~inside)
+        pt += beyond
+        pt -= ~inside
+        p[todo] = pt
+        if not moved.size:
+            break
+        todo = moved if isinstance(todo, slice) else todo[moved]
+    stops = np.add(p, 1, out=p)  # each tail is (i + d, p_i] of the doubled range [0, 2n)
+    tails = stops - arcs - (d + 1)
     row[arcs] += tails
     if (total := int(tails.sum())) <= n:  # one hit at a time
-        np.add.at(row, (np.repeat(stops - np.cumsum(tails), tails) + np.arange(total)) % n, 1)
-    else:  # one difference array over [0, 2n), folded at the seam before its cumsum
-        c = np.bincount(stops - tails, minlength=2 * n) - np.bincount(stops, minlength=2 * n)
-        row += np.cumsum(c[:n] + c[n:]) + c[:n].sum()
+        at = np.repeat(stops - np.cumsum(tails), tails)
+        at += np.arange(total)
+        np.add.at(row, np.remainder(at, n, out=at), 1)
+    else:  # one difference array, folded at the seam: a tail past n also covers [0, stop - n)
+        starts = np.add(arcs, d + 1, out=arcs)
+        row += np.count_nonzero(starts < n) - np.count_nonzero(stops < n)
+        c = np.bincount(np.remainder(starts, n, out=starts), minlength=n)
+        c -= np.bincount(np.remainder(stops, n, out=tails), minlength=n)
+        row += np.cumsum(c, out=c)
 
 
 def neighbor_counts_sorted(nums, dens, t_num, t_den) -> np.ndarray:
@@ -214,9 +230,11 @@ def neighbor_counts_sorted(nums, dens, t_num, t_den) -> np.ndarray:
         s = 62 - min(int(np.max(dens)).bit_length(), 31)  # nums << s < 2**62
         cap = max(t_nums) * int(np.max(dens)) ** 2 + 1  # (u p - 1) // v is 0 for v >= cap
         t = max(Fraction(u, v) for _, u, v in rows)
-        e = 1 + bisect_left(range(n), t, key=lambda i: Fraction(int(nums[i]), int(dens[i])))
-        wk = np.asarray((nums << s) // dens, dtype=np.int64)  # floor(v 2**s)
-        wk = np.concatenate([wk, wk[: min(n, e)] + (1 << s)])  # #{v < t} + 1 past the seam
+        e = min(n, 1 + _count_below(nums, dens, 1, t.numerator, t.denominator))
+        wk = np.empty(n + e, dtype=np.int64)  # floor(v 2**s), then #{v < t} + 1 past the seam
+        # object-width columns give Python-integer keys below 2**s, cast into the int64 column
+        np.floor_divide(nums << s, dens, out=wk[:n], casting="unsafe")
+        np.add(wk[:e], 1 << s, out=wk[n:])
         # a round adds at most 2 to a point and a threshold runs at most lg + 1 <= 64
         # rounds (each but its last closes n / lg arcs or more), so uint8 holds its hits
         live = [(r, u, min(v, cap), n, np.zeros(n, dtype=np.uint8)) for r, u, v in rows]
@@ -245,9 +263,10 @@ def neighbor_counts_sorted(nums, dens, t_num, t_den) -> np.ndarray:
 
 
 def _witness(fs: FractionSet, counts: np.ndarray) -> tuple[int, int, int]:
-    """(M, a, q): the maximum count and the point a/q**k of ``fs`` first attaining it."""
-    w = int(np.argmax(counts))  # S(Q, k) is never empty
-    return int(counts[w]), int(fs.numerators[w]), int(fs.bases[w])
+    """(M, a, q): the maximum count and the point a/q**k of ``fs`` first attaining
+    it, a point of its lower half L (x and 1 - x count alike)."""
+    (a, q), w = fs.lower, int(np.argmax(counts))  # S(Q, k) is never empty
+    return int(counts[w]), int(a[w]), int(q[w])
 
 
 def check_spacing(N: int, size: int, brute: bool) -> None:
@@ -261,20 +280,27 @@ def check_spacing(N: int, size: int, brute: bool) -> None:
 
 
 def _half_counts(fs: FractionSet, t_num, t_den) -> np.ndarray:
-    """What ``neighbor_counts_sorted`` counts at the first n/2 points of ``fs``,
-    its lower half L, from the points E of S in (-t, 1/2 + t) mod 1 alone, t
-    the largest threshold: the prefix below 1/2 + t, which holds L, and the
-    suffix above 1 - t, or the whole set once they meet.  By the mirror, n
-    minus each cut counts the points of L at most 1/2 - t and below t, each
-    found by an exact search over L."""
-    n, h, a, q = len(fs), len(fs) // 2, fs.numerators, fs.bases
+    """What ``neighbor_counts_sorted`` counts at the points of ``fs``'s lower
+    half L, from the points E of S in (-t, 1/2 + t) mod 1 alone, t the largest
+    threshold: L, the mirrors of its points above 1/2 - t (in [1/2, 1/2 + t)),
+    then the mirrors of its points below t (above 1 - t), each margin reversed;
+    the whole set once the margins meet.  Exact searches over L find both cuts,
+    and E is filled into one pair of columns (numerators, q**k)."""
+    (a, q), k = fs.lower, fs.k
+    h = len(a)
     t = max(Fraction(int(u), int(v)) for u, v in zip(np.ravel(t_num), np.ravel(t_den)))
-    value = lambda i: Fraction(int(a[i]), int(q[i]) ** fs.k)
-    top = n - bisect_right(range(h), Fraction(1, 2) - t, key=value)  # #{x < 1/2 + t}
-    bottom = n - bisect_left(range(h), t, key=value)  # n - #{x > 1 - t}
-    if top < bottom:
-        a, q = np.concatenate([a[:top], a[bottom:]]), np.concatenate([q[:top], q[bottom:]])
-    return neighbor_counts_sorted(a, q ** fs.k, t_num, t_den)[..., :h]
+    u, v = t.numerator, t.denominator
+    above = h - _count_below(a, q, k, v - 2 * u, 2 * v, closed=True)  # #{x > 1/2 - t}
+    below = _count_below(a, q, k, u, v)  # #{x < t}
+    if above + below >= h:
+        above, below = h, 0
+    nums, dens = np.empty((2, h + above + below), dtype=np.int64)
+    nums[:h] = a
+    np.power(q, k, out=dens[:h])
+    for lo, hi, src in ((h, h + above, slice(h - above, h)), (h + above, None, slice(below))):
+        dens[lo:hi] = dens[src][::-1]
+        np.subtract(dens[lo:hi], a[src][::-1], out=nums[lo:hi])
+    return neighbor_counts_sorted(nums, dens, t_num, t_den)[..., :h]
 
 
 def _spacing_count(fs: FractionSet, N: int, brute: bool = False) -> dict:
@@ -303,6 +329,20 @@ def spacing_count_fast(fs: FractionSet, N: int) -> dict:
     return _spacing_count(fs, N)
 
 
+def _scan_row(fs: FractionSet) -> dict:
+    """The ``conjecture_scan`` row of one set."""
+    Q, k = fs.Q, fs.k
+    N = Q ** (k + 1)
+    counts, open_counts = _half_counts(fs, [1, 1], [2 * N, N])
+    M, a, q = _witness(fs, counts)
+    kappa = 2 ** (k - 1)  # epsilon = 0 form of the degree-k majorant
+    denom = Q ** (k + 1) / N + Q ** ((kappa - 1) / kappa) + Q ** (
+        (kappa + k) / kappa
+    ) / N ** (1 / kappa)
+    return {"Q": Q, "M": M, "M_open": int(open_counts.max()),
+            "witness_a": a, "witness_q": q, "ratio": M / denom}
+
+
 def conjecture_scan(sets: Iterable[FractionSet]) -> dict:
     """One row per set S(Q, k), counting at both threshold conventions.
 
@@ -310,23 +350,13 @@ def conjecture_scan(sets: Iterable[FractionSet]) -> dict:
     t = 1/(2 Q**(k+1)) (the convention behind the published quadratic table)
     and M_open at the open-question variant t = 1/Q**(k+1), both from the
     set's lower half by the mirror S = 1 - S.  ``sets`` is consumed
-    one set at a time, so a generator never holds the whole range.  The
+    one set at a time, each set and its counts dropped before the next is
+    built, so a generator holds one set of the range at a time.  The
     JSON-ready record holds the rows {Q, M, M_open, witness_a, witness_q, ratio},
     the running maximum of M and a least-squares fit of M against log Q, for
     eyeballing the conjectured Q**epsilon growth.
     """
-    rows = []
-    for fs in sets:
-        Q, k = fs.Q, fs.k
-        N = Q ** (k + 1)
-        counts, open_counts = _half_counts(fs, [1, 1], [2 * N, N])
-        M, a, q = _witness(fs, counts)
-        kappa = 2 ** (k - 1)  # epsilon = 0 form of the degree-k majorant
-        denom = Q ** (k + 1) / N + Q ** ((kappa - 1) / kappa) + Q ** (
-            (kappa + k) / kappa
-        ) / N ** (1 / kappa)
-        rows.append({"Q": Q, "M": M, "M_open": int(open_counts.max()),
-                     "witness_a": a, "witness_q": q, "ratio": M / denom})
+    rows = [*map(_scan_row, sets)]  # map holds no set while it builds the next
     log_q = np.log(np.array([r["Q"] for r in rows], dtype=np.float64))
     ms = np.array([r["M"] for r in rows], dtype=np.float64)
     if len(rows) >= 2 and np.ptp(log_q) > 0:

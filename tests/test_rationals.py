@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from powersieve import rationals
+from powersieve.arith import totient, totients
 from powersieve.rationals import (
     FractionSet,
     PowerFraction,
@@ -28,6 +29,18 @@ def brute_count(Q: int, k: int) -> int:
             if gcd(a, q) == 1:
                 n += 1
     return n
+
+
+def float_sorted_set(Q: int, k: int):
+    """S(Q, k) as (a, q) columns built from a gcd mask and sorted by float value,
+    checked strictly increasing by exact cross products."""
+    a, q = (np.concatenate(c) for c in zip(*[
+        (np.arange(1, b ** k), np.full(b ** k - 1, b)) for b in range(Q + 1, 2 * Q + 1)]))
+    a, q = a[np.gcd(a, q) == 1], q[np.gcd(a, q) == 1]
+    order = np.argsort(a / q ** k, kind="stable")
+    a, q, d = a[order], q[order], q[order] ** k
+    assert np.all(a[:-1] * d[1:] < a[1:] * d[:-1])
+    return a, q
 
 
 class TestEnumeration:
@@ -69,16 +82,24 @@ class TestEnumeration:
 
     @pytest.mark.parametrize("Q,k", [*((Q, 2) for Q in range(1, 41)), (100, 2), (30, 3), (12, 4)])
     def test_columns_equal_a_whole_set_float_sort(self, Q, k):
-        # only the lower half is sorted, on packed keys, and then mirrored;
-        # here the whole set is built from a gcd mask and sorted by float value
-        a, q = (np.concatenate(c) for c in zip(*[
-            (np.arange(1, b ** k), np.full(b ** k - 1, b)) for b in range(Q + 1, 2 * Q + 1)]))
-        a, q = a[np.gcd(a, q) == 1], q[np.gcd(a, q) == 1]
-        order = np.argsort(a / q ** k, kind="stable")
-        a, q, d = a[order], q[order], q[order] ** k
-        assert np.all(a[:-1] * d[1:] < a[1:] * d[:-1])
+        # only the lower half is sorted, on packed keys, and then mirrored
+        a, q = float_sorted_set(Q, k)
         fs = enumerate_set(Q, k)
         assert np.array_equal(fs.numerators, a) and np.array_equal(fs.bases, q)
+
+    def test_expected_cardinality_equals_the_per_base_totient_sum(self):
+        # one sieve of the window against a factorization per base
+        for Q in [*range(1, 301), 27554]:
+            for k in ((2, 3, 4) if Q <= 300 else (2,)):
+                assert expected_cardinality(Q, k) == sum(
+                    q ** (k - 1) * totient(q) for q in range(Q + 1, 2 * Q + 1))
+
+    def test_totients_of_a_window(self):
+        assert totients(1, 1000).tolist() == [totient(n) for n in range(1, 1000)]
+        assert totients(97, 211).tolist() == [totient(n) for n in range(97, 211)]
+        assert totients(7, 7).tolist() == [] and totients(1, 2).tolist() == [1]
+        with pytest.raises(ValueError, match="1 <= lo <= hi"):
+            totients(0, 5)
 
     def test_all_elements_valid(self):
         for p in enumerate_set(3, 2):
@@ -316,6 +337,30 @@ class TestSerialization:
         assert np.array_equal(back.bases, fs.bases)
 
 
+class TestWholeSetView:
+    """A set holds L alone; its whole-set columns, elements and iteration are
+    built from L on demand, from enumeration and from a cache file alike."""
+
+    @pytest.mark.parametrize("Q,k", [(3, 2), (12, 3), (50, 2)])
+    def test_enumerated_and_cached_sets_are_the_float_sorted_set(self, tmp_path, Q, k):
+        a, q = float_sorted_set(Q, k)
+        h = len(a) // 2
+        fs = enumerate_set(Q, k)
+        fs.write_cache(tmp_path / "s.bin")
+        for s in (fs, FractionSet.read_cache(tmp_path / "s.bin")):
+            assert len(s) == len(a) and len(s.lower[0]) == len(s.lower[1]) == h
+            assert np.array_equal(s.lower[0], a[:h]) and np.array_equal(s.lower[1], q[:h])
+            assert np.array_equal(s.numerators, a) and np.array_equal(s.bases, q)
+            assert np.array_equal(s.denominators(), q ** k)
+            assert s.numerators.dtype == s.bases.dtype == s.denominators().dtype == np.int64
+            assert [(p.a, p.q) for p in s] == list(zip(a.tolist(), q.tolist()))
+            for i in (0, h - 1, h, len(a) - 1, -1, -len(a)):
+                assert (s[i].a, s[i].q, s[i].k) == (a[i], q[i], k)
+            for i in (len(a), -len(a) - 1):
+                with pytest.raises(IndexError):
+                    s[i]
+
+
 # records of L, the 20 points of S(3, 2) below 1/2 and all a cache file holds,
 # replaced by a non-member a/q**2 that keeps the order of L: the order
 # certificate alone passes each of them
@@ -328,9 +373,9 @@ NON_MEMBERS = {
 
 
 def with_record(fs, i, a, q):
-    """A copy of ``fs`` whose record i is a/q**k; the constructor checks only
-    (Q, k) and the count, so the copy can be written as a cache file."""
-    nums, bases = fs.numerators.copy(), fs.bases.copy()
+    """A copy of ``fs`` whose record i of L is a/q**k; the constructor checks
+    only (Q, k) and the count, so the copy can be written as a cache file."""
+    nums, bases = (c.copy() for c in fs.lower)
     nums[i], bases[i] = a, q
     return FractionSet(fs.Q, fs.k, nums, bases)
 
@@ -342,7 +387,7 @@ class TestCacheCertificate:
     def test_read_cache_refuses_non_member(self, tmp_path, case):
         i, a, q = NON_MEMBERS[case]
         tampered = with_record(enumerate_set(3, 2), i, a, q)
-        assert strictly_increasing(tampered.numerators[:20], tampered.bases[:20], 2)
+        assert strictly_increasing(*tampered.lower, 2)
         path = tmp_path / "s32.bin"
         tampered.write_cache(path)
         message = f"{path}: cache record {i}, {a}/{q}**2, is not in S(3, 2) below 1/2"
@@ -353,9 +398,9 @@ class TestCacheCertificate:
         # 13/25 is in S(3, 2), a unit mod 5 and above L's record 18, 17/36:
         # only 2a < q**k refuses it in place of L's last record 12/25
         fs = enumerate_set(3, 2)
-        assert (fs.numerators[19], fs.bases[19]) == (12, 5) and len(fs) == 40
+        assert (fs.lower[0][19], fs.lower[1][19]) == (12, 5) and len(fs) == 40
         tampered = with_record(fs, 19, 13, 5)
-        assert strictly_increasing(tampered.numerators[:20], tampered.bases[:20], 2)
+        assert strictly_increasing(*tampered.lower, 2)
         path = tmp_path / "s32.bin"
         tampered.write_cache(path)
         message = f"{path}: cache record 19, 13/5**2, is not in S(3, 2) below 1/2"
@@ -375,7 +420,7 @@ class TestCacheCertificate:
         # records 18 and 19 of S(3, 2), 17/36 and 12/25, swapped: both stay
         # members of L, and only the order certificate's last pair sees it
         fs = enumerate_set(3, 2)
-        nums, bases = fs.numerators.copy(), fs.bases.copy()
+        nums, bases = (c.copy() for c in fs.lower)
         nums[[18, 19]], bases[[18, 19]] = nums[[19, 18]], bases[[19, 18]]
         path = tmp_path / "s32.bin"
         FractionSet(3, 2, nums, bases).write_cache(path)
@@ -395,11 +440,16 @@ class TestCacheCertificate:
             FractionSet.read_cache(path)
 
     def test_constructor_refuses_partial_and_inadmissible_sets(self):
-        fs = enumerate_set(3, 2)
-        with pytest.raises(ValueError, match=r"S\(3, 2\) has 40 points, not 39 numerators"):
-            FractionSet(3, 2, fs.numerators[1:], fs.bases[1:])
+        # the constructor takes the 20 records of L; a shorter L and the
+        # whole set's 40 columns are both refused by the count
+        a, q = enumerate_set(3, 2).lower
+        with pytest.raises(ValueError, match=r"S\(3, 2\) has 20 points below 1/2, not 19 num"):
+            FractionSet(3, 2, a[1:], q[1:])
+        whole = enumerate_set(3, 2)
+        with pytest.raises(ValueError, match=r"has 20 points below 1/2, not 40 numerators and 40"):
+            FractionSet(3, 2, whole.numerators, whole.bases)
         with pytest.raises(ValueError, match="Q must be >= 1, got 0"):
-            FractionSet(0, 2, fs.numerators[:0], fs.bases[:0])  # the empty S(0, 2)
+            FractionSet(0, 2, a[:0], q[:0])  # the empty S(0, 2)
 
     @pytest.mark.parametrize("count", [39, 41, 10 ** 12])
     def test_header_count_refused_before_records_are_read(self, tmp_path, monkeypatch, count):

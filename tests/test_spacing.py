@@ -159,6 +159,40 @@ class TestMirror:
                 "witness_q": fs[w].q, "set_size": len(fs)}
 
 
+class TestMirrorCuts:
+    """E, the engine's input in ``_half_counts``, is L, the mirrors of its points
+    above 1/2 - t, then the mirrors of its points below t, or the whole set once
+    the margins meet; both cuts are exact, at points sitting on them too."""
+
+    @pytest.mark.parametrize("Q,k", [(5, 2), (30, 2), (4, 3)])
+    def test_every_kind_of_threshold(self, Q, k, monkeypatch):
+        fs = enumerate_set(Q, k)
+        nums, dens, n = fs.numerators, fs.denominators(), len(fs)
+        h, half = n // 2, Fraction(1, 2)
+        x = [Fraction(int(a), int(d)) for a, d in zip(nums[:h], dens[:h])]
+        kinds = {  # name: (t, points of L above 1/2 - t, points of L below t), None unpinned
+            "margins empty": (min(x[0], half - x[-1]), 0, 0),
+            "a point at t": (x[0], None, 0),
+            "a point at 1/2 - t": (half - x[-1], 0, None),
+            "one point below t": ((x[0] + x[1]) / 2, None, 1),
+            "one point above 1/2 - t": (half - (x[-2] + x[-1]) / 2, 1, None),
+            "margins meeting at 1/4": (Fraction(1, 4), None, None),
+            "margins meeting past 1/4": (Fraction(2, 7), None, None),
+            "t above 1/2": (Fraction(2, 3), h, h),
+        }
+        sizes, engine = [], spacing.neighbor_counts_sorted
+        monkeypatch.setattr(spacing, "neighbor_counts_sorted",
+                            lambda nums, *rest: sizes.append(len(nums)) or engine(nums, *rest))
+        for name, (t, upper, lower) in kinds.items():
+            above, below = sum(y > half - t for y in x), sum(y < t for y in x)
+            assert upper in (None, above) and lower in (None, below), name
+            assert (above + below >= h) == (t >= Fraction(1, 4)), name
+            sizes.clear()
+            counts = spacing._half_counts(fs, t.numerator, t.denominator)
+            assert np.array_equal(counts, engine(nums, dens, t.numerator, t.denominator)[:h]), name
+            assert sizes == [n if above + below >= h else h + above + below], name
+
+
 class TestOracleEquivalence:
     @pytest.mark.parametrize("Q", range(1, 8))
     @pytest.mark.parametrize("k", [2, 3])
@@ -714,6 +748,26 @@ class TestFloorWidth:
         neighbor_counts_sorted(nums, dens, [1, 1], [9, 90])
         assert extended == [below + 1] * 2
 
+    def test_keys_stay_int64_at_object_width(self, monkeypatch):
+        # denominators past 2**31 make the columns Python integers; the key
+        # column floor(v 2**s), s = 31, and its seam extension stay one int64 array
+        pts, _ = wide_denominator_case()
+        nums, dens = fraction_columns(pts)
+        assert spacing._engine_columns(nums, dens, 1)[0].dtype == object
+        seen, searchsorted = [], np.searchsorted
+
+        def spy(wk, *rest, **kwargs):  # each threshold's long-arc search runs on the keys
+            seen.append(wk.copy())
+            return searchsorted(wk, *rest, **kwargs)
+
+        monkeypatch.setattr(np, "searchsorted", spy)
+        neighbor_counts_sorted(nums, dens, 1, 40)
+        s, n = 31, len(pts)
+        e = 1 + sum(p < Fraction(1, 40) for p in pts)
+        keys = [(int(a) << s) // int(d) for a, d in zip(nums, dens)]
+        assert [wk.dtype for wk in seen] == [np.int64]
+        assert seen[0].tolist() == keys + [w + (1 << s) for w in keys[:min(n, e)]]
+
     def test_every_admitted_set_takes_int64(self):
         # S(Q, k) at the largest Q the set rules admit for each k: a column
         # holding dmax = (2Q)**k stays int64 at the scan's two thresholds
@@ -1091,6 +1145,35 @@ class TestScanStatistic:
                for k, q_max in ((2, 60), (3, 20))
                for r in conjecture_scan(scan_sets(1, q_max, k))["rows"]]
         assert got == frozen
+
+
+class TestOneSetAlive:
+    """table1 and conjecture drop each set and its counts before they build the
+    next: the memory traced as a set is built holds no part of the set before."""
+
+    @pytest.mark.parametrize("argv", [["table1", "--q-max", "36"],
+                                      ["conjecture", "--q-min", "28", "--q-max", "36"],
+                                      ["conjecture", "--q-min", "8", "--q-max", "12", "--k", "3"]])
+    def test_no_earlier_set_alive_when_the_next_is_built(self, argv, monkeypatch, capsys):
+        held, sizes, build = [], [], cli.enumerate_set
+
+        def traced_build(Q, k):
+            held.append(tracemalloc.get_traced_memory()[0])
+            fs = build(Q, k)
+            sizes.append(sum(c.nbytes for c in fs.lower))
+            return fs
+
+        monkeypatch.setattr(cli, "enumerate_set", traced_build)
+        tracemalloc.start()
+        try:
+            assert cli.main(argv) == cli.EXIT_OK
+        finally:
+            tracemalloc.stop()
+        # the memory over the first build's, at each later build, against the
+        # set built before it: a set still alive would hold all of its L
+        grown = [(now - held[0], size) for now, size in zip(held[1:], sizes) if size >= 2 ** 16]
+        assert len(grown) >= 3
+        assert all(g < size / 4 for g, size in grown), grown
 
 
 class TestConjectureScan:

@@ -31,7 +31,6 @@ from dataclasses import dataclass
 from functools import cache
 from fractions import Fraction
 from math import gcd
-from typing import Iterator
 
 import numpy as np
 
@@ -178,10 +177,6 @@ class FractionSet:
             return PowerFraction(int(a[i]), int(q[i]), self.k)
         j = n - 1 - i  # the mirror of L's point j
         return PowerFraction(int(q[j]) ** self.k - int(a[j]), int(q[j]), self.k)
-
-    def __iter__(self) -> Iterator[PowerFraction]:
-        for i in range(len(self)):
-            yield self[i]
 
     @property
     def numerators(self) -> np.ndarray:

@@ -41,8 +41,8 @@ from typing import Callable, Literal, Sequence
 import numpy as np
 
 from .arith import factorize
-from .rationals import (FractionSet, PowerFraction, _checked_power, exact_columns,
-                        expected_cardinality)
+from .rationals import (FractionSet, PowerFraction, _checked_power, enumerate_set,
+                        exact_columns, expected_cardinality)
 
 # cell guard for gram experiments: K*N for T or a point sequence's symbol, K*K for TT*
 GRAM_CELL_GUARD = 10 ** 7
@@ -121,48 +121,47 @@ def _point_columns(points: Sequence) -> tuple[list, list]:
 class SieveInstance:
     """A finite torus point set plus the frequency window (M, M+N].
 
-    Points are a sequence of PowerFractions, Fractions, ints and floats,
-    distinct mod 1 (a float is its exact binary value: 0.1 is
-    3602879701896397/2**55, one tenth Fraction("0.1")); or a FractionSet,
-    the full S(Q, k) with ``full_set`` (Q, k).  They are held ascending in
-    [0, 1) as the columns ``nums``, ``dens`` at the ``exact_columns`` width of
-    dens**2.  ``set_free`` gives S(Q, k) by (Q, k) alone, with no columns.
+    ``SieveInstance(points, M, N)`` takes a sequence of PowerFractions,
+    Fractions, ints and floats, distinct mod 1 (a float is its exact binary
+    value: 0.1 is 3602879701896397/2**55, one tenth Fraction("0.1")), held
+    ascending in [0, 1) as the columns ``nums``, ``dens`` at the
+    ``exact_columns`` width of dens**2.  ``set_free(Q, k, N, M)`` is the full
+    S(Q, k), ``full_set`` (Q, k): K in closed form, and the columns read on
+    first use from one ``enumerate_set(Q, k)``, or from the set that
+    ``from_fraction_set`` hands over.
     """
 
-    def __init__(self, points: FractionSet | Sequence, M: int, N: int):
+    def __init__(self, points: Sequence, M: int, N: int):
         if N < 1:
             raise ValueError(f"N must be >= 1, got {N}")
         self.M, self.N, self.full_set = int(M), int(N), None
-        if isinstance(points, FractionSet):  # int64: every set has (2Q)**(2k) <= 2**48
-            self.full_set = (points.Q, points.k)
-            nums, dens = points.numerators, points.denominators()
-        else:
-            nums, dens = _point_columns(points)
-            if not nums:
-                raise ValueError("instance needs at least one point")
-            nums, dens = exact_columns(nums, dens, bound=max(dens) ** 2)
-        self.nums, self.dens, self.K = nums, dens, len(nums)
+        nums, dens = _point_columns(points)
+        if not nums:
+            raise ValueError("instance needs at least one point")
+        self.nums, self.dens = exact_columns(nums, dens, bound=max(dens) ** 2)
+        self.K = len(nums)
 
     @classmethod
     def from_fraction_set(cls, fs: FractionSet, N: int, M: int = 0) -> "SieveInstance":
-        return cls(fs, M, N)
+        inst = cls.set_free(fs.Q, fs.k, N, M)
+        inst._set = fs
+        return inst
 
     @classmethod
     def set_free(cls, Q: int, k: int, N: int, M: int = 0) -> "SieveInstance":
-        """S(Q, k) by (Q, k) alone, with no set: the points side's columns are refused."""
+        """S(Q, k) by (Q, k) alone: no set is enumerated until a column is read."""
         if N < 1:
             raise ValueError(f"N must be >= 1, got {N}")
         inst = cls.__new__(cls)
         inst.M, inst.N, inst.full_set = int(M), int(N), (Q, k)
         return inst
 
-    def _no_columns(self):
-        raise ValueError(f"S{self.full_set} was given by (Q, k) alone and has no point columns")
-
-    # set in __init__; a set-free instance has no columns and counts K in closed form
-    nums = functools.cached_property(lambda self: self._no_columns())
-    dens = functools.cached_property(lambda self: self._no_columns())
+    # a full set's: K in closed form, the columns on first use from one set, at
+    # int64, since every set has (2Q)**(2k) <= 2**48
     K = functools.cached_property(lambda self: expected_cardinality(*self.full_set))
+    _set = functools.cached_property(lambda self: enumerate_set(*self.full_set))
+    nums = functools.cached_property(lambda self: self._set.numerators)
+    dens = functools.cached_property(lambda self: self._set.denominators())
 
     def _row_blocks(self, n: np.ndarray):
         """(rows, e(x_j n) for j in rows) over row blocks of about _BLOCK_CELLS
@@ -421,7 +420,7 @@ def sieve_ratio_experiment(Q: int, N: int, k: int = 2, epsilon: float = 0.0) -> 
                 f"lambda_max {spec.lambda_max} exceeds the {b['name']} bound {b['value']}"
             )
     bounds = [{"name": b["name"], "value": b["value"],
-               "ratio": spec.lambda_max / b["value"] if b["value"] > 0 else math.inf,
+               "ratio": spec.lambda_max / b["value"],
                "assertable": b["assertable"]} for b in catalog]
     return {
         "Q": Q,

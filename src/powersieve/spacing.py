@@ -283,17 +283,17 @@ def _half_counts(fs: FractionSet, t_num, t_den) -> np.ndarray:
     """What ``neighbor_counts_sorted`` counts at the points of ``fs``'s lower
     half L, from the points E of S in (-t, 1/2 + t) mod 1 alone, t the largest
     threshold: L, the mirrors of its points above 1/2 - t (in [1/2, 1/2 + t)),
-    then the mirrors of its points below t (above 1 - t), each margin reversed;
-    the whole set once the margins meet.  Exact searches over L find both cuts,
-    and E is filled into one pair of columns (numerators, q**k)."""
+    then the mirrors of its points below t (above 1 - t), each margin reversed
+    and the upper one clipped to the complement of the lower, so no point comes
+    twice.  Exact searches over L find both cuts, and E is filled into one pair
+    of columns (numerators, q**k)."""
     (a, q), k = fs.lower, fs.k
     h = len(a)
     t = max(Fraction(int(u), int(v)) for u, v in zip(np.ravel(t_num), np.ravel(t_den)))
     u, v = t.numerator, t.denominator
     above = h - _count_below(a, q, k, v - 2 * u, 2 * v, closed=True)  # #{x > 1/2 - t}
     below = _count_below(a, q, k, u, v)  # #{x < t}
-    if above + below >= h:
-        above, below = h, 0
+    above = min(above, h - below)
     nums, dens = np.empty((2, h + above + below), dtype=np.int64)
     nums[:h] = a
     np.power(q, k, out=dens[:h])

@@ -569,21 +569,43 @@ class TestLanczos:
         assert np.linalg.norm(y) == pytest.approx(1.0, rel=0, abs=1e-14)
         assert np.linalg.norm(apply(y) - lam * y) <= sv.RESIDUAL_TOL * lam
 
-    def test_set_free_instance_has_no_columns(self, monkeypatch):
-        # K comes from the closed form, once; the points side, matrix and gap
-        # need columns, which only a FractionSet or a point list carries
-        calls = []
-        count = sv.expected_cardinality
-        monkeypatch.setattr(sv, "expected_cardinality", lambda *a: calls.append(a) or count(*a))
+    def test_set_free_instance_reads_its_columns_on_first_use(self, monkeypatch):
+        # K comes from the closed form, once; the columns from one enumeration,
+        # made when the first is read; matrix refuses past the gram guard on
+        # that K before any set is enumerated
+        counted, enumerated = [], []
+        count, enumerate_ = sv.expected_cardinality, sv.enumerate_set
+        monkeypatch.setattr(sv, "expected_cardinality", lambda *a: counted.append(a) or count(*a))
+        monkeypatch.setattr(sv, "enumerate_set", lambda *a: enumerated.append(a) or enumerate_(*a))
         inst = SieveInstance.set_free(3, 2, 27)
-        assert inst.full_set == (3, 2) and inst.K == inst.K == 40 and calls == [(3, 2)]
-        for read in (lambda: gram_lambda_max(inst, "points"), inst.matrix,
-                     lambda: min_torus_gap(inst)):
-            with pytest.raises(ValueError, match=r"^S\(3, 2\) was given by \(Q, k\) alone"):
-                read()
-        full = SieveInstance(enumerate_set(3, 2), 0, 27)
-        assert full.full_set == (3, 2) and full.K == 40
+        assert inst.full_set == (3, 2) and inst.K == inst.K == 40 and counted == [(3, 2)]
+        assert gram_lambda_max(inst, "frequencies").lambda_max > 0 and enumerated == []
+        fs = enumerate_(3, 2)
+        assert np.array_equal(inst.nums, fs.numerators) and enumerated == [(3, 2)]
+        assert np.array_equal(inst.dens, fs.denominators()) and enumerated == [(3, 2)]
+        big = SieveInstance.set_free(30, 2, sv.GRAM_CELL_GUARD // 30)
+        with pytest.raises(ValueError, match="exceeds the gram guard"):
+            big.matrix()
+        assert enumerated == [(3, 2)]
+        full = SieveInstance.from_fraction_set(fs, 27)
+        assert full.full_set == (3, 2) and full.K == 40 and full.nums is not None
+        assert enumerated == [(3, 2)]  # the set handed over is the one read
         assert gram_lambda_max(inst, "frequencies") == gram_lambda_max(full, "frequencies")
+
+    @pytest.mark.parametrize("Q, k", [(3, 2), (5, 2), (2, 3)])
+    def test_every_full_set_maker_gives_one_set(self, Q, k):
+        # set-free, handed a set, and a list of the set's points: the same
+        # columns, points-side lambda and exact gap
+        fs = enumerate_set(Q, k)
+        makers = [SieveInstance.set_free(Q, k, 7), SieveInstance.from_fraction_set(fs, 7),
+                  SieveInstance(point_list(fs), 0, 7)]
+        lams = {gram_lambda_max(inst, "points").lambda_max for inst in makers}
+        gaps = {min_torus_gap(inst) for inst in makers}
+        assert len(lams) == 1 and gaps == {sorted_gap_reference(point_list(fs))}
+        for inst in makers:
+            assert inst.K == len(fs)
+            assert np.array_equal(inst.nums, fs.numerators)
+            assert np.array_equal(inst.dens, fs.denominators())
 
 
 class TestSpectralProperties:
@@ -727,6 +749,15 @@ class TestBoundCatalog:
     def test_half_power_form_only_for_quadratic(self):
         names = {r["name"] for r in bound_catalog(3, 9, 3, 0.0)}
         assert "half_power" not in names
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    @pytest.mark.parametrize("epsilon", [0.0, 0.25, 1.0])
+    def test_every_admitted_value_is_finite_and_positive(self, k, epsilon):
+        # past bound_catalog's refusals no form is zero, so every ratio is finite
+        for Q in (1, 2, 7):
+            for N in (1, 2, Q ** (k + 1), 10 ** 6):
+                for row in bound_catalog(Q, N, k, epsilon):
+                    assert math.isfinite(row["value"]) and row["value"] > 0, (Q, N, row)
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):

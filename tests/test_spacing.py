@@ -161,36 +161,43 @@ class TestMirror:
 
 class TestMirrorCuts:
     """E, the engine's input in ``_half_counts``, is L, the mirrors of its points
-    above 1/2 - t, then the mirrors of its points below t, or the whole set once
-    the margins meet; both cuts are exact, at points sitting on them too."""
+    above 1/2 - t, then the mirrors of its points below t, the upper margin
+    clipped to the complement of the lower; both cuts are exact, at points
+    sitting on them too."""
 
     @pytest.mark.parametrize("Q,k", [(5, 2), (30, 2), (4, 3)])
     def test_every_kind_of_threshold(self, Q, k, monkeypatch):
         fs = enumerate_set(Q, k)
         nums, dens, n = fs.numerators, fs.denominators(), len(fs)
-        h, half = n // 2, Fraction(1, 2)
+        h, half, quarter = n // 2, Fraction(1, 2), Fraction(1, 4)
         x = [Fraction(int(a), int(d)) for a, d in zip(nums[:h], dens[:h])]
+        d0, d1 = sorted(abs(y - quarter) for y in x)[:2]  # the nearest point alone in both
         kinds = {  # name: (t, points of L above 1/2 - t, points of L below t), None unpinned
             "margins empty": (min(x[0], half - x[-1]), 0, 0),
             "a point at t": (x[0], None, 0),
             "a point at 1/2 - t": (half - x[-1], 0, None),
             "one point below t": ((x[0] + x[1]) / 2, None, 1),
             "one point above 1/2 - t": (half - (x[-2] + x[-1]) / 2, 1, None),
+            "one point in both margins": (quarter + (d0 + d1) / 2, None, None),
             "margins meeting at 1/4": (Fraction(1, 4), None, None),
             "margins meeting past 1/4": (Fraction(2, 7), None, None),
             "t above 1/2": (Fraction(2, 3), h, h),
         }
-        sizes, engine = [], spacing.neighbor_counts_sorted
+        inputs, engine = [], spacing.neighbor_counts_sorted
         monkeypatch.setattr(spacing, "neighbor_counts_sorted",
-                            lambda nums, *rest: sizes.append(len(nums)) or engine(nums, *rest))
+                            lambda *args: inputs.append(args[:2]) or engine(*args))
         for name, (t, upper, lower) in kinds.items():
             above, below = sum(y > half - t for y in x), sum(y < t for y in x)
             assert upper in (None, above) and lower in (None, below), name
             assert (above + below >= h) == (t >= Fraction(1, 4)), name
-            sizes.clear()
+            assert (above + below == h + 1) == (name == "one point in both margins"), name
+            inputs.clear()
             counts = spacing._half_counts(fs, t.numerator, t.denominator)
             assert np.array_equal(counts, engine(nums, dens, t.numerator, t.denominator)[:h]), name
-            assert sizes == [n if above + below >= h else h + above + below], name
+            [(e_nums, e_dens)] = inputs
+            assert len(e_nums) == (n if above + below >= h else h + above + below), name
+            if above + below >= h:  # the whole set, point by point in value order
+                assert np.array_equal(e_nums, nums) and np.array_equal(e_dens, dens), name
 
 
 class TestOracleEquivalence:

@@ -132,6 +132,8 @@ class SieveInstance:
     """
 
     def __init__(self, points: Sequence, M: int, N: int):
+        if isinstance(points, FractionSet):  # else iterated point by point, the slow path
+            raise TypeError("use SieveInstance.from_fraction_set(fs, N, M) for a FractionSet")
         if N < 1:
             raise ValueError(f"N must be >= 1, got {N}")
         self.M, self.N, self.full_set = int(M), int(N), None

@@ -6,11 +6,11 @@ The central quantity is, for a point set S on R/Z and a threshold t,
 
 with t = 1/(2N) in the standard parameterization.  Two engines compute it:
 
-* a brute-force oracle that decides every pair in one blocked O(n^2) sweep,
-  rows of one denominator at a time, with no sortedness assumptions: a
-  block of rows meets every column from its first row on, and the hits of
-  a block row or column, at most n, are summed at the narrowest unsigned
-  width that holds n, and
+* a brute-force oracle that decides every pair directly in one blocked
+  O(n^2) sweep, rows of one denominator at a time, with no sortedness
+  assumptions, and the pairs across the 0/1 seam in a second sweep of the
+  points below t against the images x - 1 of those above 1 - t, summing
+  the hits of a block row or column at the narrowest width that holds n, and
 * a fast path over a sorted set: one sweep of rounds d = 1, 2, ..., shared
   by every threshold, tests whether point i + d (past the seam at 0/1 too)
   lies within t ahead of i and counts each hit twice, as i lies within t
@@ -94,19 +94,19 @@ def _oracle_columns(nums, dens, u_max: int):
 def neighbor_counts_bruteforce(nums, dens, t_num, t_den) -> np.ndarray:
     """Per-point neighbor counts by exhaustive pairwise comparison.
 
-    For a row a/d and a column b/d' let x = a d' - d b and p = d d' > |x|:
-    ||a/d - b/d'|| < t = u/v exactly when min(|x|, p - |x|) <= (u p - 1) // v.
-    Rows go a class of one denominator d at a time (a stable integer argsort
-    of ``dens``), so p, d b and h = (u p - 1) // v are column vectors made once
-    per class, at the cells' width: h is 0 for every v >= cap = max(u) dmax**2 + 1,
-    so v is clamped to cap, as the sorted engine does.
-
-    Each class's rows go in blocks of up to ``_BLOCK_CELLS`` cells, in buffers
-    allocated once.  |x| and p are symmetric, so a block meets the columns
-    from its first row on, and a hit counts for its row and, past the block,
-    for its column; the self pair is a hit and is subtracted.  Hits land in a
-    uint8 mask, and a block row or column holds at most n of them, so they
-    are summed at ``np.min_scalar_type(n)``.
+    For a row a/d and a column b/d' in [0, 1) let x = a d' - d b and p = d d':
+    |a/d - b/d'| < t = u/v exactly when |x| <= h = (u p - 1) // v.  No pair is
+    within t <= 1/2 both ways round, so one sweep tests every pair directly and
+    an image sweep the points below the largest t (rows, a <= (u d - 1) // v)
+    against the images b/d' - 1 of those above 1 - t (columns, numerators
+    b - d').  Rows go a class of one denominator d at a time (a stable integer
+    argsort), so p, d b and h are made once per class at the cells' width, v
+    clamped to cap = max(u) dmax**2 + 1 (h is 0 past it), in blocks of up to
+    ``_BLOCK_CELLS`` cells in one buffer.  The direct test is symmetric, so a
+    block meets the columns from its first row on and a hit counts for its row
+    and, past the block, its column; the self pair is a hit and is subtracted.
+    Hits land in a uint8 mask, a row's summed at ``np.min_scalar_type(n)`` and
+    a column's over a block of b rows at ``np.min_scalar_type(b)``.
 
     Scalar ``t_num, t_den`` give an ``(n,)`` array; equal-length sequences
     give ``(T, n)`` from one sweep.  Above t = 1/2 every other point counts.
@@ -115,29 +115,38 @@ def neighbor_counts_bruteforce(nums, dens, t_num, t_den) -> np.ndarray:
     counts, rows = _thresholds(t_num, t_den, n)
     counts[[r for r, _, _ in rows]] = -1  # the self pair is a hit below
     if n and rows:
-        order = np.argsort(dens, kind="stable")
         nums, dens, cap = _oracle_columns(nums, dens, max(u for _, u, _ in rows))
-        nums, dens = nums[order], dens[order]
-        cells, other = np.empty((2, max(_BLOCK_CELLS, n)), dtype=nums.dtype)
+        t = max(Fraction(u, min(v, cap)) for _, u, v in rows)
+        edge = (t.numerator * dens - 1) // t.denominator  # a/d < t exactly when a <= edge
+        below, above = np.flatnonzero(nums <= edge), np.flatnonzero(dens - nums <= edge)
+        below = below[np.argsort(dens[below], kind="stable")]
+        cells = np.empty(max(_BLOCK_CELLS, n), dtype=nums.dtype)
         hits, acc = np.empty(len(cells), dtype=np.uint8), np.min_scalar_type(n)
-        ends = [*np.flatnonzero(dens[1:] != dens[:-1]) + 1, n]
-        for c, end in zip([0, *ends], ends):  # the class of rows [c, end)
-            p, db = dens[c] * dens[c:], dens[c] * nums[c:]
-            hs = [(u * p - 1) // min(v, cap) for _, u, v in rows]  # 0 for v >= cap
-            step = max(1, _BLOCK_CELLS // (n - c))
-            for lo in range(c, end, step):  # a block of rows against the columns from lo on
-                b = min(step, end - lo)
-                x, y, hit = (buf[: b * (n - lo)].reshape(b, -1) for buf in (cells, other, hits))
-                np.multiply.outer(nums[lo : lo + b], dens[lo:], out=x)
-                np.subtract(x, db[lo - c :], out=x)
-                np.abs(x, out=x)
-                np.subtract(p[lo - c :], x, out=y)
-                np.minimum(x, y, out=x)
-                for (r, _, _), h in zip(rows, hs):
-                    np.less_equal(x, h[lo - c :], out=hit.view(bool))
-                    counts[r, lo : lo + b] += hit.sum(axis=1, dtype=acc)
-                    counts[r, lo + b :] += hit[:, b:].sum(axis=0, dtype=acc)
-        counts[:, order] = counts.copy()  # back from class order
+        for z, m, start in ((np.argsort(dens, kind="stable"), n, 0),
+                            (np.concatenate([below, above]), len(below), len(below))):
+            if not m or start == len(z):  # rows z[:m], columns z[start:] or from the row on
+                continue
+            zn, zd = nums[z], dens[z]
+            zn[m:] -= zd[m:]  # the image sweep's columns, at value - 1
+            found = np.zeros((len(rows), len(z)), dtype=np.int64)
+            ends = [*np.flatnonzero(zd[1:m] != zd[: m - 1]) + 1, m]
+            for c, end in zip([0, *ends], ends):  # the class of rows [c, end)
+                f = max(c, start)  # its first column
+                p, db = zd[c] * zd[f:], zd[c] * zn[f:]
+                hs = [(u * p - 1) // min(v, cap) for _, u, v in rows]  # 0 for v >= cap
+                step = max(1, _BLOCK_CELLS // (len(z) - f))
+                for lo in range(c, end, step):  # a block of rows against the columns from j on
+                    b, j = min(step, end - lo), max(lo, start)
+                    e = max(lo + b, start)  # the columns past the block's rows
+                    x, hit = (buf[: b * (len(z) - j)].reshape(b, -1) for buf in (cells, hits))
+                    np.multiply.outer(zn[lo : lo + b], zd[j:], out=x)
+                    np.subtract(x, db[j - f :], out=x)
+                    np.abs(x, out=x)
+                    for row, h in zip(found, hs):
+                        np.less_equal(x, h[j - f :], out=hit.view(bool))
+                        row[lo : lo + b] += hit.sum(axis=1, dtype=acc)
+                        row[e:] += hit[:, e - j :].sum(axis=0, dtype=np.min_scalar_type(b))
+            counts[np.ix_([r for r, _, _ in rows], z)] += found
     return counts if np.ndim(t_num) else counts[0]
 
 

@@ -63,6 +63,14 @@ class TestInstanceValidation:
         with pytest.raises(ValueError):
             SieveInstance([Fraction(1, 2)], 0, 0)
 
+    def test_fraction_set_refused_with_its_maker_named(self):
+        # a set would be iterated as a point list: Fraction by Fraction, and
+        # refused by the gram guard where from_fraction_set solves
+        fs = enumerate_set(2, 2)
+        with pytest.raises(TypeError, match=r"SieveInstance\.from_fraction_set\(fs, N, M\)"):
+            SieveInstance(fs, 0, 4)
+        assert SieveInstance(list(fs), 0, 4).K == SieveInstance.from_fraction_set(fs, 4).K == len(fs)
+
     def test_guard_on_cell_count(self):
         inst = SieveInstance([Fraction(i, 5001) for i in range(1, 5001)], 0, 10 ** 5)
         with pytest.raises(ValueError, match="guard"):

@@ -685,6 +685,16 @@ class TestOracleRuns:
         counts = neighbor_counts_bruteforce(nums, dens, t.numerator, t.denominator)
         assert counts.tolist() == fraction_counts(pts, t) == [n - 1] * n
 
+    def test_block_columns_of_more_than_255_hits(self):
+        # one block of the 256 rows of class 1009 meets the 44 columns of
+        # class 2003 past it, each a hit in every row: 256 need a uint16 sum
+        pts = [Fraction(a, 1009) for a in range(1, 257)] + [Fraction(a, 2003) for a in range(1, 45)]
+        random.Random(7).shuffle(pts)
+        nums, dens = (np.array([getattr(p, f) for p in pts]) for f in ("numerator", "denominator"))
+        assert spacing._BLOCK_CELLS // len(pts) >= 256
+        counts = neighbor_counts_bruteforce(nums, dens, 1, 3)
+        assert counts.tolist() == fraction_counts(pts, Fraction(1, 3)) == [299] * 300
+
     def test_shuffled_mixed_classes_give_permuted_counts(self, monkeypatch):
         monkeypatch.setattr(spacing, "_BLOCK_CELLS", 300)
         pts, nums, dens, expected = self.mixed_case()
@@ -693,6 +703,76 @@ class TestOracleRuns:
             perm = np.random.default_rng(seed).permutation(len(pts))
             counts = neighbor_counts_bruteforce(nums[perm], dens[perm], t.numerator, t.denominator)
             assert counts.tolist() == [expected[1][i] for i in perm]
+
+
+def seam_pairs(points, t):
+    """The pairs of ``points`` less than t apart across the seam only."""
+    return sum(1 - abs(x - y) < t for x, y in itertools.combinations(points, 2))
+
+
+class TestOracleImages:
+    """The oracle tests each pair's direct distance, and the pairs across the
+    0/1 seam as the points below the largest t against the images x - 1 of
+    the points above 1 - t.  Each case is checked against Fraction counts in
+    its own order and shuffled."""
+
+    @staticmethod
+    def check(pts, thresholds):
+        t_nums, t_dens = [t.numerator for t in thresholds], [t.denominator for t in thresholds]
+        nums, dens = (np.array([getattr(p, f) for p in pts], dtype=object)
+                      for f in ("numerator", "denominator"))
+        expected = [fraction_counts(pts, t) for t in thresholds]
+        perm = np.random.default_rng(len(pts)).permutation(len(pts))
+        for order in (np.arange(len(pts)), perm):
+            rows = neighbor_counts_bruteforce(nums[order], dens[order], t_nums, t_dens)
+            assert rows.tolist() == [[row[i] for i in order] for row in expected]
+        return expected
+
+    def test_threshold_rows_with_different_seam_sets(self):
+        # each larger threshold holds more points in both seam sets and more
+        # pairs across the seam, which the smallest threshold's sets would miss
+        rng = random.Random(35)
+        pts = {Fraction(0), Fraction(199, 200), Fraction(1, 97), Fraction(95, 97), Fraction(1, 30),
+               Fraction(29, 31), Fraction(2, 19), Fraction(8, 9), Fraction(1, 2)}
+        while len(pts) < 60:
+            d = rng.randrange(2, 60)
+            pts.add(Fraction(rng.randrange(d), d))
+        pts = sorted(pts, key=lambda p: (p.denominator, -p))  # not in value order
+        thresholds = [Fraction(1, 100), Fraction(1, 20), Fraction(1, 8), Fraction(3, 10)]
+        self.check(pts, thresholds)
+        below = [sum(p < t for p in pts) for t in thresholds]
+        above = [sum(p > 1 - t for p in pts) for t in thresholds]
+        assert below == sorted(set(below)) and above == sorted(set(above))
+        across = [seam_pairs(pts, t) for t in thresholds]
+        assert 0 < across[0] < across[1] < across[2] < across[3]
+
+    def test_threshold_one_half(self):
+        # t = 1/2 meets every point below 1/2 with every point above it; 1/2
+        # itself is in neither seam set, and 0 and 1/2, exactly t apart, do not count
+        pts = sorted({Fraction(a, d) for d in (7, 8, 11) for a in range(d)})
+        expected = self.check(pts, [Fraction(1, 2), Fraction(1, 3), Fraction(1, 11)])
+        assert expected[0][0] == len(pts) - 2 and seam_pairs(pts, Fraction(1, 2)) > 0
+        assert self.check(pts, [Fraction(1, 2)]) == expected[:1]
+
+    def test_pairs_exactly_t_apart_across_the_seam(self):
+        # at t = 1/200, 0 and 199/200, 1/400 and 399/400 are exactly t apart
+        # across the seam and do not count; 0 and 399/400 are 1/400 apart across it
+        pts = [Fraction(1, 2), Fraction(399, 400), Fraction(0), Fraction(199, 200), Fraction(1, 400)]
+        for t, expected in [(Fraction(1, 200), [0, 2, 2, 1, 1]),
+                            (Fraction(201, 40000), [0, 3, 3, 2, 2])]:
+            assert self.check(pts, [t]) == [expected]
+
+    @pytest.mark.parametrize("t_den", [2 ** 70, 2 ** 200], ids=["2**70", "2**200"])
+    def test_seam_sets_past_int64(self, t_den):
+        # t near 1/37 and 1/60 over t_den: u and v pass int64, so the columns
+        # and both seam tests a <= (u d - 1) // v run in Python integers
+        pts = sorted({Fraction(a, d) for d in (37, 40, 61, 64) for a in (0, 1, 2, d - 2, d - 1)})
+        thresholds = [Fraction(t_den // 37 | 1, t_den), Fraction(t_den // 60 | 1, t_den),
+                      Fraction(1, t_den)]
+        nums, dens = fraction_columns(pts)
+        assert spacing._oracle_columns(nums, dens, t_den // 37 | 1)[0].dtype == object
+        expected = self.check(pts, thresholds)
+        assert seam_pairs(pts, thresholds[1]) > 0 and max(expected[2]) == 0
 
 
 class TestFloorWidth:
@@ -1107,11 +1187,12 @@ class TestOracleMemory:
         return peak, len(fs), counts.nbytes
 
     def test_block_buffers_bound_the_peak(self):
-        # two int32 cell buffers and a uint8 mask are 9 bytes a cell, 10 with
-        # room for the row and column sums; the columns in class order, the
-        # class vectors and the counts take under 80 bytes a point
+        # one int32 cell buffer and a uint8 mask are 5 bytes a cell, 6 with
+        # room to spare (a second cell buffer, 4 bytes a cell, does not fit);
+        # the columns in class order, the class vectors, the seam sets and
+        # the counts take under 80 bytes a point
         def bound(n, counts_bytes):
-            return spacing._BLOCK_CELLS * 10 + 80 * n + counts_bytes
+            return spacing._BLOCK_CELLS * 6 + 80 * n + counts_bytes
 
         peak, n, counts_bytes = self.traced_peak(6, 3)
         # the bound of 16-row blocks of four int64 products and a mask

@@ -1,21 +1,17 @@
-"""Command-line front end: every experiment as a reproducible subcommand.
+"""powersieve: experiments on fractions with power denominators, one subcommand each.
 
-Each subcommand takes only the flags its handler reads, declared once in
-``build_parser``; handlers read the parsed namespace.  Reports echo those
-flags (the ones with a value) in their header, so any output can be
-regenerated from its own header.  ``sieve-ratio --seed`` is the one flag
-accepted and ignored.  JSON is the canonical format; CSV is provided for
-table diffing.  Exit codes: 0 success, 1 usage, guard or file-system error,
-2 an assertable invariant was violated by the computation.
+Each subcommand prints a report: JSON (canonical), or CSV with --format csv,
+to stdout or to --out FILE.  The header echoes the version, the subcommand,
+every flag with a value and the wall time, so identical flags give identical
+payloads and a report can be rerun from its own header.
 
-``table1`` is the quadratic scan statistic: the spacing count over S(Q, 2)
-at N = Q**3, that is 2 * ||x - x'|| < Q**-3.  Handlers pass each set to the
-spacing and scan entry points, which read Q and k off it; ``sieve-ratio``
-passes Q, N and k alone and enumerates no set.
+Exit codes:
+  0  success
+  1  usage, guard or file-system error, with one line on stderr
+  2  an assertable invariant was violated by the computation
 
-Fraction sets are cached per (Q, k) in a cache directory (``--cache-dir`` or
-POWERSIEVE_CACHE_DIR, on table1, spacing and conjecture): the file holds the
-lower half below 1/2, as a set holds it, and reading it certifies that half.
+table1, spacing and conjecture keep the sets they enumerate in --cache-dir,
+or in $POWERSIEVE_CACHE_DIR when the flag is absent.
 """
 
 from __future__ import annotations
@@ -59,6 +55,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _cached_set(Q: int, k: int, cache_dir: Optional[str]) -> FractionSet:
+    """S(Q, k), from fracset_Q{Q}_k{k}.half.bin in ``cache_dir`` if it is there
+    (``read_cache`` certifies the lower half it holds), else enumerated and
+    written there; the whole-set fracset_Q{Q}_k{k}.bin of earlier versions is
+    never opened."""
     if not cache_dir:
         return enumerate_set(Q, k)
     os.makedirs(cache_dir, exist_ok=True)
@@ -240,7 +240,8 @@ _COMMANDS = {
 @functools.cache  # built once per process: a parse leaves no state on the parser
 def build_parser() -> _Parser:
     """The one place a flag is declared: each subcommand gets the parent
-    parsers of the flags its handler reads, and --format/--out."""
+    parsers of the flags its handler reads, and --format/--out; handlers read
+    the parsed namespace, and the report header echoes it."""
 
     def flag(*names, **kwargs) -> argparse.ArgumentParser:
         parent = argparse.ArgumentParser(add_help=False)
@@ -258,7 +259,8 @@ def build_parser() -> _Parser:
                 help="seed of transfer's input; sieve-ratio accepts and ignores it")
     cache = flag("--cache-dir", default=None, help=f"default: ${CACHE_ENV}")
 
-    parser = _Parser(prog="powersieve", description=__doc__)
+    parser = _Parser(prog="powersieve", description=__doc__,
+                     formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     def command(name: str, help: str, *parents) -> argparse.ArgumentParser:

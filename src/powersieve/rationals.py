@@ -90,7 +90,9 @@ def _checked_size(Q: int, k: int) -> int:
 def exact_columns(*cols, bound: int) -> tuple[np.ndarray, ...]:
     """The width rule: ``cols`` as int64 arrays when ``bound``, the largest
     product the caller forms from them, stays below 2**62, and as
-    Python-integer object arrays otherwise."""
+    Python-integer object arrays otherwise.  No S(Q, k) takes the object path;
+    hand-made inputs do, such as denominators of 2**31 and above (a float's
+    exact value, 2**55 for 0.1) or a threshold numerator past 2**61 / dmax**2."""
     dtype = np.int64 if int(bound).bit_length() <= _INT64_PRODUCT_BITS else object
     return tuple(np.asarray(c, dtype=dtype) for c in cols)
 

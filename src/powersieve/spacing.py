@@ -102,9 +102,11 @@ def neighbor_counts_bruteforce(nums, dens, t_num, t_den) -> np.ndarray:
     b - d').  Rows go a class of one denominator d at a time (a stable integer
     argsort), so p, d b and h are made once per class at the cells' width, v
     clamped to cap = max(u) dmax**2 + 1 (h is 0 past it), in blocks of up to
-    ``_BLOCK_CELLS`` cells in one buffer.  The direct test is symmetric, so a
-    block meets the columns from its first row on and a hit counts for its row
-    and, past the block, its column; the self pair is a hit and is subtracted.
+    ``_BLOCK_CELLS`` cells, or one row, in one buffer no larger than the n * n
+    cells a call can form (the image sweep's rows and columns are disjoint).
+    The direct test is symmetric, so a block meets the columns from its first
+    row on and a hit counts for its row and, past the block, its column; the
+    self pair is a hit and is subtracted.
     Hits land in a uint8 mask, a row's summed at ``np.min_scalar_type(n)`` and
     a column's over a block of b rows at ``np.min_scalar_type(b)``.
 
@@ -120,7 +122,7 @@ def neighbor_counts_bruteforce(nums, dens, t_num, t_den) -> np.ndarray:
         edge = (t.numerator * dens - 1) // t.denominator  # a/d < t exactly when a <= edge
         below, above = np.flatnonzero(nums <= edge), np.flatnonzero(dens - nums <= edge)
         below = below[np.argsort(dens[below], kind="stable")]
-        cells = np.empty(max(_BLOCK_CELLS, n), dtype=nums.dtype)
+        cells = np.empty(min(max(_BLOCK_CELLS, n), n * n), dtype=nums.dtype)
         hits, acc = np.empty(len(cells), dtype=np.uint8), np.min_scalar_type(n)
         for z, m, start in ((np.argsort(dens, kind="stable"), n, 0),
                             (np.concatenate([below, above]), len(below), len(below))):

@@ -1,6 +1,7 @@
-"""CLI integration: exit codes, formats, determinism, caching."""
+"""CLI integration: exit codes, formats, determinism, caching, and the README contract."""
 
 import argparse
+import ast
 import csv
 import importlib
 import io
@@ -634,6 +635,7 @@ FLAGS = {
 }
 
 README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+SRC = pathlib.Path(cli.__file__).parent
 
 
 def subparsers():
@@ -641,13 +643,16 @@ def subparsers():
     return action.choices
 
 
+def parser_flags() -> dict:
+    """Each subcommand's option strings, --format and --out included."""
+    return {name: {opt for a in p._actions for opt in a.option_strings} - {"-h", "--help"}
+            for name, p in subparsers().items()}
+
+
 class TestFlagSets:
     def test_each_subcommand_takes_exactly_its_flags(self):
-        got = {
-            name: {opt for a in p._actions for opt in a.option_strings} - {"-h", "--help"}
-            for name, p in subparsers().items()
-        }
-        assert got == {name: set(f"{flags} --format --out".split()) for name, flags in FLAGS.items()}
+        assert parser_flags() == {name: set(f"{flags} --format --out".split())
+                                  for name, flags in FLAGS.items()}
 
     @pytest.mark.parametrize("argv", [
         ["poisson", "--N", "4", "--k", "3"],
@@ -676,6 +681,88 @@ class TestFlagSets:
         for line in lines:
             args = build_parser().parse_args(shlex.split(line)[1:])
             assert args.subcommand in FLAGS
+
+
+def readme_section(title: str) -> str:
+    """The text of README's ``## title`` section."""
+    with open(README, encoding="utf-8") as fh:
+        return fh.read().split(f"\n## {title}\n", 1)[1].split("\n## ", 1)[0]
+
+
+def table_rows(section: str) -> dict:
+    """The cells of each body row of the tables in ``section``, keyed by the
+    first cell with its backticks stripped."""
+    rows, body = {}, False
+    for line in section.splitlines():
+        cells = [c.strip() for c in re.split(r"(?<!\\)\|", line)[1:-1]]
+        if body and cells:
+            rows[cells[0].strip("`")] = cells
+        body = bool(cells) and (body or set(cells[0]) == {"-"})
+    return rows
+
+
+def spelled_int(text: str) -> int:
+    """The integer a README cell such as `5 * 10**7` or `50_000` spells."""
+    def value(node):
+        if isinstance(node, ast.Constant) and type(node.value) is int:
+            return node.value
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
+            return value(node.left) * value(node.right)
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+            return value(node.left) ** value(node.right)
+        raise ValueError(f"not an integer product of powers: {text}")
+    return value(ast.parse(text.strip("`"), mode="eval").body)
+
+
+class TestReadmeContract:
+    """README states the user's contract; these pin it to the code."""
+
+    def test_command_table_lists_exactly_each_subcommands_flags(self):
+        section = readme_section("Command line")
+        # --format and --out are stated once, for every subcommand
+        assert "Every subcommand also takes `--format csv|json` (default json) and " \
+            "`--out FILE`" in " ".join(section.split())
+        table = {name: set(re.findall(r"--[A-Za-z][\w-]*", cells[1]))
+                 for name, cells in table_rows(section).items()}
+        assert {name: flags | {"--format", "--out"} for name, flags in table.items()} \
+            == parser_flags()
+
+    def test_layout_lists_every_module(self):
+        listing = readme_section("Layout").split("src/powersieve/\n", 1)[1]
+        listed = []
+        for line in listing.splitlines():
+            if not line.startswith("  "):
+                break
+            listed.append(line.split()[0])
+        assert sorted(listed) == sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py")
+
+    def test_guard_table_holds_every_guard_at_its_value(self):
+        rows = table_rows(readme_section("Guards"))
+        named = {name: cells for name, cells in rows.items() if "." in name}
+        for name, (_, value, _, exit_code) in named.items():
+            module, constant = name.split(".")
+            assert getattr(importlib.import_module(f"powersieve.{module}"), constant) \
+                == spelled_int(value), name
+            assert exit_code in ("1", "none: library only"), name
+        # every public module-level GUARD, MAX or _BYTES constant in the package has its row
+        declared = {f"{path.stem}.{target.id}"
+                    for path in SRC.glob("*.py")
+                    for node in ast.parse(path.read_text(encoding="utf-8")).body
+                    if isinstance(node, ast.Assign)
+                    for target in node.targets
+                    if isinstance(target, ast.Name) and not target.id.startswith("_")
+                    and re.search(r"GUARD|MAX|_BYTES$", target.id)}
+        assert set(named) == declared
+        assert {"int64 columns", "symbol width", "float range"} <= set(rows)
+
+    def test_help_prints_the_exit_codes(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["--help"])
+        assert err.value.code == EXIT_OK
+        out = capsys.readouterr().out
+        for code in (EXIT_OK, EXIT_USAGE, EXIT_ASSERTION):
+            assert re.search(rf"^  {code}  \w", out, re.M), code
+        assert cli.CACHE_ENV in out
 
 
 class TestWidthGuards:

@@ -1201,6 +1201,12 @@ class TestOracleMemory:
         peak, n, counts_bytes = self.traced_peak(8, 3)
         assert peak < bound(n, counts_bytes) < (16 * n * 40 + counts_bytes) / 2
 
+    def test_a_small_call_allocates_no_whole_block(self):
+        # S(1, 2) = {1/4, 3/4} forms at most 2 * 2 cells: its buffers take a few
+        # bytes, not a block's 5 bytes a cell (640 KB)
+        peak, n, _ = self.traced_peak(1, 2)
+        assert n == 2 and peak < spacing._BLOCK_CELLS // 4
+
 
 class TestScanStatistic:
     def test_matches_frozen_regression(self, data_dir):

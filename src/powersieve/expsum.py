@@ -249,7 +249,7 @@ def poisson_identity_check(N: int, tail: int | None = None) -> dict:
         raise ValueError("N must be >= 1")
     T = max(1000, 100 * N) if tail is None else tail
     if not 1000 <= T <= POISSON_TERMS_GUARD:
-        raise ValueError(f"the truncated sum has T = {T} terms; it needs 10**3 <= T <= 10**7")
+        raise ValueError(f"the truncated sum has T = {T} terms; it needs 1000 <= T <= {POISSON_TERMS_GUARD}")
     blocks = (fejer_phi(np.arange(lo, min(lo + _POISSON_BLOCK, T + 1)) / (2.0 * N)).tolist()
               for lo in range(1, T + 1, _POISSON_BLOCK))
     lhs = fejer_phi(0.0) + 2.0 * fsum(chain.from_iterable(blocks))

@@ -6,10 +6,10 @@ The central quantity is, for a point set S on R/Z and a threshold t,
 
 with t = 1/(2N) in the standard parameterization.  Two engines compute it:
 
-* a brute-force oracle that decides every pair directly in one blocked
-  O(n^2) sweep, rows of one denominator at a time, with no sortedness
-  assumptions, and the pairs across the 0/1 seam in a second sweep of the
-  points below t against the images x - 1 of those above 1 - t, summing
+* a brute-force oracle that tests every pair directly against a window of row
+  numerators in one blocked O(n^2) sweep, rows of one denominator at a time, with
+  no sortedness assumptions, and the pairs across the 0/1 seam in a second sweep
+  of the points below t against the images x - 1 of those above 1 - t, summing
   the hits of a block row or column at the narrowest width that holds n, and
 * a fast path over a sorted set: one sweep of rounds d = 1, 2, ..., shared
   by every threshold, tests whether point i + d (past the seam at 0/1 too)
@@ -17,12 +17,12 @@ with t = 1/(2N) in the standard parameterization.  Two engines compute it:
   behind i + d exactly then; round 1 also certifies the order, as a key
   floor(v 2**s) that rises proves the value rises.
 
-Each answers any number of thresholds in one call and decides
-``||x - x'|| < t = u/v`` by its own integer test against the floor
-(u p - 1) // v, at int64 or narrower on every S(Q, k), so they agree bit for
-bit; both clamp v to max(u) dmax**2 + 1, past which every floor is 0, so no
-t_den widens a column.  The fast path runs the test only on the pairs that
-one subtraction of int64 keys floor(v 2**s) leaves undecided.
+Each answers any number of thresholds in one call and decides ``||a/d - b/d'|| < t
+= u/v`` exactly from h = (u d d' - 1) // v: the fast path tests |a d' - d b| <= h,
+the oracle the same divided by d', (d b - h)/d' <= a <= (d b + h)/d', so they agree
+bit for bit.  Both run at int64 or narrower on every S(Q, k) and clamp v to max(u)
+dmax**2 + 1, past which every h is 0, so no t_den widens a column.  The fast path
+tests only the pairs that one subtraction of int64 keys floor(v 2**s) leaves undecided.
 
 Thresholds are positive fractions ``t_num/t_den``; both engines refuse any
 other.  The counts over a whole set, ``spacing_count_fast`` and
@@ -83,25 +83,31 @@ def _thresholds(t_num, t_den, n: int):
 
 
 def _oracle_columns(nums, dens, u_max: int):
-    """The oracle's columns and cap = u_max dmax**2 + 1, which bounds its cells,
-    u p and every threshold denominator clamped to it: int32 while cap < 2**31."""
-    cap = u_max * int(np.max(dens)) ** 2 + 1
-    if cap < 2 ** 31:
-        return np.asarray(nums, dtype=np.int32), np.asarray(dens, dtype=np.int32), cap
-    return (*exact_columns(nums, dens, bound=cap), cap)
+    """The oracle's columns at ``exact_columns`` width for cap = u_max dmax**2 + 1,
+    which bounds u p and every t_den clamped to it, and the narrowest of int16,
+    int32 and int64 that holds its cells, +-2 dmax."""
+    dmax = int(np.max(dens))
+    cell = next((c for c in (np.int16, np.int32, np.int64) if 2 * dmax <= np.iinfo(c).max), None)
+    if cell is None:
+        raise ValueError(f"the oracle's int64 cells need denominators below 2**62, got {dmax}")
+    cap = u_max * dmax ** 2 + 1
+    return (*exact_columns(nums, dens, bound=cap), cap, cell)
 
 
 def neighbor_counts_bruteforce(nums, dens, t_num, t_den) -> np.ndarray:
     """Per-point neighbor counts by exhaustive pairwise comparison.
 
-    For a row a/d and a column b/d' in [0, 1) let x = a d' - d b and p = d d':
-    |a/d - b/d'| < t = u/v exactly when |x| <= h = (u p - 1) // v.  No pair is
-    within t <= 1/2 both ways round, so one sweep tests every pair directly and
-    an image sweep the points below the largest t (rows, a <= (u d - 1) // v)
-    against the images b/d' - 1 of those above 1 - t (columns, numerators
-    b - d').  Rows go a class of one denominator d at a time (a stable integer
-    argsort), so p, d b and h are made once per class at the cells' width, v
-    clamped to cap = max(u) dmax**2 + 1 (h is 0 past it), in blocks of up to
+    For a row a/d and a column b/d' in [0, 1) let p = d d': |a/d - b/d'| < t = u/v
+    exactly when |a d' - d b| <= h = (u p - 1) // v, that is (divide by d') when
+    lo = -((h - d b) // d') <= a <= hi = (d b + h) // d'.  No pair is within
+    t <= 1/2 both ways round, so one sweep tests every pair directly and an image
+    sweep the points below the largest t (rows, a <= (u d - 1) // v) against the
+    images b/d' - 1 of those above 1 - t (columns, numerators b - d').  Rows go a
+    class of one denominator d at a time (a stable integer argsort), so windows
+    are made once per class and threshold at ``exact_columns`` width, v clamped to
+    cap = max(u) dmax**2 + 1 (h is 0 past it).  A cell is a - lo and a hit
+    a - lo < hi - lo + 1 read unsigned (h >= 0 gives hi >= lo - 1); h < p/2 bounds
+    the cells by 2 dmax (``_oracle_columns``).  They go in blocks of up to
     ``_BLOCK_CELLS`` cells, or one row, in one buffer no larger than the n * n
     cells a call can form (the image sweep's rows and columns are disjoint).
     The direct test is symmetric, so a block meets the columns from its first
@@ -117,12 +123,13 @@ def neighbor_counts_bruteforce(nums, dens, t_num, t_den) -> np.ndarray:
     counts, rows = _thresholds(t_num, t_den, n)
     counts[[r for r, _, _ in rows]] = -1  # the self pair is a hit below
     if n and rows:
-        nums, dens, cap = _oracle_columns(nums, dens, max(u for _, u, _ in rows))
+        nums, dens, cap, cell = _oracle_columns(nums, dens, max(u for _, u, _ in rows))
+        width = np.dtype(f"u{np.dtype(cell).itemsize}")  # the cells read unsigned
         t = max(Fraction(u, min(v, cap)) for _, u, v in rows)
         edge = (t.numerator * dens - 1) // t.denominator  # a/d < t exactly when a <= edge
         below, above = np.flatnonzero(nums <= edge), np.flatnonzero(dens - nums <= edge)
         below = below[np.argsort(dens[below], kind="stable")]
-        cells = np.empty(min(max(_BLOCK_CELLS, n), n * n), dtype=nums.dtype)
+        cells = np.empty(min(max(_BLOCK_CELLS, n), n * n), dtype=cell)
         hits, acc = np.empty(len(cells), dtype=np.uint8), np.min_scalar_type(n)
         for z, m, start in ((np.argsort(dens, kind="stable"), n, 0),
                             (np.concatenate([below, above]), len(below), len(below))):
@@ -130,23 +137,26 @@ def neighbor_counts_bruteforce(nums, dens, t_num, t_den) -> np.ndarray:
                 continue
             zn, zd = nums[z], dens[z]
             zn[m:] -= zd[m:]  # the image sweep's columns, at value - 1
+            an = zn[:m].astype(cell)  # the rows' numerators, at cell width
             found = np.zeros((len(rows), len(z)), dtype=np.int64)
             ends = [*np.flatnonzero(zd[1:m] != zd[: m - 1]) + 1, m]
             for c, end in zip([0, *ends], ends):  # the class of rows [c, end)
                 f = max(c, start)  # its first column
                 p, db = zd[c] * zd[f:], zd[c] * zn[f:]
-                hs = [(u * p - 1) // min(v, cap) for _, u, v in rows]  # 0 for v >= cap
+                windows = []
+                for _, u, v in rows:
+                    h = (u * p - 1) // min(v, cap)  # 0 for v >= cap
+                    lo = -((h - db) // zd[f:])
+                    windows.append((lo.astype(cell), ((db + h) // zd[f:] - lo + 1).astype(width)))
                 step = max(1, _BLOCK_CELLS // (len(z) - f))
-                for lo in range(c, end, step):  # a block of rows against the columns from j on
-                    b, j = min(step, end - lo), max(lo, start)
-                    e = max(lo + b, start)  # the columns past the block's rows
+                for r in range(c, end, step):  # a block of rows against the columns from j on
+                    b, j = min(step, end - r), max(r, start)
+                    e = max(r + b, start)  # the columns past the block's rows
                     x, hit = (buf[: b * (len(z) - j)].reshape(b, -1) for buf in (cells, hits))
-                    np.multiply.outer(zn[lo : lo + b], zd[j:], out=x)
-                    np.subtract(x, db[j - f :], out=x)
-                    np.abs(x, out=x)
-                    for row, h in zip(found, hs):
-                        np.less_equal(x, h[j - f :], out=hit.view(bool))
-                        row[lo : lo + b] += hit.sum(axis=1, dtype=acc)
+                    for row, (lo, w) in zip(found, windows):
+                        np.subtract.outer(an[r : r + b], lo[j - f :], out=x)
+                        np.less(x.view(width), w[j - f :], out=hit.view(bool))
+                        row[r : r + b] += hit.sum(axis=1, dtype=acc)
                         row[e:] += hit[:, e - j :].sum(axis=0, dtype=np.min_scalar_type(b))
             counts[np.ix_([r for r, _, _ in rows], z)] += found
     return counts if np.ndim(t_num) else counts[0]

@@ -17,7 +17,7 @@ import time
 import numpy as np
 import pytest
 
-from powersieve import __version__, cli, sieve
+from powersieve import __version__, cli, expsum, sieve
 from powersieve.cli import (
     EXIT_ASSERTION,
     EXIT_OK,
@@ -89,7 +89,7 @@ class TestExitCodes:
         assert "per_q_exact" in [r["name"] for r in doc["rows"]]
 
     def test_brute_engine_at_a_threshold_denominator_past_int32(self, capsys):
-        # the oracle's int32 cells never meet t_den = 2 * 10**10: it is clamped
+        # the oracle's int16 cells never meet t_den = 2 * 10**10: it is clamped
         # to max(u) dmax**2 + 1, past which every floor is 0
         rows = {}
         for engine in ("brute", "fast"):
@@ -379,7 +379,16 @@ class TestSubcommands:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == ("powersieve poisson: the truncated sum has T = 1000000000 "
-                                "terms; it needs 10**3 <= T <= 10**7\n")
+                                "terms; it needs 1000 <= T <= 10000000\n")
+
+    def test_poisson_refusal_names_the_guard(self, capsys, monkeypatch):
+        # the stderr line formats the guard, so a smaller one is the one it names
+        monkeypatch.setattr(expsum, "POISSON_TERMS_GUARD", 10 ** 6)
+        assert main(["poisson", "--N", "1", "--tail", "5000000"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("powersieve poisson: the truncated sum has T = 5000000 "
+                                "terms; it needs 1000 <= T <= 1000000\n")
 
     @pytest.mark.parametrize("subcommand", ["bounds", "sieve-ratio"])
     @pytest.mark.parametrize("epsilon", ["nan", "inf", "-inf"])
@@ -753,7 +762,7 @@ class TestReadmeContract:
                     if isinstance(target, ast.Name) and not target.id.startswith("_")
                     and re.search(r"GUARD|MAX|_BYTES$", target.id)}
         assert set(named) == declared
-        assert {"int64 columns", "symbol width", "float range"} <= set(rows)
+        assert {"int64 columns", "oracle cells", "symbol width", "float range"} <= set(rows)
 
     def test_help_prints_the_exit_codes(self, capsys):
         with pytest.raises(SystemExit) as err:

@@ -520,64 +520,72 @@ def random_points(rng, dens):
 
 
 class TestOracleClasses:
-    """The oracle sweeps rows a class of one denominator at a time, on int32,
-    int64 or object columns, and answers for any input order."""
+    """The oracle sweeps rows a class of one denominator at a time, on int64 or
+    object columns and int16, int32 or int64 cells, and answers for any input order."""
 
     @staticmethod
-    def check_sorted(nums, dens, thresholds, dtype):
+    def check_sorted(nums, dens, thresholds, cell):
         t_nums = [t.numerator for t in thresholds]
         t_dens = [t.denominator for t in thresholds]
-        assert spacing._oracle_columns(nums, dens, max(t_nums))[0].dtype == dtype
+        assert spacing._oracle_columns(nums, dens, max(t_nums))[3] is cell
         order = np.argsort(nums / dens)  # a float order the sorted engine certifies exactly
         brute = neighbor_counts_bruteforce(nums, dens, t_nums, t_dens)
         fast = neighbor_counts_sorted(nums[order], dens[order], t_nums, t_dens)
         assert np.array_equal(brute[:, order], fast)
         return brute
 
-    def test_int32_on_fraction_sets(self):
+    def test_int16_cells_on_fraction_sets(self):
         for Q, k in [(6, 2), (4, 3)]:
             fs = enumerate_set(Q, k)
             N = Q ** (k + 1)
             thresholds = [Fraction(1, 2 * N), Fraction(1, N), Fraction(3, 1000), Fraction(5, 11)]
-            rows = self.check_sorted(fs.numerators, fs.denominators(), thresholds, np.int32)
+            rows = self.check_sorted(fs.numerators, fs.denominators(), thresholds, np.int16)
             assert rows[0].max() > 0
 
-    def test_int64_past_2_31_cells(self):
-        # denominators near 10**5: dmax**2 >= 2**31 takes int64 at t_num = 1
+    def test_int32_cells_past_the_int16_range(self):
+        # denominators near 10**5: 2 dmax passes int16, so the cells take int32
         rng = np.random.default_rng(5)
         nums, dens = random_points(rng, rng.choice(np.arange(99_000, 100_000), 400, replace=False))
-        assert int(dens.max()) ** 2 >= 2 ** 31
-        rows = self.check_sorted(nums, dens, [Fraction(1, 200), Fraction(1, 2000)], np.int64)
+        assert 2 * int(dens.max()) > np.iinfo(np.int16).max
+        rows = self.check_sorted(nums, dens, [Fraction(1, 200), Fraction(1, 2000)], np.int32)
         assert rows[0].max() > 0
 
     def test_threshold_numerators_raise_the_width(self):
-        # dmax**2 < 2**31 <= 3 dmax**2: t = 1/100 stays int32, t = 3/1000 and
-        # t = 5/11 form u p past 2**31 and take int64
+        # denominators near 31,000: t = 1/100 and 5/11 keep int64 columns, and
+        # t_num past 2**62 / dmax**2 takes them to Python integers; the cells
+        # hold +-2 dmax, so they stay int32 whatever t
         rng = np.random.default_rng(7)
         nums, dens = random_points(rng, rng.choice(np.arange(30_000, 31_000), 300, replace=False))
-        assert int(dens.max()) ** 2 < 2 ** 31 <= 3 * int(dens.max()) ** 2
-        self.check_sorted(nums, dens, [Fraction(1, 100)], np.int32)
-        rows = self.check_sorted(nums, dens, [Fraction(3, 1000), Fraction(5, 11)], np.int64)
-        assert 0 < rows[0].max() and rows[1].min() < len(nums) - 1
+        u = 2 ** 62 // int(dens.max()) ** 2 + 1
+        wide = Fraction(u, 100 * u + 1)  # near 1/100
+        for thresholds, columns in (([Fraction(1, 100), Fraction(5, 11)], np.int64),
+                                    ([wide], object)):
+            u_max = max(t.numerator for t in thresholds)
+            assert spacing._oracle_columns(nums, dens, u_max)[0].dtype == columns
+            rows = self.check_sorted(nums, dens, thresholds, np.int32)
+            assert 0 < rows[0].max() and rows[-1].min() < len(nums) - 1
 
     def test_object_width(self):
         pts, thresholds = wide_denominator_case()
         nums, dens = fraction_columns(pts)
         assert spacing._oracle_columns(nums, dens, 1)[0].dtype == object
+        assert spacing._oracle_columns(nums, dens, 1)[3] is np.int64
         rows = neighbor_counts_bruteforce(
             nums, dens, [t.numerator for t in thresholds], [t.denominator for t in thresholds])
         assert rows.tolist() == [fraction_counts(pts, t) for t in thresholds]
 
     @pytest.mark.parametrize("t_den", [2 ** 70, 2 ** 200])
     def test_threshold_denominators_past_int64(self, t_den):
-        # t = 1/t_den: the oracle clamps t_den to its cap and stays int32, every
-        # h is 0; t near 1/37 takes both engines' columns to Python integers
+        # t = 1/t_den: the oracle clamps t_den to its cap and keeps int64
+        # columns, every h is 0; t near 1/37 takes both engines' columns to
+        # Python integers, and the oracle's cells stay int16
         fs = enumerate_set(4, 2)
         nums, dens = fs.numerators, fs.denominators()
         pts = [p.as_fraction() for p in fs]
         t_nums = [1, t_den // 37 | 1]
-        assert spacing._oracle_columns(nums, dens, 1)[0].dtype == np.int32
+        assert spacing._oracle_columns(nums, dens, 1)[0].dtype == np.int64
         assert spacing._oracle_columns(nums, dens, t_nums[1])[0].dtype == object
+        assert spacing._oracle_columns(nums, dens, t_nums[1])[3] is np.int16
         expected = [fraction_counts(pts, Fraction(u, t_den)) for u in t_nums]
         assert max(expected[0]) == 0 < min(expected[1])
         for engine in (neighbor_counts_bruteforce, neighbor_counts_sorted):
@@ -626,11 +634,12 @@ class TestOracleClasses:
 
     @pytest.mark.parametrize("t_den", [2 * 10 ** 10, 2 ** 70])
     def test_threshold_denominator_past_the_cell_width(self, t_den):
-        # h = (p - 1) // t_den is formed at a width that holds t_den, then
-        # narrowed to the int32 cells
+        # h = (p - 1) // t_den and the windows are formed at a width that
+        # holds t_den, then narrowed to the int16 cells
         fs = enumerate_set(2, 2)
         nums, dens = fs.numerators, fs.denominators()
-        assert spacing._oracle_columns(nums, dens, 1)[0].dtype == np.int32
+        assert spacing._oracle_columns(nums, dens, 1)[0].dtype == np.int64
+        assert spacing._oracle_columns(nums, dens, 1)[3] is np.int16
         counts = neighbor_counts_bruteforce(nums, dens, 1, t_den)
         assert counts.tolist() == neighbor_counts_sorted(nums, dens, 1, t_den).tolist()
         assert counts.tolist() == [0] * len(fs)
@@ -773,6 +782,73 @@ class TestOracleImages:
         assert spacing._oracle_columns(nums, dens, t_den // 37 | 1)[0].dtype == object
         expected = self.check(pts, thresholds)
         assert seam_pairs(pts, thresholds[1]) > 0 and max(expected[2]) == 0
+
+
+def window_points(dmax):
+    """150 points with denominators up to dmax, dmax among them, crowded near
+    0, 1/2 and 1 so that windows reach the ends of the rows' numerators."""
+    rng = random.Random(dmax)
+    pts = set()
+    while len(pts) < 150:
+        d = rng.choice([dmax, dmax - rng.randrange(1, 64), rng.randrange(2, 60)])
+        a = rng.choice([rng.randrange(d), rng.randrange(9), d - rng.randrange(1, 9),
+                        d // 2 + rng.randrange(-4, 5)])
+        pts.add(Fraction(a % d, d))
+    return sorted(pts)
+
+
+class TestOracleWindows:
+    """Each cell tests a row numerator a against its column's window
+    lo <= a <= hi as a - lo < hi - lo + 1, unsigned, in the narrowest cells
+    that hold +-2 dmax.  Each case is checked against Fraction counts."""
+
+    @staticmethod
+    @functools.cache
+    def case(dmax):
+        pts = window_points(dmax)
+        thresholds = [Fraction(1, 2 * dmax ** 2 + 1), Fraction(1, 3 * dmax), Fraction(1, 1000),
+                      Fraction(1, 40), Fraction(7, 15), Fraction(1, 2)]
+        return pts, thresholds, [fraction_counts(pts, t) for t in thresholds]
+
+    @staticmethod
+    def rows(pts, thresholds):
+        nums, dens = fraction_columns(pts)
+        return neighbor_counts_bruteforce(nums, dens, [t.numerator for t in thresholds],
+                                          [t.denominator for t in thresholds]).tolist()
+
+    @pytest.mark.parametrize("dmax, cell", [(16383, np.int16), (16384, np.int32)])
+    def test_cells_on_either_side_of_int16(self, dmax, cell):
+        # 2 dmax = 32766 fits int16 and 32768 does not
+        pts, thresholds, expected = self.case(dmax)
+        nums, dens = fraction_columns(pts)
+        assert max(dens) == dmax and spacing._oracle_columns(nums, dens, 7)[3] is cell
+        assert self.rows(pts, thresholds) == expected
+        assert 0 < max(expected[1]) < max(expected[3]) < len(pts) - 1
+
+    @pytest.mark.parametrize("dmax", [16383, 16384])
+    def test_threshold_below_every_gap_empties_every_window(self, dmax):
+        # t < 1/(2 dmax**2) makes every h 0: a window off a point's own value
+        # has hi = floor(d b/d') < lo = ceil(d b/d')
+        pts, thresholds, expected = self.case(dmax)
+        assert self.rows(pts, thresholds[:1]) == expected[:1] == [[0] * len(pts)]
+
+    @pytest.mark.parametrize("dmax", [16383, 16384])
+    def test_image_sweep_at_seven_fifteenths_and_one_half(self, dmax):
+        # the image sweep's columns b - d' are negative, and at t near 1/2 the
+        # windows reach from lo near -d to hi near d
+        pts, thresholds, expected = self.case(dmax)
+        assert self.rows(pts, thresholds[4:]) == expected[4:]
+        assert seam_pairs(pts, thresholds[4]) > 0
+
+    def test_denominators_of_2_62_refused(self):
+        # cells of +-2 dmax pass int64 at dmax = 2**62; the sorted engine takes them
+        pts = [Fraction(1, 2 ** 62 - 1), Fraction(3, 2 ** 62 - 1), Fraction(1, 3)]
+        assert self.rows(pts, [Fraction(1, 4)]) == [fraction_counts(pts, Fraction(1, 4))]
+        pts = sorted([*pts, Fraction(5, 2 ** 62)])
+        nums, dens = fraction_columns(pts)
+        with pytest.raises(ValueError, match=r"below 2\*\*62"):
+            neighbor_counts_bruteforce(nums, dens, 1, 4)
+        assert neighbor_counts_sorted(nums, dens, 1, 4).tolist() == fraction_counts(pts, Fraction(1, 4))
 
 
 class TestFloorWidth:
@@ -1187,12 +1263,12 @@ class TestOracleMemory:
         return peak, len(fs), counts.nbytes
 
     def test_block_buffers_bound_the_peak(self):
-        # one int32 cell buffer and a uint8 mask are 5 bytes a cell, 6 with
-        # room to spare (a second cell buffer, 4 bytes a cell, does not fit);
-        # the columns in class order, the class vectors, the seam sets and
-        # the counts take under 80 bytes a point
+        # one int16 cell buffer and a uint8 mask are 3 bytes a cell, 4 with
+        # room to spare (a second cell buffer, 2 bytes a cell, does not fit);
+        # the int64 columns in class order, a class's windows and their
+        # int64 temporaries, the seam sets and the counts take under 112 bytes a point
         def bound(n, counts_bytes):
-            return spacing._BLOCK_CELLS * 6 + 80 * n + counts_bytes
+            return spacing._BLOCK_CELLS * 4 + 112 * n + counts_bytes
 
         peak, n, counts_bytes = self.traced_peak(6, 3)
         # the bound of 16-row blocks of four int64 products and a mask
@@ -1203,7 +1279,7 @@ class TestOracleMemory:
 
     def test_a_small_call_allocates_no_whole_block(self):
         # S(1, 2) = {1/4, 3/4} forms at most 2 * 2 cells: its buffers take a few
-        # bytes, not a block's 5 bytes a cell (640 KB)
+        # bytes, not a block's 3 bytes a cell (384 KB)
         peak, n, _ = self.traced_peak(1, 2)
         assert n == 2 and peak < spacing._BLOCK_CELLS // 4
 

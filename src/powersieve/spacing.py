@@ -15,7 +15,8 @@ with t = 1/(2N) in the standard parameterization.  Two engines compute it:
   by every threshold, tests whether point i + d (past the seam at 0/1 too)
   lies within t ahead of i and counts each hit twice, as i lies within t
   behind i + d exactly then; round 1 also certifies the order, as a key
-  floor(v 2**s) that rises proves the value rises.
+  floor(v 2**s) that rises proves the value rises.  Steps of the same test
+  over the few arcs left open, then a key search, settle the rest.
 
 Each answers any number of thresholds in one call and decides ``||a/d - b/d'|| < t
 = u/v`` exactly from h = (u d d' - 1) // v: the fast path tests |a d' - d b| <= h,
@@ -172,26 +173,39 @@ def _count_below(nums, bases, k: int, u: int, v: int, closed: bool = False) -> i
 def _within(nums, dens, delta, pairs, u: int, v: int, s: int) -> np.ndarray:
     """w_p - v_i < t = u/v for keys ``delta`` apart, ``pairs(j)`` giving the (i, p)
     of the pairs j in the band.  Each key floor(w 2**s) is off by under one, so
-    delta < floor(t 2**s) proves w_p - v_i < t, delta > ceil(t 2**s) refutes it,
-    and only the band between takes wn_p d_i - n_i wd_p <= (u d_i wd_p - 1) // v
+    delta < floor(t 2**s) proves w_p - v_i < t, delta > ceil(t 2**s) refutes it, and
+    the band between, unless empty, takes wn_p d_i - n_i wd_p <= (u d_i wd_p - 1) // v
     (a v clamped to u dmax**2 + 1 leaves every floor as it is)."""
     lo, hi = (u << s) // v, -(-(u << s) // v)
     inside = delta < lo
-    i, p = pairs(band := np.flatnonzero(inside != (delta <= hi)))  # lo <= delta <= hi
-    n, di, wd = len(nums), dens[i], dens.take(p, mode="wrap")
-    x = (nums.take(p, mode="wrap") + (p >= n) * wd) * di - nums[i] * wd
-    inside[band] = x <= (u * (di * wd) - 1) // v
+    if (band := np.flatnonzero(inside != (delta <= hi))).size:  # lo <= delta <= hi
+        i, p = pairs(band)
+        n, di, wd = len(nums), dens[i], dens.take(p, mode="wrap")
+        x = (nums.take(p, mode="wrap") + (p >= n) * wd) * di - nums[i] * wd
+        inside[band] = x <= (u * (di * wd) - 1) // v
     return inside
 
 
 def _long_arcs(nums, dens, wk, row, held, d: int, u: int, v: int, s: int) -> None:
     """Adds to ``row`` what the rounds left of the arcs i still ``held`` after round
-    d.  A key search puts each at its last point proven in, exact tests at p and
-    p + 1 settle its end p_i, and its p_i - i - d points past i + d count at i
-    and hold i behind them: one hit at a time while these tails total at most n
+    d.  If the rounds stopped on fewer than n / lg open arcs, steps d + 1, d + 2,
+    ... test i + d over those arcs alone while each closes at least half.  A key
+    search puts each arc still open at its last point proven in, exact tests at p
+    and p + 1 settle its end p_i, and its p_i - i - d points past i + d count at
+    i and hold i behind them: one hit at a time while these tails total at most n
     points, else through one difference array (t near 1/2 makes arcs of n/2)."""
     n = len(nums)
     arcs = np.flatnonzero(held)
+    step = arcs.size * n.bit_length() < n  # the rounds stopped on few open arcs
+    while step and arcs.size:  # i + d < len(wk): the extension's last key is past every arc
+        d += 1
+        kept = arcs[_within(nums, dens, wk[arcs + d] - wk[arcs],
+                            lambda j: (arcs[j], arcs[j] + d), u, v, s)]
+        row[kept] += 1  # forward at i, backward at (i + d) mod n: distinct, so += is exact
+        row[(kept + d) % n] += 1
+        step, arcs = 2 * kept.size <= arcs.size, kept
+    if not arcs.size:
+        return
     p = np.clip(np.searchsorted(wk, wk[arcs] + (u << s) // v) - 1, arcs + d,
                 np.minimum(arcs + n - 1, len(wk) - 2))  # per arc, then its end p_i in place
     todo = slice(None)  # the arcs still open: all of them, then those the tests moved
@@ -233,9 +247,10 @@ def neighbor_counts_sorted(nums, dens, t_num, t_den) -> np.ndarray:
     of i.  For t <= 1/2 the two relations are disjoint for distinct points (the
     two distances mod 1 sum to 1) and an arc is shorter than n, so no pair
     counts twice.  Values increase, so an arc holding i + d holds every point
-    before it.  A round costs O(n) and a search O(log n) an arc, so a
-    threshold's rounds stop once fewer than n / log2 n of its arcs are open or
-    its last round closed fewer; ``_long_arcs`` settles the rest.  Round 1
+    before it.  A round costs O(n), and a step O(1) and a search O(log n) an
+    arc, so a threshold's rounds stop once fewer than n / log2 n of its arcs
+    are open (``_long_arcs`` steps them, then searches those still open) or its
+    last round closed fewer (it searches them).  Round 1
     certifies the order: a key floor(v 2**s) that rises proves the value
     rises, so only adjacent pairs whose keys do not rise take cross products.
 

@@ -900,14 +900,13 @@ class TestFloorWidth:
         nums, dens = fs.numerators, fs.denominators()
         below = sum(Fraction(int(a), int(d)) < Fraction(1, 9) for a, d in zip(nums, dens))
         assert Fraction(1, 9) in {p.as_fraction() for p in fs}
-        extended = []
-        searchsorted = np.searchsorted
+        extended, long_arcs = [], spacing._long_arcs
 
-        def spy(wk, *rest, **kwargs):  # each threshold's long-arc search runs on the keys
+        def spy(nums, dens, wk, *rest):  # each threshold hands its open arcs and the keys on
             extended.append(len(wk) - len(nums))
-            return searchsorted(wk, *rest, **kwargs)
+            return long_arcs(nums, dens, wk, *rest)
 
-        monkeypatch.setattr(np, "searchsorted", spy)
+        monkeypatch.setattr(spacing, "_long_arcs", spy)
         neighbor_counts_sorted(nums, dens, [1, 1], [9, 90])
         assert extended == [below + 1] * 2
 
@@ -917,13 +916,13 @@ class TestFloorWidth:
         pts, _ = wide_denominator_case()
         nums, dens = fraction_columns(pts)
         assert spacing._engine_columns(nums, dens, 1)[0].dtype == object
-        seen, searchsorted = [], np.searchsorted
+        seen, long_arcs = [], spacing._long_arcs
 
-        def spy(wk, *rest, **kwargs):  # each threshold's long-arc search runs on the keys
+        def spy(nums, dens, wk, *rest):  # each threshold hands its open arcs and the keys on
             seen.append(wk.copy())
-            return searchsorted(wk, *rest, **kwargs)
+            return long_arcs(nums, dens, wk, *rest)
 
-        monkeypatch.setattr(np, "searchsorted", spy)
+        monkeypatch.setattr(spacing, "_long_arcs", spy)
         neighbor_counts_sorted(nums, dens, 1, 40)
         s, n = 31, len(pts)
         e = 1 + sum(p < Fraction(1, 40) for p in pts)
@@ -975,7 +974,9 @@ def clusters(sizes, shift=Fraction(0), step=Fraction(1, 1000)):
 
 def slice_rounds(pts, t):
     """A model of the sorted engine's stop rule over exact forward arcs: the
-    rounds it runs and the arcs still open after them, which the search sees."""
+    rounds it runs, the arcs still open after them, and those of them that the
+    steps leave to the search.  The steps run only if the rounds stopped on
+    fewer than n / lg open arcs, and stop after one that closes fewer than half."""
     arcs = [sum(0 < (y - x) % 1 < t for y in pts) for x in pts]
     n = len(pts)
     lg, d, left, closed = n.bit_length(), 0, n, n
@@ -983,7 +984,18 @@ def slice_rounds(pts, t):
         d += 1
         closed, left = left, sum(a >= d for a in arcs)
         closed -= left
-    return d, left
+    rounds, searched, step = d, left, left * lg < n
+    while step and searched:
+        d += 1
+        kept = sum(a >= d for a in arcs)
+        step, searched = 2 * kept <= searched, kept
+    return rounds, left, searched
+
+
+def moved_apart(pts):
+    """``pts`` with the i-th point moved up by i/2**40: denominators past 2**40
+    make the sorted engine's columns Python integers, the arcs stay as they were."""
+    return [p + Fraction(i, 2 ** 40) for i, p in enumerate(pts)]
 
 
 class TestSliceRounds:
@@ -999,7 +1011,7 @@ class TestSliceRounds:
             assert counts.tolist() == fraction_counts(pts, t)
             brute = neighbor_counts_bruteforce(nums, dens, t.numerator, t.denominator)
             assert counts.tolist() == brute.tolist()
-            assert sum(keys) == slice_rounds(pts, t)[1]
+            assert sum(keys) == slice_rounds(pts, t)[2]
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
     def test_pairs_exactly_t_apart_at_offset_d(self, d, search_keys):
@@ -1008,27 +1020,30 @@ class TestSliceRounds:
         # exactly t away, which stays out; a hair above t it is in
         pts = clusters([d + 1] * 20, step=Fraction(1, 100 * d))
         t = Fraction(1, 100)
-        assert slice_rounds(pts, t) == (d, 0)
-        assert slice_rounds(pts, t + Fraction(1, 10 ** 9)) == (d + 1, 0)
+        assert slice_rounds(pts, t) == (d, 0, 0)
+        assert slice_rounds(pts, t + Fraction(1, 10 ** 9)) == (d + 1, 0, 0)
         self.check(pts, [t, t + Fraction(1, 10 ** 9)], search_keys)
 
-    @pytest.mark.parametrize("sizes,rounds,open_arcs", [
-        # 4 of 57 arcs open after round 1: the triple's head ends one past it
-        ([1] * 50 + [2, 2, 3], 1, 4),
-        # 3 of 67 open after round 2: heads of arcs of 2 end at it, of 3 past it
-        ([2] * 30 + [3, 4], 2, 3),
+    @pytest.mark.parametrize("sizes,rounds,open_arcs,searched", [
+        # 4 of 57 arcs open after round 1: steps 2 and 3 close 3 and the
+        # triple's head, which ends one past round 1
+        pytest.param([1] * 50 + [2, 2, 3], 1, 4, 0, id="sizes0-1-4"),
+        # 3 of 67 open after round 2: step 3 closes the two arcs of 2 points
+        # and step 4 the arc of 3
+        pytest.param([2] * 30 + [3, 4], 2, 3, 0, id="sizes1-2-3"),
         # every round closes 12 of 60: the rounds settle every arc
-        ([5] * 12, 5, 0),
+        pytest.param([5] * 12, 5, 0, 0, id="sizes2-5-0"),
         # round 1 closes only 8 of 64: the rest go to the search at once
-        ([8] * 8, 1, 56),
+        pytest.param([8] * 8, 1, 56, 56, id="sizes3-1-56"),
     ])
     @pytest.mark.parametrize("shift", [Fraction(0), Fraction(-2, 1000)])
-    def test_arcs_at_and_past_the_last_round(self, sizes, rounds, open_arcs, shift, search_keys):
+    def test_arcs_at_and_past_the_last_round(self, sizes, rounds, open_arcs, searched, shift,
+                                             search_keys):
         # shifted, the first group straddles the seam and its top points'
         # arcs wrap onto the extension
         pts = clusters(sizes, shift)
         t = Fraction(1, 100)
-        assert slice_rounds(pts, t) == (rounds, open_arcs)
+        assert slice_rounds(pts, t) == (rounds, open_arcs, searched)
         self.check(pts, [t, Fraction(1, 1000), Fraction(3, 1000)], search_keys)
 
     def test_seam_arcs_past_the_extension_slice(self, search_keys):
@@ -1054,20 +1069,18 @@ class TestSliceRounds:
         self.check(pts, sorted(t for t in thresholds if t <= Fraction(1, 2)), search_keys)
 
     def test_object_width_columns(self, search_keys):
-        # the clusters moved by i/2**40 at the i-th point: denominators past
-        # 2**40 make the columns Python integers, the arcs stay as they were
-        pts = [p + Fraction(i, 2 ** 40) for i, p in
-               enumerate(clusters([1] * 20 + [2, 3, 4] * 4, Fraction(-1, 1000)))]
+        # at t = 1/100, 4 of 56 arcs are open after round 3 and step 4 closes them
+        pts = moved_apart(clusters([1] * 20 + [2, 3, 4] * 4, Fraction(-1, 1000)))
         nums, dens = fraction_columns(pts)
         assert spacing._engine_columns(nums, dens, 1)[0].dtype == object
         self.check(pts, [Fraction(1, 100), Fraction(1, 1000) + Fraction(1, 2 ** 41)], search_keys)
 
     def test_short_arcs_skip_the_search(self, search_keys):
-        # S(30, 2) at N = Q**3: the search sees fewer than n / log2 n arcs
+        # S(30, 2) at N = Q**3: the steps settle every arc the rounds leave
+        # open, so no key reaches the search
         fs = enumerate_set(30, 2)
-        n = len(fs)
         spacing_count_fast(fs, 30 ** 3)
-        assert 0 < sum(search_keys) < n / math.log2(n)
+        assert sum(search_keys) == 0
 
     def test_long_arcs_go_straight_to_the_search(self, search_keys):
         # S(12, 2) at N = 10: each arc holds about n/20 points, round 1
@@ -1076,6 +1089,67 @@ class TestSliceRounds:
         fs = enumerate_set(12, 2)
         neighbor_counts_sorted(fs.numerators, fs.denominators(), 1, 20)
         assert sum(search_keys) >= 0.9 * len(fs)
+
+
+class TestSteps:
+    """Rounds that stop on fewer than n / lg open arcs hand them to exact steps
+    d + 1, d + 2, ... over the open arcs alone, each a hit forward at i and
+    backward at (i + d) mod n, while a step closes at least half of its arcs;
+    only the arcs left after the steps reach the key search."""
+
+    @pytest.mark.parametrize("Q,k", [(5, 2), (3, 3)])
+    @pytest.mark.parametrize("scale", [1, 2])
+    def test_steps_close_every_arc(self, Q, k, scale, search_keys):
+        # the engine on the whole of S(Q, k) at t = 1/(2N), N = Q**(k+1) and
+        # 2 Q**(k+1): the rounds stop on a few open arcs and the steps close them
+        pts = sorted(p.as_fraction() for p in enumerate_set(Q, k))
+        t = Fraction(1, 2 * scale * Q ** (k + 1))
+        rounds, open_arcs, searched = slice_rounds(pts, t)
+        assert 0 < open_arcs * len(pts).bit_length() < len(pts) and searched == 0
+        TestSliceRounds.check(pts, [t], search_keys)
+
+    @pytest.mark.parametrize("wide", [False, True])
+    def test_stepped_arc_across_the_seam(self, wide, search_keys):
+        # 998/1000 holds 999/1000 in round 1 and 0, at i + 2 = n, in step 2:
+        # the step counts it behind 0 at (i + 2) mod n
+        pts = clusters([3, 2, 2] + [1] * 50, Fraction(-2, 1000))
+        pts = moved_apart(pts) if wide else pts
+        nums, dens = fraction_columns(pts)
+        assert (spacing._engine_columns(nums, dens, 1)[0].dtype == object) == wide
+        t = Fraction(1, 100)
+        assert slice_rounds(pts, t) == (1, 4, 0)
+        TestSliceRounds.check(pts, [t], search_keys)
+        assert neighbor_counts_sorted(nums, dens, 1, 100)[0] == 2  # 998/1000 and 999/1000
+
+    @pytest.mark.parametrize("sizes,open_arcs,searched,path", [
+        # 27 arcs of 3 groups of 10 open after round 1; step 2 closes 3 and the
+        # search takes 24, whose tails total 84 points: one hit at a time
+        ([1] * 200 + [10] * 3, 27, 24, "scatter"),
+        # 24 arcs of a group of 25; step 2 closes 1 and the search takes 23,
+        # whose tails total 253 points, past n = 225: the difference array
+        ([25] + [1] * 200, 24, 23, "cumsum"),
+    ])
+    def test_step_closing_fewer_than_half_hands_the_rest_to_the_search(
+            self, sizes, open_arcs, searched, path, search_keys, tail_paths):
+        pts, t = clusters(sizes, step=Fraction(1, 10 ** 5)), Fraction(1, 1000)
+        assert slice_rounds(pts, t) == (1, open_arcs, searched)
+        TestSliceRounds.check(pts, [t], search_keys)
+        assert set(tail_paths) == {path}
+
+    @pytest.mark.parametrize("shift", [Fraction(0), Fraction(-2, 1000)])
+    def test_pair_exactly_t_apart_at_offset_d_plus_one(self, shift, search_keys, band_sizes):
+        # groups t/2 apart: round 1 holds the triple's second point, and step 2
+        # meets its third, exactly t from the head (across the seam if shifted);
+        # the floor test decides that one band pair, out at t and, a key unit
+        # being 2**-48, in a hair above, where the columns are Python integers
+        pts = clusters([3, 2, 2] + [1] * 50, shift, step=Fraction(1, 200))
+        t = Fraction(1, 100)
+        assert (pts[-1] + t) % 1 == pts[1] if shift else pts[0] + t == pts[2]
+        for t_step, within in ((t, [0, 1]), (t + Fraction(1, 2 ** 60), [0, 1, 0])):
+            band_sizes.clear()
+            TestSliceRounds.check(pts, [t_step], search_keys)
+            assert band_sizes == within
+            assert slice_rounds(pts, t_step) == (1, 5, 0)
 
 
 def key_bracket(pts, t):
@@ -1114,15 +1188,14 @@ def band_points(t, scale):
 
 @pytest.fixture
 def band_sizes(monkeypatch):
-    """The number of pairs of every band the sorted engine sends to its floor test."""
+    """The number of pairs in the band of every call of the sorted engine's
+    ``_within``, 0 for a call whose key gaps all lie outside it."""
     sizes, within = [], spacing._within
 
-    def spy(nums, dens, delta, pairs, *rest):
-        def band_pairs(band):  # the pairs j whose key gap lies in the band
-            sizes.append(len(band))
-            return pairs(band)
-
-        return within(nums, dens, delta, band_pairs, *rest)
+    def spy(nums, dens, delta, pairs, u, v, s):
+        lo, hi = (u << s) // v, -(-(u << s) // v)
+        sizes.append(int(np.count_nonzero((lo <= delta) & (delta <= hi))))
+        return within(nums, dens, delta, pairs, u, v, s)
 
     monkeypatch.setattr(spacing, "_within", spy)
     return sizes
@@ -1217,7 +1290,7 @@ class TestSweep:
         # their tails total n points, one at a time, or n + 1, past the boundary
         pts, t = cells(50, run), Fraction(7, 300)
         n = len(pts)
-        assert slice_rounds(pts, t) == (1, n - run)
+        assert slice_rounds(pts, t) == (1, n - run, n - run)
         arcs = [sum(0 < (y - x) % 1 < t for y in pts) for x in pts]
         assert sum(a - 1 for a in arcs if a > 1) == n + run
         counts = neighbor_counts_sorted(*fraction_columns(pts), t.numerator, t.denominator)
